@@ -100,6 +100,34 @@ from .scheduler import CostAwareScheduler
 __all__ = ["JobTicket", "JobService", "RetryPolicy", "ServiceStats"]
 
 
+def _call_with_deadline(fn, deadline: float, message: str):
+    """Return ``fn()``, or raise :class:`DeadlineExceededError` after *deadline* s.
+
+    The one deadline seam of the service, shared by solo attempts and merged
+    groups.  ``fn`` runs on a daemon thread; on expiry the caller gets
+    ``DeadlineExceededError(message)`` and its lane back, while the
+    abandoned attempt finishes on the detached thread (a daemon, so it never
+    blocks interpreter exit).  An exception raised by ``fn`` re-raises here.
+    """
+    box: Dict[str, Any] = {}
+    finished = threading.Event()
+
+    def run() -> None:
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - shipped to the caller
+            box["error"] = exc
+        finally:
+            finished.set()
+
+    threading.Thread(target=run, name="serving-deadline", daemon=True).start()
+    if not finished.wait(deadline):
+        raise DeadlineExceededError(message)
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded, transient-only retry with seeded deterministic backoff.
@@ -646,8 +674,13 @@ class JobService:
                     bundles, backend=backend, validate=False, lowered=lowered
                 )
             else:
-                results = self._merged_with_deadline(
-                    bundles, lowered, backend, effective
+                results = _call_with_deadline(
+                    lambda: runtime_submit_merged(
+                        bundles, backend=backend, validate=False, lowered=lowered
+                    ),
+                    effective,
+                    f"merged group of {len(bundles)} exceeded its tightest "
+                    f"{effective}s deadline; the attempt was abandoned",
                 )
         except DeadlineExceededError:
             survivors: List[JobTicket] = []
@@ -699,42 +732,6 @@ class JobService:
             }
             ticket._future.set_result(result)
             self._settle(ticket)
-
-    def _merged_with_deadline(
-        self,
-        bundles: List[JobBundle],
-        lowered: List[Optional[tuple]],
-        backend: Any,
-        deadline: float,
-    ) -> List[ExecutionResult]:
-        """Run one merged attempt under the subgroup's tightest deadline."""
-        box: Dict[str, Any] = {}
-        finished = threading.Event()
-
-        def run_attempt() -> None:
-            try:
-                box["results"] = runtime_submit_merged(
-                    bundles, backend=backend, validate=False, lowered=lowered
-                )
-            except BaseException as exc:  # noqa: BLE001 - shipped to the lane
-                box["error"] = exc
-            finally:
-                finished.set()
-
-        worker = threading.Thread(
-            target=run_attempt,
-            name="serving-merged-deadline",
-            daemon=True,  # an abandoned attempt must not block interpreter exit
-        )
-        worker.start()
-        if not finished.wait(deadline):
-            raise DeadlineExceededError(
-                f"merged group of {len(bundles)} exceeded its tightest "
-                f"{deadline}s deadline; the attempt was abandoned"
-            )
-        if "error" in box:
-            raise box["error"]
-        return box["results"]
 
     def _run_job(self, ticket: JobTicket, group_size: int, position: int) -> None:
         """One job's attempt loop: deadline, transient retry, degradation."""
@@ -796,44 +793,24 @@ class JobService:
         deadline = bundle.context.exec.options.get(
             "deadline_s", self._default_deadline_s
         )
-        if deadline is None:
-            result = runtime_submit(
+
+        def attempt() -> ExecutionResult:
+            return runtime_submit(
                 bundle,
                 backend=get_backend(ticket.engine),
                 validate=False,
                 lowered=ticket._lowered,
             )
-            return result, degraded
-        box: Dict[str, Any] = {}
-        finished = threading.Event()
 
-        def run_attempt() -> None:
-            try:
-                box["result"] = runtime_submit(
-                    bundle,
-                    backend=get_backend(ticket.engine),
-                    validate=False,
-                    lowered=ticket._lowered,
-                )
-            except BaseException as exc:  # noqa: BLE001 - shipped to the lane
-                box["error"] = exc
-            finally:
-                finished.set()
-
-        worker = threading.Thread(
-            target=run_attempt,
-            name=f"serving-deadline-{ticket.job_id}",
-            daemon=True,  # an abandoned attempt must not block interpreter exit
+        if deadline is None:
+            return attempt(), degraded
+        result = _call_with_deadline(
+            attempt,
+            float(deadline),
+            f"job {ticket.name!r} exceeded its {deadline}s deadline; "
+            "the attempt was abandoned and its lane freed",
         )
-        worker.start()
-        if not finished.wait(float(deadline)):
-            raise DeadlineExceededError(
-                f"job {ticket.name!r} exceeded its {deadline}s deadline; "
-                "the attempt was abandoned and its lane freed"
-            )
-        if "error" in box:
-            raise box["error"]
-        return box["result"], degraded
+        return result, degraded
 
     def _degrade_bundle(self, bundle: JobBundle) -> JobBundle:
         """Force the thread executor on a bundle after pool-breakage fallback."""

@@ -27,7 +27,7 @@ from .fusion import (
 from .faults import FAULT_KINDS, FaultEvent, FaultPlan
 from .gates import GateDef, cached_gate_matrix, gate_matrix, get_gate, has_gate, list_gates
 from .noise import NoiseModel
-from .stabilizer import PRIMITIVE_GATES, StabilizerTableau, execute_stabilizer_program
+from .stabilizer import PRIMITIVE_GATES, StabilizerTableau
 from .threads import limit_blas_threads
 from .statevector import (
     DEFAULT_MAX_BATCH_MEMORY,
@@ -74,7 +74,6 @@ __all__ = [
     "PRIMITIVE_GATES",
     "StabilizerTableau",
     "StabilizerProgram",
-    "execute_stabilizer_program",
     "CLIFFORD_GATES",
     "is_clifford_circuit",
     "compile_stabilizer_program",

@@ -32,22 +32,22 @@ to one thread at a time** — the simulator's ``trajectory_workers`` pool
 parallelises across *instances* (one per shot chunk, each with its own
 spawned RNG stream), never within one.
 
-Segmented (merged) execution
-----------------------------
+Segmented draws
+---------------
 Every stochastic method (:meth:`BatchedStatevector.measure`,
 :meth:`BatchedStatevector.reset`,
 :meth:`BatchedStatevector.apply_noise_events`,
-:meth:`BatchedStatevector.sample_all`) accepts an optional *segments*
-argument: a sequence of ``(size, generator)`` pairs partitioning the batch
-axis into contiguous runs that each draw from their **own** generator, in
-segment order, with exactly the per-call vector sizes a standalone chunk of
-that width would draw.  This is the RNG-partition half of the serving
-layer's merged group execution: N coalesced jobs concatenate their
-standalone shot chunks on the batch axis (one shared tensor evolution), and
-because every per-segment generator sees the same call sequence it would
-see standalone, each job's seeded outcomes are bit-identical to running it
-alone.  ``segments=None`` (the default) keeps the classic whole-batch
-draws from the single *rng* argument.
+:meth:`BatchedStatevector.sample_all`) takes one *draws* argument: a
+sequence of ``(size, generator)`` pairs partitioning the batch axis into
+contiguous runs that each draw from their **own** generator, in segment
+order, with exactly the per-call vector sizes a standalone chunk of that
+width would draw.  A bare generator is the single whole-batch segment
+(:func:`~repro.simulators.gate.noise.as_segments`), so there is one draw
+path.  This is what lets the simulator run every job as part of a merged
+plan: N jobs concatenate their standalone shot chunks on the batch axis (one
+shared tensor evolution), and because every per-segment generator sees the
+same call sequence it would see standalone, each job's seeded outcomes are
+bit-identical to running it alone.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .kernels import (
     build_plan,
     operator_stack,
 )
+from .noise import as_segments
 from .statevector import MAX_SIMULATED_QUBITS, Statevector
 
 __all__ = ["BatchedStatevector", "DEFAULT_NOISE_GEMM_THRESHOLD"]
@@ -321,21 +322,19 @@ class BatchedStatevector:
         p1 = (np.abs(view[:, 1]) ** 2).sum(axis=(0, 1), dtype=np.float64)
         return np.clip(p1, 0.0, 1.0)
 
-    # -- segmented (merged-run) draw helpers -------------------------------------
-    def _segment_uniform(self, rng, segments) -> np.ndarray:
-        """One uniform vector over the batch: whole-batch or per-segment draws.
+    # -- segmented draw helpers -----------------------------------------------------
+    def _segment_uniform(self, draws) -> np.ndarray:
+        """One uniform vector over the batch, drawn segment by segment.
 
-        With *segments* ``None`` this is the classic ``rng.random(batch)``
-        call; otherwise each ``(size, generator)`` segment draws its own
-        ``generator.random(size)`` — the identical call a standalone chunk
-        of that width would make — and the draws concatenate in segment
-        order.
+        Each ``(size, generator)`` segment makes the ``generator.random(size)``
+        call a standalone chunk of that width would make, and the draws
+        concatenate in segment order.
         """
-        if segments is None:
-            return rng.random(self.batch_size)
-        return np.concatenate([gen.random(size) for size, gen in segments])
+        return np.concatenate(
+            [gen.random(size) for size, gen in as_segments(draws, self.batch_size)]
+        )
 
-    def _draw_noise_event(self, event, rng, segments):
+    def _draw_noise_event(self, event, draws):
         """One event's ``(struck, choice)`` draw with per-segment consumption.
 
         Preserves the standalone consumption pattern *per generator*: one
@@ -345,39 +344,34 @@ class BatchedStatevector:
         application masks on *struck*).  Returns ``(struck, None)`` when no
         trajectory was struck.
         """
-        if segments is None:
-            struck = rng.random(self.batch_size) < event.rate
-            if not struck.any():
-                return struck, None
-            return struck, rng.integers(0, len(event.operators), size=self.batch_size)
-        parts = []
-        for size, gen in segments:
-            sub = gen.random(size) < event.rate
-            if sub.any():
-                choice = gen.integers(0, len(event.operators), size=size)
-            else:
-                choice = np.zeros(size, dtype=np.int64)
-            parts.append((sub, choice))
-        struck = np.concatenate([sub for sub, _ in parts])
+        segments = as_segments(draws, self.batch_size)
+        strikes = [gen.random(size) < event.rate for size, gen in segments]
+        struck = np.concatenate(strikes)
         if not struck.any():
             return struck, None
-        return struck, np.concatenate([choice for _, choice in parts])
+        choice = np.concatenate(
+            [
+                gen.integers(0, len(event.operators), size=size)
+                if sub.any()
+                else np.zeros(size, dtype=np.int64)
+                for (size, gen), sub in zip(segments, strikes)
+            ]
+        )
+        return struck, choice
 
-    def measure(
-        self, qubit: int, rng: Optional[np.random.Generator], segments=None
-    ) -> np.ndarray:
+    def measure(self, qubit: int, draws) -> np.ndarray:
         """Projectively measure *qubit* on every trajectory (collapse in place).
 
         Returns a ``(batch,)`` uint8 array of outcomes.  Collapse and
         renormalisation are fused into one broadcast multiply per shot by
-        ``keep / sqrt(P(outcome))``.  *segments* switches the outcome draw
-        to the per-segment generators of a merged run (see the module
-        docstring); collapse itself is per-column arithmetic either way.
+        ``keep / sqrt(P(outcome))``.  *draws* is a generator or a segment
+        list (see the module docstring); collapse itself is per-column
+        arithmetic either way.
         """
         if not 0 <= qubit < self.num_qubits:
             raise SimulationError(f"qubit {qubit} out of range")
         p1 = self.probability_one(qubit)
-        outcomes = (self._segment_uniform(rng, segments) < p1).astype(np.uint8)
+        outcomes = (self._segment_uniform(draws) < p1).astype(np.uint8)
         chosen = np.where(outcomes, p1, 1.0 - p1)
         if np.any(chosen <= 0.0):
             raise SimulationError("measurement produced a zero-norm state")
@@ -386,18 +380,15 @@ class BatchedStatevector:
         self._split_view(qubit)[...] *= scale.reshape(1, 2, 1, self.batch_size)
         return outcomes
 
-    def reset(
-        self, qubit: int, rng: Optional[np.random.Generator], segments=None
-    ) -> np.ndarray:
+    def reset(self, qubit: int, draws) -> np.ndarray:
         """Measure *qubit*, then flip the trajectories that read 1 back to 0.
 
         The conditional flip streams as two broadcast multiplies: after the
         measurement collapse, outcome-1 shots have an empty ``|0>`` branch,
         so ``v0 += o * v1; v1 *= 1 - o`` moves their amplitude down without
-        gathering columns.  *segments* forwards to :meth:`measure` for
-        merged runs.
+        gathering columns.  *draws* forwards to :meth:`measure`.
         """
-        outcomes = self.measure(qubit, rng, segments=segments)
+        outcomes = self.measure(qubit, draws)
         if outcomes.any():
             view = self._split_view(qubit)
             # Match the tensor's precision (float32 for complex64, float64
@@ -411,11 +402,7 @@ class BatchedStatevector:
 
     # -- per-shot noise ----------------------------------------------------------
     def apply_noise_events(
-        self,
-        events,
-        rng: Optional[np.random.Generator],
-        gemm_threshold: Optional[float] = None,
-        segments=None,
+        self, events, draws, gemm_threshold: Optional[float] = None
     ) -> None:
         """Sample and apply a step's depolarizing-error events in order.
 
@@ -440,31 +427,31 @@ class BatchedStatevector:
         *gemm_threshold* selects the path: when the step's expected number
         of sampled operators in this chunk (``batch x sum(rates)``) reaches
         it, the GEMM path runs; ``None`` (the default) always keeps the
-        slice path.  Seeded counts never depend on the choice.  *segments*
-        switches every draw to the per-segment generators of a merged run
-        (one strike vector per event per segment, a choice vector only for
-        segments that were struck — the standalone consumption pattern);
-        application on the concatenated batch is per-column either way.
+        slice path.  Seeded counts never depend on the choice.  *draws* is a
+        generator or a segment list: every segment draws one strike vector
+        per event and a choice vector only when it was struck (the standalone
+        consumption pattern); application on the concatenated batch is
+        per-column either way.
         """
         if gemm_threshold is not None and events:
             expected = self.batch_size * sum(event.rate for event in events)
             if expected >= gemm_threshold:
-                self._apply_noise_events_gemm(events, rng, segments)
+                self._apply_noise_events_gemm(events, draws)
                 return
-        draws = []
+        sampled = []
         union: Optional[np.ndarray] = None
         for event in events:
-            struck, choice = self._draw_noise_event(event, rng, segments)
+            struck, choice = self._draw_noise_event(event, draws)
             if choice is None:
                 continue
-            draws.append((event, struck, choice))
+            sampled.append((event, struck, choice))
             union = struck.copy() if union is None else (union | struck)
         if union is None:
             return
         selected = np.flatnonzero(union)
         flat = self._tensor.reshape(self.dim, self.batch_size)
         compact = flat[:, selected]  # (dim, nsel) gather
-        for event, struck, choice in draws:
+        for event, struck, choice in sampled:
             sub = struck[selected]
             branch = choice[selected]
             for k in range(len(event.operators)):
@@ -477,9 +464,7 @@ class BatchedStatevector:
                 compact[:, pick] = picked
         flat[:, selected] = compact  # scatter back
 
-    def _apply_noise_events_gemm(
-        self, events, rng: Optional[np.random.Generator], segments=None
-    ) -> None:
+    def _apply_noise_events_gemm(self, events, draws) -> None:
         """High-rate strategy: one per-column operator GEMM per struck event.
 
         Consumes the RNG identically to the slice path (one uniform vector
@@ -488,7 +473,7 @@ class BatchedStatevector:
         errors on the same shots regardless of which path executed.
         """
         for event in events:
-            struck, choice = self._draw_noise_event(event, rng, segments)
+            struck, choice = self._draw_noise_event(event, draws)
             if choice is None:
                 continue
             stack = event.stack
@@ -503,24 +488,21 @@ class BatchedStatevector:
             apply_operator_columns(self._tensor, stack[selection], event.qubits)
 
     # -- terminal sampling ------------------------------------------------------
-    def sample_all(
-        self, rng: Optional[np.random.Generator], segments=None
-    ) -> np.ndarray:
+    def sample_all(self, draws) -> np.ndarray:
         """Draw one full computational-basis outcome per trajectory.
 
         Returns a ``(batch,)`` array of flat basis indices (qubit 0 is the
         most significant bit), sampled by per-shot cumulative-probability
-        inversion.  The state is *not* collapsed.  *segments* draws each
-        merged segment's uniforms from its own generator; the inversion is
-        per-column arithmetic, so per-segment outcomes match a standalone
-        chunk bit for bit.
+        inversion.  The state is *not* collapsed.  *draws* is a generator
+        or a segment list; the inversion is per-column arithmetic, so each
+        segment's outcomes match a standalone chunk bit for bit.
         """
         probs = np.abs(self._tensor.reshape(self.dim, self.batch_size)) ** 2
         shots = np.arange(self.batch_size)
         if self.dim <= 64:
             cumulative = np.cumsum(probs, axis=0, dtype=np.float64)
-            draws = self._segment_uniform(rng, segments) * cumulative[-1]
-            return np.minimum((cumulative < draws[None, :]).sum(axis=0), self.dim - 1)
+            uniform = self._segment_uniform(draws) * cumulative[-1]
+            return np.minimum((cumulative < uniform[None, :]).sum(axis=0), self.dim - 1)
         # Hierarchical inversion: a full cumulative sum over the strided
         # basis axis costs one cache miss per element.  Instead reduce to
         # per-block sums, pick a block per shot, then resolve the offset
@@ -529,10 +511,10 @@ class BatchedStatevector:
         width = self.dim // blocks
         block_sums = probs.reshape(blocks, width, self.batch_size).sum(axis=1, dtype=np.float64)
         block_cum = np.cumsum(block_sums, axis=0)
-        draws = self._segment_uniform(rng, segments) * block_cum[-1]
-        block = np.minimum((block_cum < draws[None, :]).sum(axis=0), blocks - 1)
+        uniform = self._segment_uniform(draws) * block_cum[-1]
+        block = np.minimum((block_cum < uniform[None, :]).sum(axis=0), blocks - 1)
         previous = np.where(block > 0, block_cum[np.maximum(block - 1, 0), shots], 0.0)
-        residual = draws - previous
+        residual = uniform - previous
         inside = probs.reshape(blocks, width, self.batch_size)[block, :, shots]  # (batch, width)
         inside_cum = np.cumsum(inside, axis=1, dtype=np.float64)
         offset = np.minimum((inside_cum < residual[:, None]).sum(axis=1), width - 1)

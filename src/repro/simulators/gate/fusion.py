@@ -121,7 +121,6 @@ __all__ = [
     "compile_stabilizer_program_cached",
     "compile_parametric_template",
     "compile_parametric_template_cached",
-    "adopt_parametric_template",
     "structure_key",
     "params_key",
     "compile_trajectory_program",
@@ -1059,20 +1058,6 @@ def compile_parametric_template_cached(circuit: Circuit) -> ParametricTemplate:
         template = compile_parametric_template(circuit)
         _TEMPLATE_CACHE.store(structure, template)
     return template
-
-
-def adopt_parametric_template(circuit: Circuit, template: ParametricTemplate) -> None:
-    """Seed the template cache with a template compiled in another process.
-
-    The process-pool executor ships each structure's template to the workers
-    once; adopting it lets the worker-side bind skip the structural fusion
-    analysis entirely.  A template already cached for the structure wins
-    (templates for one structure are interchangeable by construction), and
-    the membership probe stays off the hit/miss counters.
-    """
-    structure = _structure_key(circuit)
-    if structure not in _TEMPLATE_CACHE:
-        _TEMPLATE_CACHE.store(structure, template)
 
 
 def compile_trajectory_program_cached(

@@ -23,9 +23,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .circuit import Instruction
     from .statevector import Statevector
 
-__all__ = ["NoiseModel"]
+__all__ = ["NoiseModel", "as_segments"]
 
 _PAULIS = ("x", "y", "z")
+
+
+def as_segments(draws, batch_size: int):
+    """The ``(size, generator)`` segments a batch draws its randomness from.
+
+    The batched engines' stochastic methods take either one generator for
+    the whole batch or a list of segments partitioning the batch axis, one
+    per standalone chunk of a merged run.  A bare generator is the single
+    segment ``[(batch_size, rng)]``, so a lone chunk makes exactly the draws
+    it would make inside any merged run.
+    """
+    if isinstance(draws, np.random.Generator):
+        return [(batch_size, draws)]
+    return draws
 
 
 @dataclass
@@ -74,33 +88,25 @@ class NoiseModel:
             return 1 - outcome
         return outcome
 
-    # -- batched channels (one vector draw for a whole trajectory batch) --------
+    # -- batched channels (one vector draw per segment of a trajectory batch) --
     # Gate noise for the batched engine lives in the compiled program: the
     # fusion compiler turns each gate's depolarizing channel into
     # NoiseEvents that BatchedStatevector.apply_noise_events samples, so
     # pushed-through (conjugated) errors and raw Paulis share one code path.
-    def apply_readout_error_batched(
-        self, outcomes: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Flip each entry of a ``(batch,)`` outcome vector independently."""
-        if self.readout_error <= 0.0:
-            return outcomes
-        flips = rng.random(outcomes.shape[0]) < self.readout_error
-        return (outcomes ^ flips).astype(outcomes.dtype)
+    def apply_readout_error_segmented(self, outcomes: np.ndarray, draws) -> np.ndarray:
+        """Flip each entry of a ``(batch,)`` outcome vector independently.
 
-    def apply_readout_error_segmented(self, outcomes: np.ndarray, segments) -> np.ndarray:
-        """Segment-aware readout flips for merged runs.
-
-        *segments* is a sequence of ``(size, generator)`` pairs partitioning
-        the batch axis; each segment draws its flip vector from its own
-        generator so a merged job consumes exactly the draws a standalone
-        chunk would.  Skips all draws when the rate is zero, matching
-        :meth:`apply_readout_error_batched`.
+        *draws* is a generator or a list of ``(size, generator)`` segments
+        (see :func:`as_segments`); each segment draws its flip vector from
+        its own generator.  Skips all draws when the rate is zero.
         """
         if self.readout_error <= 0.0:
             return outcomes
         flips = np.concatenate(
-            [gen.random(size) < self.readout_error for size, gen in segments]
+            [
+                gen.random(size) < self.readout_error
+                for size, gen in as_segments(draws, outcomes.shape[0])
+            ]
         )
         return (outcomes ^ flips).astype(outcomes.dtype)
 

@@ -7,27 +7,28 @@ process-level parallelism.  This module owns that seam:
 
 * a **persistent** ``ProcessPoolExecutor`` (forkserver start method where
   available, spawn otherwise), created on first use and reused across runs
-  and jobs, so every worker keeps warm compile caches — the parent ships a
-  circuit's :class:`~repro.simulators.gate.fusion.ParametricTemplate` once
-  per structure and the workers only re-bind parameters afterwards;
-* **chunk-grouped dispatch**: the parent's ``max_batch_memory`` chunk
-  decomposition and per-chunk ``SeedSequence`` streams are computed exactly
-  as on the thread path, then the chunks are dealt round-robin into at most
-  ``workers`` groups.  Chunk ``i`` always consumes stream ``i`` and results
-  reassemble in chunk order, so seeded counts are **bit-identical** to the
-  thread executor (and to serial execution) at every worker count;
+  and jobs;
+* **one task for every engine and grouping**: the parent's super-chunk plan
+  (each super-chunk a list of ``(job, chunk_id, size, stream)`` segments,
+  exactly as the thread path executes it) is dealt round-robin into at most
+  ``workers`` groups, and :func:`run_chunks` ships each group with the
+  circuit and a small picklable engine value.  The worker compiles through
+  its own warm compile caches (a parameter re-bind after the first run of a
+  structure) and runs the same chunk body as the thread path
+  (:func:`~repro.simulators.gate.statevector.run_super_chunk`), so seeded
+  counts are **bit-identical** to the thread executor (and to serial
+  execution) at every worker count;
 * **worker-crash recovery**: a dead worker breaks the whole
   ``ProcessPoolExecutor`` (every unfinished future raises
-  ``BrokenProcessPool``), so the executors collect what completed, retire
-  the broken pool, build a fresh one, and re-dispatch **only the lost chunk
-  groups** — each group still carrying its original ``(chunk_id, size,
-  stream)`` triples, so the recovered run re-draws from the same
-  ``SeedSequence`` streams and seeded counts stay bit-identical to an
-  uncrashed run.  Recovery is budgeted per run
+  ``BrokenProcessPool``), so the executor collects what completed, retires
+  the broken pool, builds a fresh one, and re-dispatches **only the lost
+  groups** — each still carrying its original segments, so the recovered
+  run re-draws from the same ``SeedSequence`` streams and seeded counts stay
+  bit-identical to an uncrashed run.  Recovery is budgeted per run
   (:data:`MAX_POOL_REBUILDS`); exhaustion raises the transient
   :class:`~repro.core.errors.WorkerCrashError` for the serving layer's
-  retry/degradation ladder.  Reassembly is validated: a chunk slot that was
-  never filled raises the typed
+  retry/degradation ladder.  Reassembly is validated: a super-chunk slot
+  that was never filled raises the typed
   :class:`~repro.core.errors.ChunkReassemblyError` instead of passing
   ``None`` rows downstream.
 
@@ -38,15 +39,17 @@ immediately but only shuts the old one down once its last lease is
 released, so a concurrent in-flight run can never be stranded mid-collect.
 A request for fewer workers reuses the existing (larger) generation —
 effective parallelism is bounded by the group count, and shrinking would
-throw away the workers' warm caches.  ``fork`` is deliberately not used
+throw away warm worker processes.  ``fork`` is deliberately not used
 even where available: the workers must not inherit the parent's BLAS
 thread pools or lock state mid-operation.
 
 Deterministic fault injection (:mod:`~repro.simulators.gate.faults`) rides
 the task payloads: a :class:`~repro.simulators.gate.faults.FaultPlan` fires
 inside the worker immediately before a chunk executes, keyed on
-``(chunk_id, attempt)`` — re-dispatched groups carry ``attempt + 1`` so an
-injected crash fires once and the recovery runs clean.  Without a plan the
+``(chunk_id, attempt)``, where ``chunk_id`` is the super-chunk index (the
+standalone chunk index for a single job).  Re-dispatched groups carry
+``attempt + 1`` so an injected crash fires once and the recovery runs
+clean.  Without a plan the
 hot path pays one ``is None`` check per chunk.
 """
 
@@ -59,23 +62,17 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ...core.errors import ChunkReassemblyError, WorkerCrashError
 
 __all__ = [
     "MAX_POOL_REBUILDS",
-    "get_worker_pool",
     "shutdown_worker_pool",
     "worker_pool_info",
     "executor_health",
-    "run_trajectory_chunks",
-    "run_stabilizer_chunks",
-    "run_merged_trajectory_chunks",
-    "run_merged_stabilizer_chunks",
+    "run_chunks",
 ]
 
-#: Pool rebuilds allowed within one ``run_*_chunks`` call before giving up
+#: Pool rebuilds allowed within one :func:`run_chunks` call before giving up
 #: with :class:`WorkerCrashError`.  Two rebuilds tolerate an injected crash
 #: plus one genuine flake without letting a deterministically crashing
 #: workload spin forever.
@@ -193,19 +190,6 @@ def _replace_broken(handle: _PoolGeneration) -> None:
     handle.executor.shutdown(wait=True)
 
 
-def get_worker_pool(workers: int) -> ProcessPoolExecutor:
-    """Return the current persistent pool, growing it if *workers* exceeds it.
-
-    Introspective/legacy accessor: no lease is taken, so the returned
-    executor may be retired by a later grow.  The chunk executors use the
-    leased :func:`_acquire_pool` / :func:`_release_pool` pair instead, which
-    guarantees the executor outlives the caller's in-flight futures.
-    """
-    handle = _acquire_pool(workers)
-    _release_pool(handle)
-    return handle.executor
-
-
 def shutdown_worker_pool() -> None:
     """Tear every generation down (test isolation / interpreter exit)."""
     global _CURRENT
@@ -234,8 +218,8 @@ def executor_health() -> Dict[str, int]:
     ``pool_rebuilds`` (broken pools replaced), ``groups_redispatched``
     (chunk groups re-executed after a crash), ``generations_retired``
     (grow-driven and crash-driven retirements).  Monotonic; serving-level
-    per-job accounting uses the per-run recovery dicts returned by the
-    ``run_*_chunks`` executors instead.
+    per-job accounting uses the per-run recovery dicts returned by
+    :func:`run_chunks` instead.
     """
     with _POOL_LOCK:
         return dict(_HEALTH)
@@ -245,29 +229,30 @@ atexit.register(shutdown_worker_pool)
 
 
 def _deal_chunks(
-    sizes: Sequence[int], streams: Sequence[Any], workers: int
-) -> List[List[Tuple[int, int, Any]]]:
-    """Round-robin ``(chunk_id, size, stream)`` triples into worker groups.
+    plan: Sequence[Sequence[tuple]], workers: int
+) -> List[List[Tuple[int, Sequence[tuple]]]]:
+    """Round-robin ``(index, segments)`` super-chunks into worker groups.
 
-    The grouping only decides *where* a chunk runs; chunk ``i`` carries
-    stream ``i`` regardless, so the decomposition-to-stream mapping — the
-    bit-identity contract — never depends on the worker count.
+    The grouping only decides *where* a super-chunk runs; every segment
+    keeps its own ``(job, chunk_id, size, stream)`` identity, so dealing,
+    crash recovery and reassembly never depend on the worker count — the
+    bit-identity contract.
     """
-    groups: List[List[Tuple[int, int, Any]]] = [[] for _ in range(workers)]
-    for chunk_id, (size, stream) in enumerate(zip(sizes, streams)):
-        groups[chunk_id % workers].append((chunk_id, size, stream))
+    groups: List[List[Tuple[int, Sequence[tuple]]]] = [[] for _ in range(workers)]
+    for index, segs in enumerate(plan):
+        groups[index % workers].append((index, segs))
     return [group for group in groups if group]
 
 
-def _require_complete(rows: Sequence[Optional[np.ndarray]]) -> None:
-    """Typed guard: every chunk slot must have been filled by some group."""
-    missing = [chunk_id for chunk_id, bits in enumerate(rows) if bits is None]
+def _require_complete(outputs: Sequence[Optional[Any]]) -> None:
+    """Typed guard: every super-chunk slot must have been filled by some group."""
+    missing = [index for index, output in enumerate(outputs) if output is None]
     if missing:
-        raise ChunkReassemblyError(missing, len(rows))
+        raise ChunkReassemblyError(missing, len(outputs))
 
 
 def _run_groups_with_recovery(pending, submit_group, workers: int):
-    """Shared crash-recovery driver for both chunk executors.
+    """Crash-recovery driver of the process executor.
 
     *pending* is a list of ``(group, attempt)`` pairs; *submit_group* maps
     a leased executor plus one pair to a future.  Runs every group to
@@ -319,352 +304,79 @@ def _run_groups_with_recovery(pending, submit_group, workers: int):
     return results, recovery
 
 
-def _trajectory_task(payload: tuple):
-    """Worker-side entry: bind (or adopt) the program, run a chunk group.
+def _chunk_task(payload: tuple) -> List[Tuple[int, tuple]]:
+    """Worker-side entry: run one group of super-chunks through the engine.
 
-    Returns ``(rows, state_data, state_index)`` where *rows* is a list of
-    ``(chunk_id, bits)`` and the state fields are populated only by the
-    group holding the globally last chunk (the result-statevector contract).
+    The worker compiles the circuit through its own warm compile caches
+    (they persist across runs, because the pool does), then returns
+    ``(index, (rows, state))`` per super-chunk — the same output the thread
+    executor collects, from the same chunk body
+    (:func:`~repro.simulators.gate.statevector.run_super_chunk`).
     """
-    (
-        circuit,
-        template,
-        noise_model,
-        dtype_str,
-        gemm_threshold,
-        blas_threads,
-        chunks,
-        state_chunk,
-        fault_plan,
-        attempt,
-    ) = payload
-    from .fusion import adopt_parametric_template, compile_trajectory_program_cached
-    from .statevector import execute_program_chunk
+    engine, circuit, blas_threads, group, state_chunk, fault_plan, attempt = payload
+    from .statevector import run_super_chunk
     from .threads import limit_blas_threads
 
-    if template is not None:
-        adopt_parametric_template(circuit, template)
-    dtype = np.dtype(dtype_str)
-    # Mirror the parent compile exactly: a noiseless model compiles as None
-    # but still reaches execution (its zero-rate readout path consumes the
-    # same RNG draws as on the thread executor).
-    compile_noise = noise_model
-    if compile_noise is not None and compile_noise.is_noiseless:
-        compile_noise = None
-    program = compile_trajectory_program_cached(circuit, compile_noise, dtype=dtype)
+    program = engine.compile(circuit, verify=False)
     guard = (
         limit_blas_threads(blas_threads) if blas_threads is not None else nullcontext()
     )
-    rows: List[Tuple[int, np.ndarray]] = []
-    state_data: Optional[np.ndarray] = None
-    state_index: Optional[int] = None
     with guard:
-        for chunk_id, size, stream in chunks:
-            if fault_plan is not None:
-                fault_plan.fire(chunk_id, attempt, executor="process")
-            bits, state, last_index = execute_program_chunk(
-                program,
-                size,
-                np.random.default_rng(stream),
-                noise_model=noise_model,
-                dtype=dtype,
-                gemm_threshold=gemm_threshold,
-            )
-            if chunk_id == state_chunk:
-                state_data = state.extract(-1).data
-                state_index = last_index
-            rows.append((chunk_id, bits))
-    return rows, state_data, state_index
-
-
-def run_trajectory_chunks(
-    circuit,
-    template,
-    noise_model,
-    sizes: Sequence[int],
-    streams: Sequence[Any],
-    *,
-    workers: int,
-    dtype,
-    gemm_threshold,
-    blas_threads: Optional[int] = None,
-    fault_plan=None,
-) -> Tuple[List[np.ndarray], np.ndarray, Optional[int], Dict[str, int]]:
-    """Execute a batched-engine chunk decomposition on the process pool.
-
-    Returns ``(bits_rows, final_state_data, last_index, recovery)``: the
-    per-chunk bit rows in chunk order, the last chunk's final
-    single-trajectory state amplitudes and its sampled terminal index (for
-    the parent's terminal collapse), plus the run's crash-recovery counters
-    (``pool_rebuilds`` / ``groups_redispatched``, both 0 on a clean run).
-    """
-    workers = max(1, min(int(workers), len(sizes)))
-    state_chunk = len(sizes) - 1
-    dtype_str = str(np.dtype(dtype))
-
-    def submit_group(executor, group, attempt):
-        return executor.submit(
-            _trajectory_task,
+        return [
             (
-                circuit,
-                template,
-                noise_model,
-                dtype_str,
-                gemm_threshold,
-                blas_threads,
-                group,
-                state_chunk,
-                fault_plan,
-                attempt,
-            ),
-        )
-
-    pending = [(group, 0) for group in _deal_chunks(sizes, streams, workers)]
-    results, recovery = _run_groups_with_recovery(pending, submit_group, workers)
-    bits_rows: List[Optional[np.ndarray]] = [None] * len(sizes)
-    state_data: Optional[np.ndarray] = None
-    last_index: Optional[int] = None
-    for rows, data, index in results:
-        for chunk_id, bits in rows:
-            bits_rows[chunk_id] = bits
-        if data is not None:
-            state_data = data
-            last_index = index
-    _require_complete(bits_rows)
-    return bits_rows, state_data, last_index, recovery
-
-
-def _deal_merged_chunks(
-    merged_chunks: Sequence[Sequence[tuple]], workers: int
-) -> List[List[Tuple[int, Sequence[tuple]]]]:
-    """Round-robin ``(merged_id, segments)`` pairs into worker groups.
-
-    Mirrors :func:`_deal_chunks` for merged super-chunks: the grouping only
-    decides *where* a super-chunk runs; every segment keeps its own
-    ``(job, chunk_id, size, stream)`` identity, so dealing, crash recovery
-    and reassembly stay bit-identical per job at every worker count.
-    """
-    groups: List[List[Tuple[int, Sequence[tuple]]]] = [[] for _ in range(workers)]
-    for merged_id, segs in enumerate(merged_chunks):
-        groups[merged_id % workers].append((merged_id, segs))
-    return [group for group in groups if group]
-
-
-def _require_merged_complete(
-    rows: Sequence[tuple], merged_chunks: Sequence[Sequence[tuple]]
-) -> None:
-    """Typed guard: every ``(job, chunk_id)`` segment slot must be filled."""
-    expected = {
-        (job, chunk_id)
-        for segs in merged_chunks
-        for job, chunk_id, _, _ in segs
-    }
-    got = {(job, chunk_id) for job, chunk_id, _ in rows}
-    missing = sorted(expected - got)
-    if missing:
-        raise ChunkReassemblyError(missing, len(expected))
-
-
-def _merged_trajectory_task(payload: tuple) -> List[Tuple[int, int, np.ndarray]]:
-    """Worker-side entry: run a group of merged super-chunks.
-
-    Each super-chunk concatenates several jobs' standalone chunks on the
-    batch axis; the worker rebuilds each segment's generator from its
-    original ``SeedSequence`` stream, runs the shared evolution once, and
-    slices the bit rows back per segment.  Returns ``(job, chunk_id, bits)``
-    rows — merged runs carry no statevector.
-    """
-    (
-        circuit,
-        template,
-        noise_model,
-        dtype_str,
-        gemm_threshold,
-        blas_threads,
-        chunks,
-        fault_plan,
-        attempt,
-    ) = payload
-    from .fusion import adopt_parametric_template, compile_trajectory_program_cached
-    from .statevector import execute_program_segments
-    from .threads import limit_blas_threads
-
-    if template is not None:
-        adopt_parametric_template(circuit, template)
-    dtype = np.dtype(dtype_str)
-    compile_noise = noise_model
-    if compile_noise is not None and compile_noise.is_noiseless:
-        compile_noise = None
-    program = compile_trajectory_program_cached(circuit, compile_noise, dtype=dtype)
-    guard = (
-        limit_blas_threads(blas_threads) if blas_threads is not None else nullcontext()
-    )
-    rows: List[Tuple[int, int, np.ndarray]] = []
-    with guard:
-        for merged_id, segs in chunks:
-            if fault_plan is not None:
-                fault_plan.fire(merged_id, attempt, executor="process")
-            segments = [
-                (size, np.random.default_rng(stream)) for _, _, size, stream in segs
-            ]
-            bits = execute_program_segments(
-                program,
-                segments,
-                noise_model=noise_model,
-                dtype=dtype,
-                gemm_threshold=gemm_threshold,
-            )
-            offset = 0
-            for job, chunk_id, size, _ in segs:
-                rows.append((job, chunk_id, bits[offset : offset + size]))
-                offset += size
-    return rows
-
-
-def run_merged_trajectory_chunks(
-    circuit,
-    template,
-    noise_model,
-    merged_chunks: Sequence[Sequence[tuple]],
-    *,
-    workers: int,
-    dtype,
-    gemm_threshold,
-    blas_threads: Optional[int] = None,
-    fault_plan=None,
-) -> Tuple[List[Tuple[int, int, np.ndarray]], Dict[str, int]]:
-    """Execute a merged super-chunk plan on the process pool.
-
-    *merged_chunks* is a list of super-chunks, each a list of
-    ``(job, chunk_id, size, stream)`` segments.  Crash recovery re-dispatches
-    only the lost super-chunks with their original streams (``attempt + 1``),
-    so recovered per-job counts are bit-identical to an uncrashed run.
-    Returns ``(rows, recovery)``: the flattened ``(job, chunk_id, bits)``
-    rows (completeness-checked per segment slot) and the run's recovery
-    counters.
-    """
-    workers = max(1, min(int(workers), len(merged_chunks)))
-    dtype_str = str(np.dtype(dtype))
-
-    def submit_group(executor, group, attempt):
-        return executor.submit(
-            _merged_trajectory_task,
-            (
-                circuit,
-                template,
-                noise_model,
-                dtype_str,
-                gemm_threshold,
-                blas_threads,
-                group,
-                fault_plan,
-                attempt,
-            ),
-        )
-
-    pending = [(group, 0) for group in _deal_merged_chunks(merged_chunks, workers)]
-    results, recovery = _run_groups_with_recovery(pending, submit_group, workers)
-    rows = [row for group_rows in results for row in group_rows]
-    _require_merged_complete(rows, merged_chunks)
-    return rows, recovery
-
-
-def _merged_stabilizer_task(payload: tuple) -> List[Tuple[int, int, np.ndarray]]:
-    """Worker-side entry for merged tableau super-chunks (pre-compiled program)."""
-    program, noise_model, chunks, fault_plan, attempt = payload
-    from .stabilizer import execute_stabilizer_program_segments
-
-    rows: List[Tuple[int, int, np.ndarray]] = []
-    for merged_id, segs in chunks:
-        if fault_plan is not None:
-            fault_plan.fire(merged_id, attempt, executor="process")
-        segments = [
-            (size, np.random.default_rng(stream)) for _, _, size, stream in segs
-        ]
-        bits = execute_stabilizer_program_segments(program, segments, noise_model)
-        offset = 0
-        for job, chunk_id, size, _ in segs:
-            rows.append((job, chunk_id, bits[offset : offset + size]))
-            offset += size
-    return rows
-
-
-def run_merged_stabilizer_chunks(
-    program,
-    noise_model,
-    merged_chunks: Sequence[Sequence[tuple]],
-    *,
-    workers: int,
-    fault_plan=None,
-) -> Tuple[List[Tuple[int, int, np.ndarray]], Dict[str, int]]:
-    """Execute a merged stabilizer super-chunk plan on the process pool.
-
-    The stabilizer analogue of :func:`run_merged_trajectory_chunks`; the
-    compiled program ships directly (parameter-free, cheap to pickle).
-    """
-    workers = max(1, min(int(workers), len(merged_chunks)))
-
-    def submit_group(executor, group, attempt):
-        return executor.submit(
-            _merged_stabilizer_task, (program, noise_model, group, fault_plan, attempt)
-        )
-
-    pending = [(group, 0) for group in _deal_merged_chunks(merged_chunks, workers)]
-    results, recovery = _run_groups_with_recovery(pending, submit_group, workers)
-    rows = [row for group_rows in results for row in group_rows]
-    _require_merged_complete(rows, merged_chunks)
-    return rows, recovery
-
-
-def _stabilizer_task(payload: tuple) -> List[Tuple[int, np.ndarray]]:
-    """Worker-side entry for tableau chunks (program ships pre-compiled)."""
-    program, noise_model, chunks, fault_plan, attempt = payload
-    from .stabilizer import execute_stabilizer_program
-
-    rows: List[Tuple[int, np.ndarray]] = []
-    for chunk_id, size, stream in chunks:
-        if fault_plan is not None:
-            fault_plan.fire(chunk_id, attempt, executor="process")
-        rows.append(
-            (
-                chunk_id,
-                execute_stabilizer_program(
-                    program, size, np.random.default_rng(stream), noise_model
+                index,
+                run_super_chunk(
+                    engine,
+                    program,
+                    index,
+                    segs,
+                    index == state_chunk,
+                    fault_plan,
+                    attempt,
+                    executor="process",
                 ),
             )
-        )
-    return rows
+            for index, segs in group
+        ]
 
 
-def run_stabilizer_chunks(
-    program,
-    noise_model,
-    sizes: Sequence[int],
-    streams: Sequence[Any],
+def run_chunks(
+    engine,
+    circuit,
+    plan: Sequence[Sequence[tuple]],
     *,
     workers: int,
+    blas_threads: Optional[int] = None,
+    state_chunk: Optional[int] = None,
     fault_plan=None,
-) -> Tuple[List[np.ndarray], Dict[str, int]]:
-    """Execute a stabilizer-engine chunk decomposition on the process pool.
+) -> Tuple[List[tuple], Dict[str, int]]:
+    """Execute a super-chunk plan on the process pool.
 
-    Returns the per-chunk outcome-bit matrices in chunk order plus the
-    run's crash-recovery counters.  The compiled
-    :class:`~repro.simulators.gate.fusion.StabilizerProgram` is parameter-free
-    and cheap to pickle, so it ships directly instead of recompiling in the
-    worker.
+    *plan* is a list of super-chunks, each a list of ``(job, chunk_id, size,
+    stream)`` segments; *engine* (a small picklable value) and the
+    *circuit* ship with every chunk group, and the worker compiles the
+    circuit with the engine and runs each super-chunk through the engine's
+    segment kernel.  Super-chunk *state_chunk* also returns its last
+    trajectory's statevector.  Crash recovery re-dispatches only the lost
+    groups with their original streams (``attempt + 1``), so recovered
+    seeded counts are bit-identical to an uncrashed run.  Returns ``(outputs, recovery)``: one ``(rows, state)``
+    per super-chunk in plan order (completeness-checked) and the run's
+    recovery counters (``pool_rebuilds`` / ``groups_redispatched``, both 0
+    on a clean run).
     """
-    workers = max(1, min(int(workers), len(sizes)))
+    workers = max(1, min(int(workers), len(plan)))
 
     def submit_group(executor, group, attempt):
         return executor.submit(
-            _stabilizer_task, (program, noise_model, group, fault_plan, attempt)
+            _chunk_task,
+            (engine, circuit, blas_threads, group, state_chunk, fault_plan, attempt),
         )
 
-    pending = [(group, 0) for group in _deal_chunks(sizes, streams, workers)]
+    pending = [(group, 0) for group in _deal_chunks(plan, workers)]
     results, recovery = _run_groups_with_recovery(pending, submit_group, workers)
-    rows: List[Optional[np.ndarray]] = [None] * len(sizes)
-    for group_rows in results:
-        for chunk_id, bits in group_rows:
-            rows[chunk_id] = bits
-    _require_complete(rows)
-    return rows, recovery
+    outputs: List[Optional[tuple]] = [None] * len(plan)
+    for group_outputs in results:
+        for index, output in group_outputs:
+            outputs[index] = output
+    _require_complete(outputs)
+    return outputs, recovery

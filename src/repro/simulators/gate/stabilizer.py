@@ -38,16 +38,16 @@ these and rejects non-Clifford gates with a typed
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ...core.errors import SimulationError
+from .noise import as_segments
 
 __all__ = [
     "StabilizerTableau",
     "PRIMITIVE_GATES",
-    "execute_stabilizer_program",
     "execute_stabilizer_program_segments",
 ]
 
@@ -179,36 +179,28 @@ class StabilizerTableau:
             raise SimulationError(f"{kind!r} is not a Pauli label")
         self.r ^= rows[:, None] & np.asarray(mask, dtype=np.uint8)[None, :]
 
-    def apply_depolarizing(
-        self,
-        qubits: Tuple[int, ...],
-        rate: float,
-        rng: Optional[np.random.Generator],
-        segments=None,
-    ) -> None:
+    def apply_depolarizing(self, qubits: Tuple[int, ...], rate: float, draws) -> None:
         """One depolarizing opportunity per qubit: strike with *rate*, draw a Pauli.
 
         Mirrors the trajectory engines' channel: each qubit the source gate
         touched is struck independently with probability *rate*, and a struck
         shot applies a uniformly drawn X, Y or Z.  The draw count per qubit is
         fixed (one uniform vector + one integer vector), so a chunk's RNG
-        stream consumption is independent of which shots are struck.  With
-        *segments* — ``(size, generator)`` pairs partitioning the batch axis
-        of a merged run — each segment draws both vectors from its own
-        generator, in the same order and with the same sizes a standalone
-        chunk would, so per-job streams are untouched by merging.
+        stream consumption is independent of which shots are struck.  *draws*
+        is a generator or a list of ``(size, generator)`` segments
+        partitioning the batch axis (see
+        :func:`~repro.simulators.gate.noise.as_segments`); each segment draws
+        both vectors from its own generator, in the order and at the sizes a
+        standalone chunk would.
         """
+        segments = as_segments(draws, self.batch_size)
         for qubit in qubits:
-            if segments is None:
-                struck = rng.random(self.batch_size) < rate
-                kinds = rng.integers(0, 3, size=self.batch_size)
-            else:
-                parts = []
-                for size, gen in segments:
-                    sub = gen.random(size) < rate
-                    parts.append((sub, gen.integers(0, 3, size=size)))
-                struck = np.concatenate([sub for sub, _ in parts])
-                kinds = np.concatenate([kind for _, kind in parts])
+            parts = [
+                (gen.random(size) < rate, gen.integers(0, 3, size=size))
+                for size, gen in segments
+            ]
+            struck = np.concatenate([sub for sub, _ in parts])
+            kinds = np.concatenate([kind for _, kind in parts])
             for kind, name in enumerate(("x", "y", "z")):
                 mask = struck & (kinds == kind)
                 if mask.any():
@@ -294,18 +286,16 @@ class StabilizerTableau:
             return np.full(self.batch_size, 0.5)
         return self._deterministic_phase(qubit).astype(np.float64)
 
-    def measure(
-        self, qubit: int, rng: Optional[np.random.Generator], segments=None
-    ) -> np.ndarray:
+    def measure(self, qubit: int, draws) -> np.ndarray:
         """Projectively measure *qubit* in the Z basis across the batch.
 
         Returns the ``(batch,)`` outcome vector and collapses the state.
         Whether the outcome is random is a property of the shared bits, so
         the whole batch takes the same branch: the random branch consumes one
         fresh random bit per shot, the deterministic branch consumes none.
-        With *segments* the random bits come from each segment's own
-        generator (branch choice is shared-bit structure, identical to the
-        standalone run by construction).
+        *draws* is a generator or a segment list; the random bits come from
+        each segment's own generator (branch choice is shared-bit structure,
+        identical to a standalone chunk by construction).
         """
         n = self.num_qubits
         pivots = np.nonzero(self.x[n:, qubit])[0]
@@ -320,23 +310,21 @@ class StabilizerTableau:
         self.x[pivot - n] = self.x[pivot]
         self.z[pivot - n] = self.z[pivot]
         self.r[pivot - n] = self.r[pivot]
-        if segments is None:
-            outcomes = rng.integers(0, 2, size=self.batch_size, dtype=np.uint8)
-        else:
-            outcomes = np.concatenate(
-                [gen.integers(0, 2, size=size, dtype=np.uint8) for size, gen in segments]
-            )
+        outcomes = np.concatenate(
+            [
+                gen.integers(0, 2, size=size, dtype=np.uint8)
+                for size, gen in as_segments(draws, self.batch_size)
+            ]
+        )
         self.x[pivot] = 0
         self.z[pivot] = 0
         self.z[pivot, qubit] = 1
         self.r[pivot] = outcomes
         return outcomes.copy()
 
-    def reset(
-        self, qubit: int, rng: Optional[np.random.Generator], segments=None
-    ) -> None:
+    def reset(self, qubit: int, draws) -> None:
         """Measure *qubit*, then flip the shots that collapsed to 1 back to 0."""
-        outcomes = self.measure(qubit, rng, segments=segments)
+        outcomes = self.measure(qubit, draws)
         self.apply_pauli_masked("x", qubit, outcomes)
 
     # -- invariants ------------------------------------------------------------------
@@ -361,22 +349,25 @@ class StabilizerTableau:
         return bool(np.array_equal(gram, expected))
 
 
-def execute_stabilizer_program(
-    program, batch_size: int, rng: np.random.Generator, noise_model=None
-) -> np.ndarray:
-    """Run one chunk of trajectories through a compiled stabilizer program.
+def execute_stabilizer_program_segments(program, segments, noise_model=None) -> np.ndarray:
+    """Run one super-chunk of trajectories through a compiled stabilizer program.
+
+    The stabilizer engine's segment kernel, used for every chunk the
+    simulator executes (a solo run is a merged group of one).
 
     Parameters
     ----------
     program:
         A :class:`~repro.simulators.gate.fusion.StabilizerProgram` (immutable,
         shared across chunks and threads).
-    batch_size:
-        Trajectories in this chunk; all advance through one shared-bit
-        tableau.
-    rng:
-        The chunk's own seeded generator (spawned per chunk by the simulator,
-        so seeded counts are bit-identical at every worker count).
+    segments:
+        ``(size, generator)`` pairs partitioning the batch axis; each pair is
+        one standalone chunk of one job with that chunk's own seeded
+        generator.  The shared bit matrices evolve identically at any batch
+        width, and every random draw (Pauli channels, random-branch
+        measurements, readout flips) is pulled per segment in standalone
+        order, so slicing the returned rows back per segment reproduces each
+        chunk bit for bit at every grouping.
     noise_model:
         Optional :class:`~repro.simulators.gate.noise.NoiseModel`; only its
         readout error is consulted here — gate noise was already lowered into
@@ -385,52 +376,10 @@ def execute_stabilizer_program(
     Returns
     -------
     numpy.ndarray
-        ``(batch, bits_width)`` ``uint8`` classical-bit rows, ready for
-        :meth:`~repro.results.counts.Counts.from_array`.  Terminal
-        measurements are sampled jointly (sequential tableau collapse is the
-        chain rule of the joint outcome distribution), honouring the
-        implicit-terminal-measurement contract.
-    """
-    from .fusion import CliffordStep, MeasureStep, PauliChannelStep, ResetStep
-
-    tableau = StabilizerTableau(program.num_qubits, batch_size)
-    bits = np.zeros((batch_size, program.bits_width), dtype=np.uint8)
-    for step in program.steps:
-        if isinstance(step, CliffordStep):
-            tableau.apply_gate(step.name, step.qubits)
-        elif isinstance(step, PauliChannelStep):
-            tableau.apply_depolarizing(step.qubits, step.rate, rng)
-        elif isinstance(step, MeasureStep):
-            outcomes = tableau.measure(step.qubit, rng)
-            if noise_model is not None:
-                outcomes = noise_model.apply_readout_error_batched(outcomes, rng)
-            bits[:, step.clbit] = outcomes
-        elif isinstance(step, ResetStep):
-            tableau.reset(step.qubit, rng)
-        else:  # pragma: no cover - compiler invariant
-            raise SimulationError(f"unknown stabilizer step {type(step).__name__}")
-    if program.terminal is not None:
-        for qubit, clbit in program.terminal.pairs:
-            column = tableau.measure(qubit, rng)
-            if noise_model is not None and not program.terminal.implicit:
-                column = noise_model.apply_readout_error_batched(column, rng)
-            bits[:, clbit] = column
-    return bits
-
-
-def execute_stabilizer_program_segments(program, segments, noise_model=None) -> np.ndarray:
-    """Run one merged super-chunk: several jobs' chunks share one tableau.
-
-    *segments* is a sequence of ``(size, generator)`` pairs partitioning the
-    batch axis; each pair is one standalone chunk of one job, carrying that
-    chunk's own seeded generator.  The shared bit matrices evolve identically
-    at any batch width, and every random draw (Pauli channels, random-branch
-    measurements, readout flips) is pulled per segment in standalone order —
-    so slicing the returned rows back per segment reproduces each job's solo
-    chunk bit for bit.
-
-    Returns the concatenated ``(sum(sizes), bits_width)`` ``uint8`` rows in
-    segment order.
+        ``(sum(sizes), bits_width)`` ``uint8`` classical-bit rows in segment
+        order.  Terminal measurements are sampled jointly (sequential tableau
+        collapse is the chain rule of the joint outcome distribution),
+        honouring the implicit-terminal-measurement contract.
     """
     from .fusion import CliffordStep, MeasureStep, PauliChannelStep, ResetStep
 
@@ -441,19 +390,19 @@ def execute_stabilizer_program_segments(program, segments, noise_model=None) -> 
         if isinstance(step, CliffordStep):
             tableau.apply_gate(step.name, step.qubits)
         elif isinstance(step, PauliChannelStep):
-            tableau.apply_depolarizing(step.qubits, step.rate, None, segments=segments)
+            tableau.apply_depolarizing(step.qubits, step.rate, segments)
         elif isinstance(step, MeasureStep):
-            outcomes = tableau.measure(step.qubit, None, segments=segments)
+            outcomes = tableau.measure(step.qubit, segments)
             if noise_model is not None:
                 outcomes = noise_model.apply_readout_error_segmented(outcomes, segments)
             bits[:, step.clbit] = outcomes
         elif isinstance(step, ResetStep):
-            tableau.reset(step.qubit, None, segments=segments)
+            tableau.reset(step.qubit, segments)
         else:  # pragma: no cover - compiler invariant
             raise SimulationError(f"unknown stabilizer step {type(step).__name__}")
     if program.terminal is not None:
         for qubit, clbit in program.terminal.pairs:
-            column = tableau.measure(qubit, None, segments=segments)
+            column = tableau.measure(qubit, segments)
             if noise_model is not None and not program.terminal.implicit:
                 column = noise_model.apply_readout_error_segmented(column, segments)
             bits[:, clbit] = column

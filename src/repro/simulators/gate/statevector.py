@@ -11,24 +11,36 @@ Two entry points:
 
 Execution paths
 ---------------
-The simulator picks one of three paths per run:
+Every run is a group of ``(shots, seed)`` jobs on one circuit: a solo
+:meth:`StatevectorSimulator.run` is the group of one, and
+:meth:`StatevectorSimulator.run_merged` runs coalesced jobs together.  The
+simulator picks one path per group:
 
 * **exact** — circuits whose measurements are all terminal (and noiseless
-  runs without reset) evolve the state once and sample all shots from the
-  exact distribution in a single pass;
-* **batched trajectories** (default for everything else) — noisy circuits
-  and circuits with mid-circuit measurement or reset advance *all* shots
-  simultaneously through a
-  :class:`~repro.simulators.gate.batched.BatchedStatevector` whose
-  *trailing* axis is the shot index (layout ``(2, ..., 2, batch)``, qubit
-  ``i`` on axis ``i`` — the same qubit-axis convention as the single-shot
-  state).  The ``max_batch_memory`` knob bounds the ``shots x 2^n``
-  footprint by chunking the shot dimension; each chunk is an independent
-  batch with its own ``SeedSequence``-spawned RNG stream, and the
-  ``trajectory_workers`` knob dispatches chunks across a thread pool — or,
-  with ``trajectory_executor="process"``, across the persistent worker-process
-  pool of :mod:`~repro.simulators.gate.procpool` (seeded counts are
-  bit-identical for every worker count and both executors).
+  runs without reset) evolve the state once and sample each job's shots from
+  the exact distribution with the job's own generator;
+* **chunked trajectories** (default for everything else) — noisy circuits
+  and circuits with mid-circuit measurement or reset advance all shots of a
+  chunk simultaneously, on either the batched amplitude engine
+  (:class:`~repro.simulators.gate.batched.BatchedStatevector`, trailing shot
+  axis, layout ``(2, ..., 2, batch)``) or, for Clifford circuits, the
+  batched stabilizer tableau (:mod:`~repro.simulators.gate.stabilizer`).
+  Both run through **one plan and one executor**.  The plan splits each
+  job's shots into the standalone chunks the ``max_batch_memory`` byte
+  budget admits, gives chunk ``i`` the ``i``-th
+  ``SeedSequence(seed).spawn`` stream, and first-fit packs the chunks into
+  *super-chunks* of ``(job, chunk_id, size, stream)`` segments (for a single
+  job the super-chunks are exactly its standalone chunks).  The executor
+  runs each super-chunk serially, on a ``trajectory_workers`` thread pool or,
+  with ``trajectory_executor="process"``, on the persistent worker-process
+  pool of :mod:`~repro.simulators.gate.procpool`, through the engine's one
+  segment kernel (:func:`execute_program_segments` or
+  :func:`~repro.simulators.gate.stabilizer.execute_stabilizer_program_segments`),
+  which draws every random number per segment in standalone order and size.
+  Seeded counts are therefore bit-identical for every worker count, both
+  executors and any grouping.  An engine contributes only its compiler, its
+  bytes per shot and its kernel; planning, execution, reassembly and result
+  metadata are shared.
 * **reference trajectories** — a per-shot Python loop over the *same*
   compiled program, with scalar RNG draws; kept as the executable
   specification of per-trajectory semantics that the batched engine's
@@ -36,21 +48,15 @@ The simulator picks one of three paths per run:
   the compiler itself is validated against the density oracle and the
   unfused specification in the fusion property tests).
 
-A fourth engine sits outside the sampling family:
 ``trajectory_engine="density"`` routes the whole run through the exact
 :class:`~repro.simulators.gate.density.DensityMatrixSimulator` oracle, which
 computes the outcome distribution in closed form (noise applied as CPTP maps)
-instead of sampling trajectories at all.
-
-A fifth engine lifts the width cap for Clifford circuits:
-``trajectory_engine="stabilizer"`` compiles through the Clifford lowering
-table of :mod:`~repro.simulators.gate.fusion` and samples trajectories on a
-batched Aaronson–Gottesman tableau
-(:mod:`~repro.simulators.gate.stabilizer`), which scales to hundreds of
-qubits (QEC cycles) but raises
-:class:`~repro.core.errors.UnsupportedGateError` on non-Clifford gates.
-``trajectory_engine="auto"`` picks the stabilizer engine for Clifford
-circuits and the batched engine otherwise.
+instead of sampling trajectories at all.  ``trajectory_engine="stabilizer"``
+lifts the width cap for Clifford circuits (hundreds of qubits for QEC
+cycles) and raises :class:`~repro.core.errors.UnsupportedGateError` on
+non-Clifford gates; ``trajectory_engine="auto"`` picks the stabilizer engine
+for Clifford circuits and the batched engine otherwise.  The density and
+reference engines have no batch axis, so they run a group job by job.
 
 State layout
 ------------
@@ -90,7 +96,6 @@ __all__ = [
     "Statevector",
     "SimulationResult",
     "StatevectorSimulator",
-    "execute_program_chunk",
     "execute_program_segments",
     "DEFAULT_MAX_BATCH_MEMORY",
 ]
@@ -468,9 +473,10 @@ class StatevectorSimulator:
         ``trajectory_workers``.  ``"thread"`` keeps the in-process pool
         (zero startup cost, GIL-bound between kernels).  ``"process"``
         executes the chunk groups on the persistent forkserver worker pool
-        of :mod:`~repro.simulators.gate.procpool`: the parent ships each
-        structure's compiled template once, the workers bind parameters
-        into their own warm compile caches, and chunk ``i`` always consumes
+        of :mod:`~repro.simulators.gate.procpool`: the workers compile
+        through their own warm caches (a parameter re-bind after a
+        structure's first run), run the same segment kernel as the thread
+        path, and chunk ``i`` always consumes
         the ``i``-th ``SeedSequence``-spawned stream — so seeded counts are
         **bit-identical** across both executors and every worker count.
         The reference, density and exact paths ignore this option.
@@ -611,6 +617,10 @@ class StatevectorSimulator:
     ) -> SimulationResult:
         """Execute *circuit* and return counts over its classical bits.
 
+        A solo run is the merged group of one: this is
+        ``run_merged(circuit, [(shots, seed)])[0]`` plus the statevector the
+        contract below describes.
+
         Measurement contract
         --------------------
         Circuits **with** measure instructions yield counts keyed over their
@@ -641,63 +651,12 @@ class StatevectorSimulator:
         * stabilizer engine: tableaus have no amplitude representation, so
           the result's ``statevector`` is always ``None`` and the kind is
           ``"none"`` (the engine runs far beyond the amplitude width cap).
+
+        A zero-shot trajectory run has no last shot, so its ``statevector``
+        is ``None``.
         """
-        if shots < 0:
-            raise SimulationError("shots must be non-negative")
-        engine = self.trajectory_engine
-        if engine == "auto":
-            from .fusion import is_clifford_circuit  # local: import cycle
+        return self._run_group(circuit, [(shots, seed)], keep_state=return_statevector)[0]
 
-            engine = "stabilizer" if is_clifford_circuit(circuit) else "batched"
-        if engine == "stabilizer":
-            # The tableau engine owns the whole run: it has no exact-path
-            # analogue (no amplitudes) and no width cap to fall back under.
-            return self._run_stabilizer(circuit, shots, seed)
-        if self.trajectory_engine == "density":
-            # The exact oracle handles every construct (noise, mid-circuit
-            # measurement, reset) in closed form, so it owns the whole run.
-            from .density import DensityMatrixSimulator  # local: import cycle
-
-            return DensityMatrixSimulator(
-                noise_model=self.noise_model,
-                sampling=self.density_sampling,
-                verify_compiled=self.verify_compiled,
-            ).run(circuit, shots=shots, seed=seed)
-        rng = np.random.default_rng(seed)
-
-        needs_trajectories = (
-            (self.noise_model is not None and not self.noise_model.is_noiseless)
-            or not circuit.measurements_are_terminal()
-            or any(inst.name == "reset" for inst in circuit.instructions)
-        )
-        if needs_trajectories:
-            counts, final_state, extra = self._run_trajectories(circuit, shots, rng, seed)
-            method = "trajectories"
-            # Implicit sampling never collapses, so the returned state is the
-            # last trajectory's pre-measurement state, as on the exact path.
-            statevector_kind = (
-                "pre_measurement" if extra.get("implicit_measurement") else "final_trajectory"
-            )
-        else:
-            counts, final_state, extra = self._run_exact(circuit, shots, rng)
-            method = "exact"
-            statevector_kind = "pre_measurement"
-        metadata: Dict[str, object] = {"method": method, "statevector_kind": statevector_kind}
-        metadata.update(extra)
-        result = SimulationResult(
-            counts=counts,
-            statevector=final_state if return_statevector else None,
-            shots=shots,
-            seed=seed,
-            metadata=metadata,
-        )
-        if self.verify_compiled:
-            from .analysis import verify_result  # local: import cycle
-
-            verify_result(result).raise_if_failed()
-        return result
-
-    # -- merged-group execution ---------------------------------------------------
     def run_merged(
         self,
         circuit: Circuit,
@@ -711,42 +670,64 @@ class StatevectorSimulator:
         per job — and every random draw is pulled from that chunk's own
         ``SeedSequence``-spawned generator, in standalone order and size.
         The contract is strict: each returned result's seeded counts are
-        **bit-identical** to ``run(circuit, shots=..., seed=...)`` alone.
-
-        Results executed through a genuinely merged path carry
-        ``metadata["merged"] = {"group_size", "position", "merged_chunks"}``;
-        jobs that cannot merge fall back to a solo :meth:`run` with identical
-        semantics (reference/density engines, zero-shot jobs, and amplitude
-        jobs whose standalone chunk plan contains a width-1 chunk — dense
-        GEMM columns are only bit-stable across batch widths >= 2).
+        **bit-identical** to ``run(circuit, shots=..., seed=...)`` alone, and
+        its metadata equals the solo run's plus, for groups of two or more,
+        ``metadata["merged"] = {"group_size", "position", "merged_chunks"}``.
+        The density and reference engines have no batch axis to merge on, so
+        they run the jobs one by one.
         """
+        return self._run_group(circuit, specs, keep_state=False)
+
+    def _run_group(
+        self, circuit: Circuit, specs: Sequence[Tuple[int, Optional[int]]], keep_state: bool
+    ) -> List[SimulationResult]:
+        """The one execution path behind :meth:`run` and :meth:`run_merged`."""
         specs = [(int(shots), seed) for shots, seed in specs]
-        for shots, _ in specs:
-            if shots < 0:
-                raise SimulationError("shots must be non-negative")
+        if any(shots < 0 for shots, _ in specs):
+            raise SimulationError("shots must be non-negative")
         engine = self.trajectory_engine
         if engine == "auto":
             from .fusion import is_clifford_circuit  # local: import cycle
 
             engine = "stabilizer" if is_clifford_circuit(circuit) else "batched"
+        if engine == "density":
+            # The exact oracle handles every construct (noise, mid-circuit
+            # measurement, reset) in closed form, so it owns the whole run.
+            from .density import DensityMatrixSimulator  # local: import cycle
+
+            oracle = DensityMatrixSimulator(
+                noise_model=self.noise_model,
+                sampling=self.density_sampling,
+                verify_compiled=self.verify_compiled,
+            )
+            return [oracle.run(circuit, shots=s, seed=sd) for s, sd in specs]
         if engine == "stabilizer":
-            return self._run_stabilizer_merged(circuit, specs)
-        if self.trajectory_engine in ("density", "reference"):
-            # No batch axis to merge on: the density oracle is closed-form
-            # and the reference engine is the scalar specification.
-            return [self.run(circuit, shots=s, seed=sd) for s, sd in specs]
-        needs_trajectories = (
-            (self.noise_model is not None and not self.noise_model.is_noiseless)
+            # The tableau engine owns the whole run: it has no exact-path
+            # analogue (no amplitudes) and no width cap to fall back under.
+            results = self._run_chunked(_StabilizerEngine(self), circuit, specs, keep_state)
+        elif not (
+            _active_noise(self.noise_model) is not None
             or not circuit.measurements_are_terminal()
             or any(inst.name == "reset" for inst in circuit.instructions)
-        )
-        if not needs_trajectories:
-            return self._run_exact_merged(circuit, specs)
-        return self._run_trajectories_merged(circuit, specs)
+        ):
+            results = self._run_exact(circuit, specs, keep_state)
+        elif engine == "reference":
+            results = [self._run_reference(circuit, s, sd, keep_state) for s, sd in specs]
+        else:
+            results = self._run_chunked(_AmplitudeEngine(self), circuit, specs, keep_state)
+        if self.verify_compiled:
+            from .analysis import verify_result  # local: import cycle
 
+            for result in results:
+                verify_result(result).raise_if_failed()
+        return results
+
+    # -- chunk plan and executor ----------------------------------------------------
     @staticmethod
     def _standalone_chunk_sizes(batch_size: int, shots: int) -> List[int]:
         """The chunk decomposition a standalone run of *shots* would use."""
+        if shots == 0:
+            return []
         sizes = [batch_size] * (shots // batch_size)
         if shots % batch_size:
             sizes.append(shots % batch_size)
@@ -754,490 +735,180 @@ class StatevectorSimulator:
 
     @staticmethod
     def _pack_merged_chunks(job_plans, cap: Optional[int]) -> List[List[tuple]]:
-        """First-fit pack standalone chunks into merged super-chunks.
+        """First-fit pack standalone chunks into super-chunks.
 
         *job_plans* maps job index -> list of ``(size, stream)`` standalone
-        chunks (``None`` for solo-fallback jobs).  Chunks are never split —
-        each keeps its standalone size and stream, so per-segment draws are
-        untouched; the packing only decides which chunks share one tensor
-        (bin choice cannot affect bit-identity, only throughput).  *cap* is
-        the super-chunk capacity in shots (``None`` = unbounded), the same
-        byte-budget-derived cap that sized the standalone chunks, so peak
-        memory per super-chunk matches a standalone chunk's.  Deterministic
-        and independent of worker count.  Returns super-chunks as lists of
-        ``(job, chunk_id, size, stream)``.
+        chunks.  Chunks are never split — each keeps its standalone size and
+        stream, so per-segment draws are untouched; the packing only decides
+        which chunks share one tensor.  *cap* is the super-chunk capacity in
+        shots (``None`` = unbounded), the byte-budget-derived cap that sized
+        the standalone chunks, so peak memory per super-chunk matches a
+        standalone chunk's.  A size-1 chunk never shares a super-chunk: a
+        dense GEMM at batch width 1 rounds differently from the same column
+        in a wider batch, so it runs at width 1 exactly as it does alone.
+        For a single job every chunk fills its own super-chunk, so the
+        super-chunks (and the fault-plan chunk ids keyed on them) are the
+        standalone chunks.  Deterministic and independent of worker count.
+        Returns super-chunks as lists of ``(job, chunk_id, size, stream)``.
         """
-        flat = [
-            (job, chunk_id, size, stream)
-            for job, plan in enumerate(job_plans)
-            if plan is not None
-            for chunk_id, (size, stream) in enumerate(plan)
-        ]
-        if cap is None:
-            return [flat] if flat else []
+        limit = float("inf") if cap is None else cap
         out: List[List[tuple]] = []
-        remaining: List[int] = []
-        for entry in flat:
-            size = entry[2]
-            for i in range(len(out)):
-                if remaining[i] >= size:
-                    out[i].append(entry)
-                    remaining[i] -= size
-                    break
-            else:
-                out.append([entry])
-                remaining.append(cap - size)
+        remaining: List[float] = []
+        for job, plan in enumerate(job_plans):
+            for chunk_id, (size, stream) in enumerate(plan):
+                entry = (job, chunk_id, size, stream)
+                fit = next(
+                    (i for i, room in enumerate(remaining) if size > 1 and room >= size),
+                    None,
+                )
+                if fit is None:
+                    out.append([entry])
+                    remaining.append(limit - size if size > 1 else 0)
+                else:
+                    out[fit].append(entry)
+                    remaining[fit] -= size
         return out
 
-    def _run_merged_chunks_threaded(self, num_chunks: int, run_merged_chunk):
-        """Run merged super-chunks on the thread executor (serial when 1 worker).
-
-        Same BLAS-pinning policy as the standalone chunk dispatch; returns
-        the flattened ``(job, chunk_id, bits)`` rows of every super-chunk.
-        """
-        if num_chunks == 0:
-            return []
-        workers = min(self.trajectory_workers, num_chunks)
-        if workers <= 1:
-            return [
-                row for chunk in range(num_chunks) for row in run_merged_chunk(chunk)
-            ]
-        from .threads import limit_blas_threads
-
-        if self.pin_blas_threads:
-            guard = limit_blas_threads(max(1, (os.cpu_count() or 1) // workers))
-        else:
-            guard = nullcontext()
-        with guard, ThreadPoolExecutor(max_workers=workers) as pool:
-            return [
-                row
-                for chunk_rows in pool.map(run_merged_chunk, range(num_chunks))
-                for row in chunk_rows
-            ]
-
-    def _run_trajectories_merged(
-        self, circuit: Circuit, specs: List[Tuple[int, Optional[int]]]
+    def _run_chunked(
+        self, engine, circuit: Circuit, specs: List[Tuple[int, Optional[int]]], keep_state: bool
     ) -> List[SimulationResult]:
-        """Merged batched-amplitude execution (see :meth:`run_merged`)."""
-        from .fusion import compile_trajectory_program_cached
+        """Plan, execute and reassemble a group of jobs on a chunked engine.
 
-        noise = self.noise_model
-        if noise is not None and noise.is_noiseless:
-            noise = None
-        program = compile_trajectory_program_cached(
-            circuit, noise, dtype=np.dtype(self.trajectory_dtype)
-        )
-        if self.verify_compiled:
-            self._verify_compiled_artifacts(circuit, program)
-        implicit = program.terminal is not None and program.terminal.implicit
-        n = circuit.num_qubits
-        job_plans: List[Optional[List[tuple]]] = []
-        job_batch: List[int] = []
+        The circuit compiles once.  Each job's shot axis splits into
+        standalone chunks of at most ``cap`` shots, the largest batch whose
+        working set (the engine's bytes per shot) fits ``max_batch_memory``
+        — a decomposition that depends only on the budget, the engine, the
+        width and the shot count, never on ``trajectory_workers``.  Every
+        chunk draws from its own ``SeedSequence(seed).spawn`` stream;
+        :meth:`_pack_merged_chunks` packs the chunks into super-chunks and
+        :meth:`_execute_plan` runs every super-chunk through the engine's
+        segment kernel.  Slicing the rows
+        back per ``(job, chunk_id)`` gives each job exactly its standalone
+        bits.  *keep_state* (single-job runs only) returns the last shot's
+        statevector.
+        """
+        program = None
+        if any(shots for shots, _ in specs):
+            program = engine.compile(circuit, verify=self.verify_compiled)
+        cap = None
+        if self.max_batch_memory is not None and program is not None:
+            cap = max(1, self.max_batch_memory // engine.bytes_per_shot(program))
+        plans, batch_sizes = [], []
         for shots, seed in specs:
-            if shots == 0:
-                job_plans.append(None)
-                job_batch.append(0)
-                continue
-            batch_size = self._batch_size_for(n, shots)
+            batch_size = shots if cap is None else min(shots, cap)
             sizes = self._standalone_chunk_sizes(batch_size, shots)
-            job_batch.append(batch_size)
-            if min(sizes) < 2:
-                # Width-1 guard: a one-shot chunk's dense GEMM rounds
-                # differently from the same column inside a wider batch
-                # (~1 ulp), which can flip a sampled outcome.  Bit-identity
-                # wins over merging, so the job runs solo.
-                job_plans.append(None)
-                continue
-            streams = np.random.SeedSequence(seed).spawn(len(sizes))
-            job_plans.append(list(zip(sizes, streams)))
-        if self.max_batch_memory is None:
-            cap = None
-        else:
-            itemsize = np.dtype(self.trajectory_dtype).itemsize
-            cap = max(1, self.max_batch_memory // (2 * itemsize * (1 << n)))
-        merged_chunks = self._pack_merged_chunks(job_plans, cap)
-
-        def run_merged_chunk(chunk: int):
-            segs = merged_chunks[chunk]
-            if self.fault_plan is not None:
-                self.fault_plan.fire(chunk, 0, executor="thread")
-            segments = [
-                (size, np.random.default_rng(stream)) for _, _, size, stream in segs
-            ]
-            merged_bits = execute_program_segments(
-                program,
-                segments,
-                noise_model=noise,
-                dtype=self.trajectory_dtype,
-                gemm_threshold=self.noise_gemm_threshold,
-            )
-            rows = []
-            offset = 0
-            for job, chunk_id, size, _ in segs:
-                rows.append((job, chunk_id, merged_bits[offset : offset + size]))
-                offset += size
-            return rows
-
-        recovery = None
-        if not merged_chunks:
-            rows = []
-        elif self.trajectory_executor == "process":
-            from .fusion import compile_parametric_template_cached
-            from .procpool import run_merged_trajectory_chunks
-
-            workers = min(self.trajectory_workers, len(merged_chunks))
-            blas_threads = (
-                max(1, (os.cpu_count() or 1) // workers)
-                if self.pin_blas_threads and workers > 1
-                else None
-            )
-            rows, recovery = run_merged_trajectory_chunks(
-                circuit,
-                compile_parametric_template_cached(circuit),
-                self.noise_model,
-                merged_chunks,
-                workers=workers,
-                dtype=self.trajectory_dtype,
-                gemm_threshold=self.noise_gemm_threshold,
-                blas_threads=blas_threads,
-                fault_plan=self.fault_plan,
-            )
-        else:
-            rows = self._run_merged_chunks_threaded(len(merged_chunks), run_merged_chunk)
-        per_job: Dict[int, Dict[int, np.ndarray]] = {}
-        for job, chunk_id, chunk_bits in rows:
-            per_job.setdefault(job, {})[chunk_id] = chunk_bits
+            plans.append(list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes)))))
+            batch_sizes.append(batch_size)
+        plan = self._pack_merged_chunks(plans, cap)
+        rows, final_state, recovery = self._execute_plan(
+            engine, circuit, program, plan, keep_state
+        )
+        chunks: List[Dict[int, np.ndarray]] = [{} for _ in specs]
+        for job, chunk_id, bits in rows:
+            chunks[job][chunk_id] = bits
+        terminal = program.terminal if program is not None else None
+        implicit = terminal is not None and terminal.implicit
         results: List[SimulationResult] = []
-        for j, (shots, seed) in enumerate(specs):
-            if job_plans[j] is None:
-                results.append(self.run(circuit, shots=shots, seed=seed))
-                continue
-            chunks = per_job.get(j, {})
-            bits = np.concatenate(
-                [chunks[cid] for cid in range(len(job_plans[j]))], axis=0
-            )
+        for job, (shots, seed) in enumerate(specs):
+            ran = shots > 0
             metadata: Dict[str, object] = {
                 "method": "trajectories",
-                "statevector_kind": "none",
-                "trajectory_engine": "batched",
-                "trajectory_dtype": self.trajectory_dtype,
+                "statevector_kind": engine.statevector_kinds[implicit and ran],
+                **engine.stamp,
                 "trajectory_workers": self.trajectory_workers,
                 "trajectory_executor": self.trajectory_executor,
-                "implicit_measurement": implicit,
-                "num_batches": len(job_plans[j]),
-                "batch_size": job_batch[j],
-                "compiled_steps": len(program.steps),
-                "merged": {
-                    "group_size": len(specs),
-                    "position": j,
-                    "merged_chunks": len(merged_chunks),
-                },
+                "implicit_measurement": implicit and ran,
+                "num_batches": len(plans[job]),
+                "batch_size": batch_sizes[job],
             }
-            if recovery is not None:
-                metadata["executor_recovery"] = recovery
-            result = SimulationResult(
-                counts=Counts.from_array(bits), shots=shots, seed=seed, metadata=metadata
+            counts = Counts({})
+            if ran:
+                metadata["compiled_steps"] = len(program.steps)
+                if recovery is not None:
+                    metadata["executor_recovery"] = recovery
+                counts = Counts.from_array(
+                    np.concatenate([chunks[job][c] for c in range(len(plans[job]))], axis=0)
+                )
+            results.append(
+                SimulationResult(
+                    counts=counts,
+                    statevector=final_state,
+                    shots=shots,
+                    seed=seed,
+                    metadata=metadata,
+                )
             )
-            if self.verify_compiled:
-                from .analysis import verify_result  # local: import cycle
-
-                verify_result(result).raise_if_failed()
-            results.append(result)
+        _stamp_merged(results, len(plan))
         return results
 
-    def _run_stabilizer_merged(
-        self, circuit: Circuit, specs: List[Tuple[int, Optional[int]]]
-    ) -> List[SimulationResult]:
-        """Merged stabilizer-tableau execution (see :meth:`run_merged`).
+    def _execute_plan(
+        self, engine, circuit: Circuit, program, plan: List[List[tuple]], keep_state: bool
+    ):
+        """Run every super-chunk serially, on the thread pool or on the process pool.
 
-        Integer tableau updates are exact at every batch width, so there is
-        no width-1 guard here: every nonzero-shot job merges.
+        Returns ``(rows, final_state, recovery)``: the ``(job, chunk_id,
+        bits)`` row block of every segment, the last super-chunk's final
+        single-trajectory state when *keep_state* (else ``None``; only that
+        one super-chunk keeps its state, so peak memory stays at about
+        ``workers x max_batch_memory``), and the process pool's per-run
+        crash-recovery counters (``None`` on the thread executor).
         """
-        from .fusion import compile_stabilizer_program_cached  # local: import cycle
-        from .stabilizer import execute_stabilizer_program_segments
-
-        noise = self.noise_model
-        if noise is not None and noise.is_noiseless:
-            noise = None
-        program = compile_stabilizer_program_cached(circuit, noise)
-        if self.verify_compiled:
-            from .analysis import verify_stabilizer_program  # local: import cycle
-
-            verify_stabilizer_program(program).raise_if_failed()
-        implicit = program.terminal is not None and program.terminal.implicit
-        job_plans: List[Optional[List[tuple]]] = []
-        job_batch: List[int] = []
-        for shots, seed in specs:
-            if shots == 0:
-                job_plans.append(None)
-                job_batch.append(0)
-                continue
-            batch_size = self._stabilizer_batch_size(
-                circuit.num_qubits, program.bits_width, shots
-            )
-            sizes = self._standalone_chunk_sizes(batch_size, shots)
-            job_batch.append(batch_size)
-            streams = np.random.SeedSequence(seed).spawn(len(sizes))
-            job_plans.append(list(zip(sizes, streams)))
-        if self.max_batch_memory is None:
-            cap = None
-        else:
-            bytes_per_shot = 2 * circuit.num_qubits + program.bits_width
-            cap = max(1, self.max_batch_memory // bytes_per_shot)
-        merged_chunks = self._pack_merged_chunks(job_plans, cap)
-
-        def run_merged_chunk(chunk: int):
-            segs = merged_chunks[chunk]
-            if self.fault_plan is not None:
-                self.fault_plan.fire(chunk, 0, executor="thread")
-            segments = [
-                (size, np.random.default_rng(stream)) for _, _, size, stream in segs
-            ]
-            merged_bits = execute_stabilizer_program_segments(program, segments, noise)
-            rows = []
-            offset = 0
-            for job, chunk_id, size, _ in segs:
-                rows.append((job, chunk_id, merged_bits[offset : offset + size]))
-                offset += size
-            return rows
-
-        recovery = None
-        if not merged_chunks:
-            rows = []
-        elif self.trajectory_executor == "process":
-            from .procpool import run_merged_stabilizer_chunks
-
-            workers = min(self.trajectory_workers, len(merged_chunks))
-            rows, recovery = run_merged_stabilizer_chunks(
-                program,
-                noise,
-                merged_chunks,
-                workers=workers,
-                fault_plan=self.fault_plan,
-            )
-        else:
-            rows = self._run_merged_chunks_threaded(len(merged_chunks), run_merged_chunk)
-        per_job: Dict[int, Dict[int, np.ndarray]] = {}
-        for job, chunk_id, chunk_bits in rows:
-            per_job.setdefault(job, {})[chunk_id] = chunk_bits
-        results: List[SimulationResult] = []
-        for j, (shots, seed) in enumerate(specs):
-            if job_plans[j] is None:
-                results.append(self.run(circuit, shots=shots, seed=seed))
-                continue
-            chunks = per_job.get(j, {})
-            bits = np.concatenate(
-                [chunks[cid] for cid in range(len(job_plans[j]))], axis=0
-            )
-            metadata: Dict[str, object] = {
-                "method": "trajectories",
-                "statevector_kind": "none",
-                "trajectory_engine": "stabilizer",
-                "trajectory_workers": self.trajectory_workers,
-                "trajectory_executor": self.trajectory_executor,
-                "implicit_measurement": implicit,
-                "num_batches": len(job_plans[j]),
-                "batch_size": job_batch[j],
-                "compiled_steps": len(program.steps),
-                "merged": {
-                    "group_size": len(specs),
-                    "position": j,
-                    "merged_chunks": len(merged_chunks),
-                },
-            }
-            if recovery is not None:
-                metadata["executor_recovery"] = recovery
-            result = SimulationResult(
-                counts=Counts.from_array(bits), shots=shots, seed=seed, metadata=metadata
-            )
-            if self.verify_compiled:
-                from .analysis import verify_result  # local: import cycle
-
-                verify_result(result).raise_if_failed()
-            results.append(result)
-        return results
-
-    def _run_exact_merged(
-        self, circuit: Circuit, specs: List[Tuple[int, Optional[int]]]
-    ) -> List[SimulationResult]:
-        """Merged exact-path execution: one evolution, per-job sampling.
-
-        The exact path consumes no RNG before sampling, so evolving once and
-        drawing each job's shots with a fresh per-job generator is trivially
-        bit-identical to N standalone runs.
-        """
-        state, measure_map = self._evolve_exact(circuit)
-        results: List[SimulationResult] = []
-        for j, (shots, seed) in enumerate(specs):
-            rng = np.random.default_rng(seed)
-            counts, extra = self._sample_exact(state, measure_map, circuit, shots, rng)
-            metadata: Dict[str, object] = {
-                "method": "exact",
-                "statevector_kind": "pre_measurement",
-                "merged": {
-                    "group_size": len(specs),
-                    "position": j,
-                    "merged_chunks": 1,
-                },
-            }
-            metadata.update(extra)
-            result = SimulationResult(
-                counts=counts, shots=shots, seed=seed, metadata=metadata
-            )
-            if self.verify_compiled:
-                from .analysis import verify_result  # local: import cycle
-
-                verify_result(result).raise_if_failed()
-            results.append(result)
-        return results
-
-    def _verify_compiled_artifacts(self, circuit: Circuit, program) -> None:
-        """``verify_compiled`` knob path: verify one run's compiled artifacts.
-
-        Verifies the bound :class:`~repro.simulators.gate.fusion.TrajectoryProgram`
-        (IR001-IR006) and the structural template of *circuit* including the
-        IR008 cache-key soundness probe.  Only called when the knob is on;
-        the off path never reaches this method.
-        """
-        from .analysis import verify_program, verify_template  # local: import cycle
-        from .fusion import compile_parametric_template
-
-        verify_template(compile_parametric_template(circuit), circuit).raise_if_failed()
-        verify_program(program).raise_if_failed()
-
-    # -- stabilizer path ---------------------------------------------------------
-    def _stabilizer_batch_size(self, num_qubits: int, bits_width: int, shots: int) -> int:
-        """Largest tableau chunk whose per-shot memory fits ``max_batch_memory``.
-
-        A stabilizer shot costs ``2 n`` phase bytes plus ``bits_width``
-        outcome bytes (the shared bit matrices are a fixed ``4 n^2`` bytes
-        per chunk, amortised across the batch), so the same byte budget that
-        admits hundreds of amplitude trajectories admits hundreds of
-        thousands of tableau trajectories.  The decomposition depends only on
-        the budget, the width and the shot count — never on
-        ``trajectory_workers`` — preserving bit-identical seeded counts.
-        """
-        if self.max_batch_memory is None:
-            return shots
-        bytes_per_shot = 2 * num_qubits + bits_width
-        return max(1, min(shots, self.max_batch_memory // bytes_per_shot))
-
-    def _run_stabilizer(
-        self, circuit: Circuit, shots: int, seed: Optional[int]
-    ) -> SimulationResult:
-        """Run the whole circuit on the batched stabilizer tableau engine.
-
-        Mirrors the batched amplitude engine's execution policy: the circuit
-        compiles once through the structure-keyed stabilizer cache (Clifford
-        lowering plus Pauli-channel noise steps;
-        :class:`~repro.core.errors.UnsupportedGateError` on non-Clifford
-        gates), the shot axis splits into ``max_batch_memory``-sized chunks,
-        each chunk draws from its own ``SeedSequence``-spawned stream, and
-        ``trajectory_workers`` threads execute the chunks — seeded counts
-        are bit-identical for every worker count.  The result never carries
-        a statevector (``statevector_kind="none"``).
-        """
-        from .fusion import compile_stabilizer_program_cached  # local: import cycle
-        from .stabilizer import execute_stabilizer_program
-
-        noise = self.noise_model
-        if noise is not None and noise.is_noiseless:
-            noise = None
-        metadata: Dict[str, object] = {
-            "method": "trajectories",
-            "statevector_kind": "none",
-            "trajectory_engine": "stabilizer",
-            "trajectory_workers": self.trajectory_workers,
-            "trajectory_executor": self.trajectory_executor,
-        }
-        if shots == 0:
-            metadata.update(
-                {"implicit_measurement": False, "num_batches": 0, "batch_size": 0}
-            )
-            return SimulationResult(
-                counts=Counts({}), shots=shots, seed=seed, metadata=metadata
-            )
-        program = compile_stabilizer_program_cached(circuit, noise)
-        if self.verify_compiled:
-            from .analysis import verify_stabilizer_program  # local: import cycle
-
-            verify_stabilizer_program(program).raise_if_failed()
-        implicit = program.terminal is not None and program.terminal.implicit
-        batch_size = self._stabilizer_batch_size(
-            circuit.num_qubits, program.bits_width, shots
+        if not plan:
+            return [], None, None
+        workers = min(self.trajectory_workers, len(plan))
+        # Cap BLAS at cores-per-worker: without the cap every worker's GEMMs
+        # spawn a full OpenMP team and the workers x cores oversubscription
+        # erases the parallel speedup.  Knob: ``pin_blas_threads``.
+        blas_threads = (
+            max(1, (os.cpu_count() or 1) // workers)
+            if self.pin_blas_threads and workers > 1
+            else None
         )
-        sizes = [batch_size] * (shots // batch_size)
-        if shots % batch_size:
-            sizes.append(shots % batch_size)
-        streams = np.random.SeedSequence(seed).spawn(len(sizes))
-
-        def run_chunk(chunk: int) -> np.ndarray:
-            if self.fault_plan is not None:
-                self.fault_plan.fire(chunk, 0, executor="thread")
-            return execute_stabilizer_program(
-                program, sizes[chunk], np.random.default_rng(streams[chunk]), noise
-            )
-
-        workers = min(self.trajectory_workers, len(sizes))
+        state_chunk = len(plan) - 1 if keep_state else None
+        recovery = None
         if self.trajectory_executor == "process":
-            from .procpool import run_stabilizer_chunks
+            from .procpool import run_chunks
 
-            results, recovery = run_stabilizer_chunks(
-                program, noise, sizes, streams, workers=workers,
+            outputs, recovery = run_chunks(
+                engine,
+                circuit,
+                plan,
+                workers=workers,
+                blas_threads=blas_threads,
+                state_chunk=state_chunk,
                 fault_plan=self.fault_plan,
             )
-            metadata["executor_recovery"] = recovery
-        elif workers <= 1:
-            results = [run_chunk(chunk) for chunk in range(len(sizes))]
         else:
-            from .threads import limit_blas_threads
 
-            if self.pin_blas_threads:
-                guard = limit_blas_threads(max(1, (os.cpu_count() or 1) // workers))
+            def run_one(index: int):
+                return run_super_chunk(
+                    engine, program, index, plan[index], index == state_chunk, self.fault_plan
+                )
+
+            if workers <= 1:
+                outputs = [run_one(index) for index in range(len(plan))]
             else:
-                guard = nullcontext()
-            with guard, ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_chunk, range(len(sizes))))
-        counts = Counts.from_array(np.concatenate(results, axis=0))
-        metadata.update(
-            {
-                "implicit_measurement": implicit,
-                "num_batches": len(sizes),
-                "batch_size": batch_size,
-                "compiled_steps": len(program.steps),
-            }
-        )
-        result = SimulationResult(
-            counts=counts, shots=shots, seed=seed, metadata=metadata
-        )
-        if self.verify_compiled:
-            from .analysis import verify_result  # local: import cycle
+                from .threads import limit_blas_threads
 
-            verify_result(result).raise_if_failed()
-        return result
+                guard = limit_blas_threads(blas_threads) if blas_threads else nullcontext()
+                with guard, ThreadPoolExecutor(max_workers=workers) as pool:
+                    outputs = list(pool.map(run_one, range(len(plan))))
+        rows = [row for chunk_rows, _ in outputs for row in chunk_rows]
+        return rows, outputs[-1][1], recovery
 
     # -- exact path -------------------------------------------------------------
     def _run_exact(
-        self, circuit: Circuit, shots: int, rng: np.random.Generator
-    ) -> Tuple[Counts, Statevector, Dict[str, object]]:
-        """Evolve once through the fused program, then sample all shots.
+        self, circuit: Circuit, specs: List[Tuple[int, Optional[int]]], keep_state: bool
+    ) -> List[SimulationResult]:
+        """Evolve once through the fused program, then sample each job's shots.
 
         The gates are compiled through the parametric template cache (the
         circuit is noiseless here, and any gates appearing after a terminal
         measurement act on *other* qubits and commute with it), so repeated
         structurally identical circuits — a variational optimisation loop —
-        skip the fusion analysis and only re-bind the fused matrices.
-        """
-        state, measure_map = self._evolve_exact(circuit)
-        counts, extra = self._sample_exact(state, measure_map, circuit, shots, rng)
-        return counts, state, extra
-
-    def _evolve_exact(self, circuit: Circuit) -> Tuple[Statevector, Dict[int, int]]:
-        """Evolve the exact pre-measurement state of *circuit* once.
-
-        Returns the evolved :class:`Statevector` and the clbit -> qubit map of
-        the circuit's (terminal) measure instructions.  Shared by the solo and
-        merged exact paths.
+        skip the fusion analysis and only re-bind the fused matrices.  The
+        path consumes no RNG before sampling, so one shared evolution and a
+        fresh per-job generator give every job exactly its standalone draws.
         """
         from .fusion import compile_trajectory_program_cached  # local: import cycle
 
@@ -1254,10 +925,29 @@ class StatevectorSimulator:
         if gates_only.instructions:
             program = compile_trajectory_program_cached(gates_only)
             if self.verify_compiled:
-                self._verify_compiled_artifacts(gates_only, program)
+                _verify_trajectory_artifacts(gates_only, program)
             for step in program.steps:
                 state.apply_matrix(step.matrix, step.qubits, plan=step.plan)
-        return state, measure_map
+        results = []
+        for shots, seed in specs:
+            counts, implicit = self._sample_exact(
+                state, measure_map, circuit, shots, np.random.default_rng(seed)
+            )
+            results.append(
+                SimulationResult(
+                    counts=counts,
+                    statevector=state if keep_state else None,
+                    shots=shots,
+                    seed=seed,
+                    metadata={
+                        "method": "exact",
+                        "statevector_kind": "pre_measurement",
+                        "implicit_measurement": implicit,
+                    },
+                )
+            )
+        _stamp_merged(results, 1)
+        return results
 
     @staticmethod
     def _sample_exact(
@@ -1266,21 +956,17 @@ class StatevectorSimulator:
         circuit: Circuit,
         shots: int,
         rng: np.random.Generator,
-    ) -> Tuple[Counts, Dict[str, object]]:
-        """Sample *shots* outcomes from an already-evolved exact state.
+    ) -> Tuple[Counts, bool]:
+        """Sample *shots* outcomes from the evolved exact state.
 
-        Split out of :meth:`_run_exact` so merged-group execution
-        (:meth:`run_merged`) can evolve the shared state once and draw each
-        job's shots with the job's own fresh generator — exactly the draws a
-        standalone run makes, since the exact path consumes no RNG before
-        sampling.
+        Returns the counts and whether the measurement was implicit.
         """
         if shots == 0:
-            return Counts({}), {"implicit_measurement": False}
+            return Counts({}), False
         if not measure_map:
             # Documented contract: measurement-free circuits are measured
             # implicitly at the end, keyed over all qubits in qubit order.
-            return state.sample_counts(shots, rng), {"implicit_measurement": True}
+            return state.sample_counts(shots, rng), True
 
         num_clbits = circuit.num_clbits
         probs = state.probabilities()
@@ -1293,178 +979,12 @@ class StatevectorSimulator:
                 key_chars[clbit] = full[qubit]
             key = "".join(key_chars)
             data[key] = data.get(key, 0) + int(multiplicity)
-        return Counts(data), {"implicit_measurement": False}
+        return Counts(data), False
 
-    # -- trajectory path -----------------------------------------------------------
-    def _run_trajectories(
-        self, circuit: Circuit, shots: int, rng: np.random.Generator, seed: Optional[int]
-    ) -> Tuple[Counts, Statevector, Dict[str, object]]:
-        """Dispatch to the selected trajectory engine."""
-        if self.trajectory_engine == "reference":
-            return self._run_trajectories_reference(circuit, shots, rng)
-        return self._run_trajectories_batched(circuit, shots, seed)
-
-    def _batch_size_for(self, num_qubits: int, shots: int) -> int:
-        """Largest shot chunk whose state + scratch fit ``max_batch_memory``."""
-        if self.max_batch_memory is None:
-            return shots
-        itemsize = np.dtype(self.trajectory_dtype).itemsize
-        bytes_per_shot = 2 * itemsize * (1 << num_qubits)  # tensor + scratch
-        return max(1, min(shots, self.max_batch_memory // bytes_per_shot))
-
-    def _run_trajectories_batched(
-        self, circuit: Circuit, shots: int, seed: Optional[int]
-    ) -> Tuple[Counts, Statevector, Dict[str, object]]:
-        """Compile once, then run the shot chunks (possibly across threads).
-
-        The shot axis is first split into chunks sized by ``max_batch_memory``
-        — a decomposition that depends only on the byte budget, the circuit
-        width, the dtype, and the shot count, never on ``trajectory_workers``.
-        Every chunk gets its own RNG stream spawned from
-        ``SeedSequence(seed)``, so a seeded run produces bit-identical counts
-        whether the chunks execute serially or on a thread pool: the heavy
-        NumPy kernels release the GIL, and no mutable state is shared between
-        chunks (each :class:`BatchedStatevector` owns its buffers; compiled
-        program data and gate caches are read-only at this point).
-        """
-        from .batched import BatchedStatevector  # local import: cycle with batched.py
-        from .fusion import compile_trajectory_program_cached
-
-        extra: Dict[str, object] = {
-            "trajectory_engine": "batched",
-            "trajectory_dtype": self.trajectory_dtype,
-            "trajectory_workers": self.trajectory_workers,
-            "trajectory_executor": self.trajectory_executor,
-        }
-        if shots == 0:
-            extra.update({"implicit_measurement": False, "num_batches": 0, "batch_size": 0})
-            return Counts({}), Statevector(circuit.num_qubits), extra
-
-        noise = self.noise_model
-        if noise is not None and noise.is_noiseless:
-            noise = None
-        program = compile_trajectory_program_cached(
-            circuit, noise, dtype=np.dtype(self.trajectory_dtype)
-        )
-        if self.verify_compiled:
-            self._verify_compiled_artifacts(circuit, program)
-        implicit = program.terminal is not None and program.terminal.implicit
-        batch_size = self._batch_size_for(circuit.num_qubits, shots)
-        sizes = [batch_size] * (shots // batch_size)
-        if shots % batch_size:
-            sizes.append(shots % batch_size)
-        streams = np.random.SeedSequence(seed).spawn(len(sizes))
-
-        def run_chunk(chunk: int):
-            """One chunk's bit rows; the chunk state is kept only for the last
-            chunk (the result-statevector contract) so peak memory stays at
-            ~``workers x max_batch_memory`` instead of one state per chunk."""
-            if self.fault_plan is not None:
-                self.fault_plan.fire(chunk, 0, executor="thread")
-            bits, state, last_index = self._run_batch(
-                program, sizes[chunk], np.random.default_rng(streams[chunk])
-            )
-            if chunk == len(sizes) - 1:
-                return bits, state, last_index
-            return bits, None, None
-
-        workers = min(self.trajectory_workers, len(sizes))
-        if self.trajectory_executor == "process":
-            from .fusion import compile_parametric_template_cached
-            from .procpool import run_trajectory_chunks
-
-            # Each worker process runs its own BLAS pools, so the
-            # oversubscription cap applies per process instead of via the
-            # parent's thread-local guard.
-            blas_threads = (
-                max(1, (os.cpu_count() or 1) // workers)
-                if self.pin_blas_threads and workers > 1
-                else None
-            )
-            bits_rows, state_data, last_index, recovery = run_trajectory_chunks(
-                circuit,
-                compile_parametric_template_cached(circuit),
-                self.noise_model,
-                sizes,
-                streams,
-                workers=workers,
-                dtype=self.trajectory_dtype,
-                gemm_threshold=self.noise_gemm_threshold,
-                blas_threads=blas_threads,
-                fault_plan=self.fault_plan,
-            )
-            extra["executor_recovery"] = recovery
-            counts = Counts.from_array(np.concatenate(bits_rows, axis=0))
-            final_state = Statevector(circuit.num_qubits, data=state_data)
-        else:
-            if workers <= 1:
-                results = [run_chunk(chunk) for chunk in range(len(sizes))]
-            else:
-                from .threads import limit_blas_threads
-
-                # Cap BLAS at cores-per-worker: without the cap every worker's
-                # GEMMs spawn a full OpenMP team and the workers x cores
-                # oversubscription erases the parallel speedup; capping below
-                # cores/workers would idle cores.  Knob: ``pin_blas_threads``.
-                if self.pin_blas_threads:
-                    guard = limit_blas_threads(max(1, (os.cpu_count() or 1) // workers))
-                else:
-                    guard = nullcontext()
-                with guard, ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(run_chunk, range(len(sizes))))
-            counts = Counts.from_array(
-                np.concatenate([bits for bits, _, _ in results], axis=0)
-            )
-            _, state, last_index = results[-1]
-            final_state = state.extract(-1)
-        if program.terminal is not None and not implicit and last_index is not None:
-            self._collapse_terminal(final_state, program.terminal.pairs, last_index)
-        extra.update(
-            {
-                "implicit_measurement": implicit,
-                "num_batches": len(sizes),
-                "batch_size": batch_size,
-                "compiled_steps": len(program.steps),
-            }
-        )
-        return counts, final_state, extra
-
-    def _run_batch(
-        self, program, batch_size: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, "object", Optional[int]]:
-        """Advance one chunk of trajectories through a compiled program."""
-        return execute_program_chunk(
-            program,
-            batch_size,
-            rng,
-            noise_model=self.noise_model,
-            dtype=self.trajectory_dtype,
-            gemm_threshold=self.noise_gemm_threshold,
-        )
-
-    @staticmethod
-    def _collapse_terminal(
-        state: Statevector, pairs: Tuple[Tuple[int, int], ...], index: int
-    ) -> None:
-        """Project *state* onto the sampled outcomes of the terminal measures.
-
-        Keeps the ``"final_trajectory"`` statevector contract aligned with
-        the reference engine, which collapses each measured qubit in turn.
-        """
-        n = state.num_qubits
-        for qubit, _ in pairs:
-            bit = (index >> (n - 1 - qubit)) & 1
-            projector = [slice(None)] * n
-            projector[qubit] = 1 - bit
-            state._tensor[tuple(projector)] = 0.0
-        norm = np.linalg.norm(state.data)
-        if norm == 0:
-            raise SimulationError("terminal collapse produced a zero-norm state")
-        state._tensor /= norm
-
-    def _run_trajectories_reference(
-        self, circuit: Circuit, shots: int, rng: np.random.Generator
-    ) -> Tuple[Counts, Statevector, Dict[str, object]]:
+    # -- reference trajectories ------------------------------------------------------
+    def _run_reference(
+        self, circuit: Circuit, shots: int, seed: Optional[int], keep_state: bool
+    ) -> SimulationResult:
         """Per-shot reference implementation (scalar executable specification).
 
         Executes the *same* compiled :class:`TrajectoryProgram` as the
@@ -1484,20 +1004,26 @@ class StatevectorSimulator:
             compile_trajectory_program_cached,
         )
 
-        extra: Dict[str, object] = {"trajectory_engine": "reference"}
-        if shots == 0:
-            extra["implicit_measurement"] = False
-            return Counts({}), Statevector(circuit.num_qubits), extra
-        noise = self.noise_model
-        if noise is not None and noise.is_noiseless:
-            noise = None
-        program = compile_trajectory_program_cached(circuit, noise)
-        if self.verify_compiled:
-            self._verify_compiled_artifacts(circuit, program)
-        implicit = program.terminal is not None and program.terminal.implicit
-        n = program.num_qubits
-        samples: List[str] = []
+        rng = np.random.default_rng(seed)
+        metadata: Dict[str, object] = {
+            "method": "trajectories",
+            "statevector_kind": "final_trajectory",
+            "trajectory_engine": "reference",
+            "implicit_measurement": False,
+        }
+        n = circuit.num_qubits
         final_state = Statevector(n)
+        samples: List[str] = []
+        if shots:
+            noise = _active_noise(self.noise_model)
+            program = compile_trajectory_program_cached(circuit, noise)
+            if self.verify_compiled:
+                _verify_trajectory_artifacts(circuit, program)
+            implicit = program.terminal is not None and program.terminal.implicit
+            if implicit:
+                metadata["statevector_kind"] = "pre_measurement"
+            metadata["implicit_measurement"] = implicit
+            metadata["compiled_steps"] = len(program.steps)
         for _ in range(shots):
             state = Statevector(n)
             clbits = ["0"] * program.bits_width
@@ -1528,65 +1054,183 @@ class StatevectorSimulator:
                     # Collapse onto the sampled outcome for the documented
                     # "final_trajectory" statevector contract; the implicit
                     # sample never collapses (pre-measurement contract).
-                    self._collapse_terminal(state, program.terminal.pairs, index)
+                    _collapse_terminal(state, program.terminal.pairs, index)
             samples.append("".join(clbits))
             final_state = state
-        extra["implicit_measurement"] = implicit
-        extra["compiled_steps"] = len(program.steps)
-        return Counts.from_samples(samples), final_state, extra
+        return SimulationResult(
+            counts=Counts.from_samples(samples),
+            statevector=final_state if keep_state else None,
+            shots=shots,
+            seed=seed,
+            metadata=metadata,
+        )
 
 
-def execute_program_chunk(
-    program,
-    batch_size: int,
-    rng: np.random.Generator,
-    *,
-    noise_model: Optional[NoiseModel],
-    dtype,
-    gemm_threshold,
-) -> Tuple[np.ndarray, "object", Optional[int]]:
-    """Advance one chunk of trajectories through a compiled program.
+def _active_noise(noise_model: Optional[NoiseModel]) -> Optional[NoiseModel]:
+    """The model the compilers and kernels see: ``None`` when noiseless."""
+    if noise_model is None or noise_model.is_noiseless:
+        return None
+    return noise_model
 
-    Module-level rather than a simulator method so the thread executor and
-    the process-pool workers (:mod:`~repro.simulators.gate.procpool`) run the
-    *same* chunk code: given the same program, chunk size and RNG stream the
-    two executors are bit-identical by construction, not by parallel
-    maintenance of two code paths.  Returns the chunk's classical-bit rows,
-    the final :class:`~repro.simulators.gate.batched.BatchedStatevector`
-    (pre terminal collapse), and the last trajectory's sampled terminal
-    index (``None`` without a terminal block).
+
+def _stamp_merged(results: List[SimulationResult], merged_chunks: int) -> None:
+    """Add ``metadata["merged"]`` to the results of a group of two or more."""
+    if len(results) < 2:
+        return
+    for position, result in enumerate(results):
+        result.metadata["merged"] = {
+            "group_size": len(results),
+            "position": position,
+            "merged_chunks": merged_chunks,
+        }
+
+
+def _verify_trajectory_artifacts(circuit: Circuit, program) -> None:
+    """``verify_compiled`` knob path: verify one run's compiled artifacts.
+
+    Verifies the bound :class:`~repro.simulators.gate.fusion.TrajectoryProgram`
+    (IR001-IR006) and the structural template of *circuit* including the
+    IR008 cache-key soundness probe.  Only called when the knob is on; the
+    off path never reaches this function.
     """
-    from .batched import BatchedStatevector  # local import: cycle with batched.py
-    from .fusion import GateStep, MeasureStep, ResetStep
+    from .analysis import verify_program, verify_template  # local: import cycle
+    from .fusion import compile_parametric_template
 
-    state = BatchedStatevector(program.num_qubits, batch_size, dtype=np.dtype(dtype))
-    noise = noise_model
-    bits = np.zeros((batch_size, program.bits_width), dtype=np.uint8)
-    for step in program.steps:
-        if isinstance(step, GateStep):
-            state.apply_matrix(step.matrix, step.qubits, plan=step.plan)
-            if step.noise:
-                state.apply_noise_events(
-                    step.noise, rng, gemm_threshold=gemm_threshold
-                )
-        elif isinstance(step, MeasureStep):
-            outcomes = state.measure(step.qubit, rng)
-            if noise is not None:
-                outcomes = noise.apply_readout_error_batched(outcomes, rng)
-            bits[:, step.clbit] = outcomes
-        elif isinstance(step, ResetStep):
-            state.reset(step.qubit, rng)
-    last_index: Optional[int] = None
-    if program.terminal is not None:
-        indices = state.sample_all(rng)
-        last_index = int(indices[-1])
-        n = program.num_qubits
-        for qubit, clbit in program.terminal.pairs:
-            column = ((indices >> (n - 1 - qubit)) & 1).astype(np.uint8)
-            if noise is not None and not program.terminal.implicit:
-                column = noise.apply_readout_error_batched(column, rng)
-            bits[:, clbit] = column
-    return bits, state, last_index
+    verify_template(compile_parametric_template(circuit), circuit).raise_if_failed()
+    verify_program(program).raise_if_failed()
+
+
+def _collapse_terminal(
+    state: Statevector, pairs: Tuple[Tuple[int, int], ...], index: int
+) -> None:
+    """Project *state* onto the sampled outcomes of the terminal measures.
+
+    Keeps the ``"final_trajectory"`` statevector contract aligned with the
+    reference engine, which collapses each measured qubit in turn.
+    """
+    n = state.num_qubits
+    for qubit, _ in pairs:
+        bit = (index >> (n - 1 - qubit)) & 1
+        projector = [slice(None)] * n
+        projector[qubit] = 1 - bit
+        state._tensor[tuple(projector)] = 0.0
+    norm = np.linalg.norm(state.data)
+    if norm == 0:
+        raise SimulationError("terminal collapse produced a zero-norm state")
+    state._tensor /= norm
+
+
+# -- engines: what the batched and stabilizer engines do differently ------------------
+#
+# The planner, executor and reassembly above never branch on the engine.  An
+# engine contributes exactly three things — how it compiles, what one shot
+# costs in bytes, and its segment kernel — plus the metadata it stamps.
+# Engines are small picklable values: the process executor ships one with
+# the circuit in every chunk group, and the worker compiles with it.
+
+
+class _AmplitudeEngine:
+    """The batched state-vector engine (``trajectory_engine="batched"``)."""
+
+    statevector_kinds = ("final_trajectory", "pre_measurement")  # by implicit
+
+    def __init__(self, simulator: StatevectorSimulator):
+        self.noise_model = _active_noise(simulator.noise_model)
+        self.dtype = simulator.trajectory_dtype
+        self.gemm_threshold = simulator.noise_gemm_threshold
+        self.stamp = {"trajectory_engine": "batched", "trajectory_dtype": self.dtype}
+
+    def compile(self, circuit: Circuit, verify: bool):
+        """Compile through the structure-keyed trajectory program cache."""
+        from .fusion import compile_trajectory_program_cached  # local: import cycle
+
+        program = compile_trajectory_program_cached(
+            circuit, self.noise_model, dtype=np.dtype(self.dtype)
+        )
+        if verify:
+            _verify_trajectory_artifacts(circuit, program)
+        return program
+
+    def bytes_per_shot(self, program) -> int:
+        """State tensor plus the scratch buffer of the double-buffered GEMMs."""
+        return 2 * np.dtype(self.dtype).itemsize * (1 << program.num_qubits)
+
+    def execute(self, program, segments, keep_state: bool):
+        """One super-chunk: ``(bits, last trajectory's state or None)``."""
+        return execute_program_segments(
+            program,
+            segments,
+            noise_model=self.noise_model,
+            dtype=self.dtype,
+            gemm_threshold=self.gemm_threshold,
+            keep_state=keep_state,
+        )
+
+
+class _StabilizerEngine:
+    """The batched stabilizer-tableau engine (``trajectory_engine="stabilizer"``).
+
+    Compiles through the Clifford lowering table (non-Clifford gates raise
+    :class:`~repro.core.errors.UnsupportedGateError`); results never carry a
+    statevector (``statevector_kind="none"``).
+    """
+
+    statevector_kinds = ("none", "none")
+
+    def __init__(self, simulator: StatevectorSimulator):
+        self.noise_model = _active_noise(simulator.noise_model)
+        self.stamp = {"trajectory_engine": "stabilizer"}
+
+    def compile(self, circuit: Circuit, verify: bool):
+        """Compile through the structure- and noise-keyed stabilizer cache."""
+        from .fusion import compile_stabilizer_program_cached  # local: import cycle
+
+        program = compile_stabilizer_program_cached(circuit, self.noise_model)
+        if verify:
+            from .analysis import verify_stabilizer_program  # local: import cycle
+
+            verify_stabilizer_program(program).raise_if_failed()
+        return program
+
+    def bytes_per_shot(self, program) -> int:
+        """``2 n`` phase bytes plus ``bits_width`` outcome bytes.
+
+        The shared bit matrices are a fixed ``4 n^2`` bytes per chunk,
+        amortised across the batch, so the byte budget that admits hundreds
+        of amplitude trajectories admits hundreds of thousands of tableau
+        trajectories.
+        """
+        return 2 * program.num_qubits + program.bits_width
+
+    def execute(self, program, segments, keep_state: bool):
+        """One super-chunk: ``(bits, None)`` — tableaus carry no statevector."""
+        from .stabilizer import execute_stabilizer_program_segments
+
+        return execute_stabilizer_program_segments(program, segments, self.noise_model), None
+
+
+def run_super_chunk(engine, program, index: int, segs, keep_state: bool, fault_plan,
+                    attempt: int = 0, executor: str = "thread"):
+    """Run super-chunk *index* of a plan through *engine*'s segment kernel.
+
+    The one chunk body shared by the serial, thread and process executors:
+    fires the fault seam (keyed on ``(index, attempt)``), rebuilds each
+    segment's generator from its ``SeedSequence`` stream, runs the kernel
+    once over the concatenated batch axis and slices the bit rows back per
+    segment.  Returns ``(rows, state)`` with *rows* the ``(job, chunk_id,
+    bits)`` triples and *state* the last trajectory's statevector when
+    *keep_state* (else ``None``).
+    """
+    if fault_plan is not None:
+        fault_plan.fire(index, attempt, executor=executor)
+    segments = [(size, np.random.default_rng(stream)) for _, _, size, stream in segs]
+    bits, state = engine.execute(program, segments, keep_state)
+    rows = []
+    offset = 0
+    for job, chunk_id, size, _ in segs:
+        rows.append((job, chunk_id, bits[offset : offset + size]))
+        offset += size
+    return rows, state
 
 
 def execute_program_segments(
@@ -1596,23 +1240,26 @@ def execute_program_segments(
     noise_model: Optional[NoiseModel],
     dtype,
     gemm_threshold,
-) -> np.ndarray:
-    """Advance one merged super-chunk: several jobs' chunks on one batch axis.
+    keep_state: bool = False,
+):
+    """Advance one super-chunk of trajectories through a compiled program.
 
-    *segments* is a sequence of ``(size, generator)`` pairs partitioning the
-    batch axis; each pair is one standalone chunk of one job, carrying that
-    chunk's own ``SeedSequence``-spawned generator.  The shared tensor
-    evolution is per-column pure (dense broadcast GEMMs produce bit-identical
-    columns at every batch width >= 2 — callers must keep width-1 chunks out
-    of merged runs), and every random draw (noise events, mid-circuit
-    measurements, terminal sampling, readout flips) is pulled per segment in
-    standalone order and size.  Slicing the returned rows back per segment
-    therefore reproduces each job's solo chunk bit for bit.
+    The batched engine's segment kernel, used for every chunk the simulator
+    executes (a solo run is a merged group of one).  *segments* is a
+    sequence of ``(size, generator)`` pairs partitioning the batch axis; each
+    pair is one standalone chunk of one job, carrying that chunk's own
+    ``SeedSequence``-spawned generator.  The shared tensor evolution is
+    per-column pure (dense broadcast GEMMs produce bit-identical columns at
+    every batch width >= 2; width-1 chunks never share a super-chunk), and
+    every random draw (noise events, mid-circuit measurements, terminal
+    sampling, readout flips) is pulled per segment in standalone order and
+    size.  Slicing the returned rows back per segment therefore reproduces
+    each chunk bit for bit at every grouping.
 
-    Module-level for the same reason as :func:`execute_program_chunk`: the
-    thread executor and the process-pool workers run the *same* merged-chunk
-    code.  Returns only the concatenated ``(sum(sizes), bits_width)``
-    classical-bit rows — merged runs carry no statevector.
+    Returns ``(bits, state)``: the concatenated ``(sum(sizes), bits_width)``
+    classical-bit rows and, with *keep_state*, the last trajectory's final
+    :class:`Statevector` (collapsed onto its sampled terminal outcome unless
+    the terminal measurement is implicit), else ``None``.
     """
     from .batched import BatchedStatevector  # local import: cycle with batched.py
     from .fusion import GateStep, MeasureStep, ResetStep
@@ -1625,22 +1272,26 @@ def execute_program_segments(
         if isinstance(step, GateStep):
             state.apply_matrix(step.matrix, step.qubits, plan=step.plan)
             if step.noise:
-                state.apply_noise_events(
-                    step.noise, None, gemm_threshold=gemm_threshold, segments=segments
-                )
+                state.apply_noise_events(step.noise, segments, gemm_threshold=gemm_threshold)
         elif isinstance(step, MeasureStep):
-            outcomes = state.measure(step.qubit, None, segments=segments)
+            outcomes = state.measure(step.qubit, segments)
             if noise is not None:
                 outcomes = noise.apply_readout_error_segmented(outcomes, segments)
             bits[:, step.clbit] = outcomes
         elif isinstance(step, ResetStep):
-            state.reset(step.qubit, None, segments=segments)
-    if program.terminal is not None:
-        indices = state.sample_all(None, segments=segments)
+            state.reset(step.qubit, segments)
+    terminal = program.terminal
+    if terminal is not None:
+        indices = state.sample_all(segments)
         n = program.num_qubits
-        for qubit, clbit in program.terminal.pairs:
+        for qubit, clbit in terminal.pairs:
             column = ((indices >> (n - 1 - qubit)) & 1).astype(np.uint8)
-            if noise is not None and not program.terminal.implicit:
+            if noise is not None and not terminal.implicit:
                 column = noise.apply_readout_error_segmented(column, segments)
             bits[:, clbit] = column
-    return bits
+    if not keep_state:
+        return bits, None
+    final = state.extract(-1)
+    if terminal is not None and not terminal.implicit:
+        _collapse_terminal(final, terminal.pairs, int(indices[-1]))
+    return bits, final

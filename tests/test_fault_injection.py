@@ -311,20 +311,34 @@ def test_growth_does_not_strand_inflight_lease(process_pool):
     procpool.shutdown_worker_pool()
 
 
-def test_legacy_get_worker_pool_contract(process_pool):
+def test_pool_request_reuse_and_growth_contract(process_pool):
     from repro.simulators.gate.procpool import (
-        get_worker_pool,
+        executor_health,
         shutdown_worker_pool,
         worker_pool_info,
     )
 
+    circuit, noise = noisy_circuit()
+
+    def request(workers):
+        # max_batch_memory=1 -> eight one-shot chunks, enough for 4 workers.
+        StatevectorSimulator(
+            noise_model=noise,
+            max_batch_memory=1,
+            trajectory_executor="process",
+            trajectory_workers=workers,
+        ).run(circuit, shots=8, seed=3)
+
     shutdown_worker_pool()
-    pool2 = get_worker_pool(2)
+    request(2)
     assert worker_pool_info() == {"workers": 2, "started": 1}
-    assert get_worker_pool(1) is pool2  # smaller request reuses the warm pool
-    pool4 = get_worker_pool(4)
-    assert pool4 is not pool2
+    retired = executor_health()["generations_retired"]
+    request(1)  # smaller request reuses the warm pool
+    assert worker_pool_info() == {"workers": 2, "started": 1}
+    assert executor_health()["generations_retired"] == retired
+    request(4)  # larger request grows it, retiring the old generation
     assert worker_pool_info()["workers"] == 4
+    assert executor_health()["generations_retired"] == retired + 1
     shutdown_worker_pool()
     assert worker_pool_info() == {"workers": 0, "started": 0}
 

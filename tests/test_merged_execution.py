@@ -11,8 +11,9 @@ the merged run happens per segment, in standalone order and size.
 
 The matrix covers both trajectory engines (batched amplitudes and the
 stabilizer tableau), group sizes {2, 4, 8}, worker counts {1, 2}, and both
-the thread and process chunk executors, plus the exact (noiseless) path, the
-batch-width-1 GEMM guard, and worker-crash recovery mid-merge.
+the thread and process chunk executors, plus the exact (noiseless) path,
+width-1 chunk isolation in the packer, ``run`` as the merged group of one,
+and worker-crash recovery mid-merge.
 """
 
 import numpy as np
@@ -136,10 +137,11 @@ def test_exact_path_merges_noiseless_groups():
         assert one.metadata["merged"]["merged_chunks"] == 1
 
 
-def test_width_one_chunk_guard_falls_back_solo():
+def test_width_one_chunk_merges_isolated():
     # GEMM amplitudes at batch width exactly 1 differ by ~1 ulp from the
-    # same column inside a wider batch, so a job whose standalone plan
-    # contains a width-1 chunk must run alone — and stay bit-identical.
+    # same column inside a wider batch, so a width-1 chunk never shares a
+    # super-chunk.  The 1-shot job still merges (one group, one compile)
+    # and stays bit-identical to its solo run.
     circuit = noisy_circuit()
     simulator = StatevectorSimulator(noise_model=NOISE)
     specs = [(1, 9), (512, 10)]
@@ -147,8 +149,80 @@ def test_width_one_chunk_guard_falls_back_solo():
     merged = simulator.run_merged(circuit, specs)
     for one, alone in zip(merged, solo):
         assert dict(one.counts) == dict(alone.counts)
-    assert "merged" not in merged[0].metadata  # the 1-shot job ran solo
-    assert "merged" in merged[1].metadata
+    assert merged[0].metadata["merged"]["position"] == 0
+    # The width-1 chunk alone, the 512-shot chunk in the other super-chunk.
+    assert merged[1].metadata["merged"]["merged_chunks"] == 2
+
+
+def test_width_one_remainder_chunk_stays_bit_identical():
+    # 97 shots at a 32-shot cap leave a width-1 remainder chunk; the rest of
+    # the job shares super-chunks with its neighbours.
+    circuit = noisy_circuit()
+    simulator = StatevectorSimulator(noise_model=NOISE, max_batch_memory=16 * 1024)
+    specs = [(97, 4), (40, 5), (1, 6)]
+    solo = [simulator.run(circuit, shots=s, seed=sd) for s, sd in specs]
+    merged = simulator.run_merged(circuit, specs)
+    for one, alone in zip(merged, solo):
+        assert dict(one.counts) == dict(alone.counts)
+        assert one.metadata["num_batches"] == alone.metadata["num_batches"]
+
+
+def _chunk_ids(packed):
+    return [[(job, chunk_id, size) for job, chunk_id, size, _ in chunk] for chunk in packed]
+
+
+def test_packer_isolates_width_one_and_keeps_single_job_plans():
+    pack = StatevectorSimulator._pack_merged_chunks
+    sizes_for = StatevectorSimulator._standalone_chunk_sizes
+    # A single job: the super-chunks are exactly its standalone chunks, in
+    # order, so fault-plan chunk ids mean the same thing solo and merged.
+    for cap in (1, 2, 3, 7, 32, None):
+        for shots in range(0, 70):
+            batch = shots if cap is None else min(shots, cap)
+            sizes = sizes_for(batch, shots)
+            packed = pack([[(size, None) for size in sizes]], cap)
+            assert _chunk_ids(packed) == [
+                [(0, chunk_id, size)] for chunk_id, size in enumerate(sizes)
+            ]
+    # Several jobs: every chunk placed once, capacity respected, and a
+    # size-1 chunk always alone in its super-chunk.
+    plans = [
+        [(32, None), (32, None), (1, None)],
+        [(1, None)],
+        [(20, None), (12, None)],
+        [(3, None), (1, None)],
+    ]
+    for cap in (32, None):
+        packed = _chunk_ids(pack(plans, cap))
+        placed = sorted((job, chunk_id) for chunk in packed for job, chunk_id, _ in chunk)
+        assert placed == [(j, c) for j, plan in enumerate(plans) for c in range(len(plan))]
+        for chunk in packed:
+            if any(size == 1 for _, _, size in chunk):
+                assert len(chunk) == 1
+            if cap is not None:
+                assert sum(size for _, _, size in chunk) <= cap
+    assert len(pack(plans, None)) == 4  # three width-1 chunks + everything else
+
+
+@pytest.mark.parametrize("path", ["batched", "stabilizer", "exact"])
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_run_is_the_merged_group_of_one(path, executor, process_pool):
+    # run() and run_merged([(s, sd)])[0] are one code path: identical counts
+    # and identical metadata, with no "merged" entry for a group of one.
+    if path == "exact":
+        circuit = Circuit(3, 3)
+        circuit.h(0).cx(0, 1).cx(1, 2)
+        circuit.measure_all()
+        simulator = StatevectorSimulator(trajectory_executor=executor)
+    else:
+        circuit = noisy_circuit() if path == "batched" else clifford_circuit()
+        simulator = make_simulator(path, executor, 2)
+    for shots, seed in ((0, 1), (1, 2), (300, 3)):
+        alone = simulator.run(circuit, shots=shots, seed=seed)
+        (one,) = simulator.run_merged(circuit, [(shots, seed)])
+        assert dict(one.counts) == dict(alone.counts)
+        assert one.metadata == alone.metadata
+        assert "merged" not in one.metadata
 
 
 def test_zero_shot_member_rides_along():
