@@ -31,8 +31,8 @@ import numpy as np
 from repro.problems import MaxCutProblem
 from repro.simulators.gate import (
     StatevectorSimulator,
-    parametric_cache_clear,
-    parametric_cache_info,
+    clear_compile_caches,
+    compile_cache_info,
 )
 from repro.workflows import VariationalEvaluator, default_gate_context
 
@@ -129,10 +129,11 @@ def bench_row(num_qubits, *, grid_resolution=GRID_RESOLUTION, samples=SAMPLES):
     for q in range(check.num_qubits):
         check.measure(q, q)
     simulator = StatevectorSimulator()
-    parametric_cache_clear()
+    clear_compile_caches()
     cold_counts = simulator.run(check, shots=256, seed=SEED).counts
     warm_counts = simulator.run(check, shots=256, seed=SEED).counts
-    cache_hits = parametric_cache_info()["hits"]
+    info = compile_cache_info()
+    cache_hits = info["template"]["hits"] + info["program"]["hits"]
     seeded_identical = dict(cold_counts) == dict(warm_counts) and cache_hits >= 1
     assert seeded_identical, "cold/warm compile paths changed seeded counts"
 

@@ -24,7 +24,6 @@ from ..core.errors import BackendError, UnsupportedGateError
 from ..results.counts import Counts
 from ..simulators.gate.circuit import Circuit
 from ..simulators.gate.noise import NoiseModel
-from ..simulators.gate.kernels import DEFAULT_NOISE_GEMM_THRESHOLD
 from ..simulators.gate.statevector import DEFAULT_MAX_BATCH_MEMORY, StatevectorSimulator
 from ..simulators.gate.transpiler import transpile_cached
 from .base import Backend, ExecutionResult
@@ -147,14 +146,14 @@ class GateBackend(Backend):
             seeded multinomial draws, or RNG-free largest-remainder
             apportionment.  Ignored by the other engines.
         ``trajectory_workers`` (int >= 1 or ``"auto"``, default ``1``)
-            Thread count for parallel chunk execution in the batched
-            engine.  Seeded results are bit-identical for every value; the
-            effective parallelism is capped by the number of chunks
-            ``max_batch_memory`` produces.
+            Worker count of the chunk executor shared by the batched and
+            stabilizer engines.  Seeded results are bit-identical for every
+            value; the effective parallelism is capped by the number of
+            chunks ``max_batch_memory`` produces.
         ``trajectory_executor`` (``"thread"`` | ``"process"`` | ``"auto"``,
             default ``"thread"``)
-            How trajectory chunks are dispatched across
-            ``trajectory_workers``: the in-process thread pool, or the
+            How the batched and stabilizer engines' chunks are dispatched
+            across ``trajectory_workers``: the in-process thread pool, or the
             persistent forkserver worker pool of
             :mod:`~repro.simulators.gate.procpool` (per-worker warm compile
             caches; real parallelism past the GIL).  Seeded counts are
@@ -168,13 +167,6 @@ class GateBackend(Backend):
             ``workers x cores`` oversubscription that would otherwise erase
             the parallel speedup.  Best-effort without ``threadpoolctl``
             (see :mod:`~repro.simulators.gate.threads`).
-        ``noise_gemm_threshold`` (float ``>= 0`` or ``None``, default
-            :data:`~repro.simulators.gate.kernels.DEFAULT_NOISE_GEMM_THRESHOLD`)
-            Crossover for the batched engine's high-noise GEMM path: once a
-            step's expected sampled error operators per chunk reach the
-            threshold, noise applies as per-column operator GEMMs instead
-            of masked slice updates.  Both paths are seeded-count
-            bit-identical; ``None`` pins the slice path.
         ``compile_cache_size`` (int ``>= 1`` or ``None``, default ``None``)
             Bound on the process-global compile caches (fusion templates,
             bound trajectory programs, transpile templates; see
@@ -286,8 +278,9 @@ class GateBackend(Backend):
         which guarantees each job's seeded counts are bit-identical to a
         solo run.  Each returned :class:`ExecutionResult` carries its own
         bundle's schemas and digest, the usual metadata, and
-        ``metadata["merged"]`` describing the group (``None`` for jobs the
-        simulator fell back to solo execution for).
+        ``metadata["merged"]`` describing the group.  That value is ``None``
+        for a group of one, and for jobs the density or reference engine
+        ran: those engines have no batch axis and run the jobs one by one.
         """
         if not bundles:
             return []
@@ -371,10 +364,7 @@ class GateBackend(Backend):
                 exec_policy.options.get("pin_blas_threads", True)
             ),
             # Passed through unconverted: the simulator enforces the
-            # number-or-None / positive-int contracts.
-            noise_gemm_threshold=exec_policy.options.get(
-                "noise_gemm_threshold", DEFAULT_NOISE_GEMM_THRESHOLD
-            ),
+            # positive-int-or-None contract.
             compile_cache_size=exec_policy.options.get("compile_cache_size"),
             # Passed through unconverted: the simulator coerces dict
             # specs through FaultPlan.coerce and enforces the contract.

@@ -20,8 +20,6 @@ from .fusion import (
     compile_trajectory_program,
     compile_trajectory_program_cached,
     is_clifford_circuit,
-    parametric_cache_clear,
-    parametric_cache_info,
     set_compile_cache_size,
 )
 from .faults import FAULT_KINDS, FaultEvent, FaultPlan
@@ -37,7 +35,6 @@ from .statevector import (
     bits_to_index,
     index_to_bits,
 )
-from .kernels import DEFAULT_NOISE_GEMM_THRESHOLD
 from .transpiler import Layout, TranspileResult, transpile, transpile_cached
 from .unitary import circuit_unitary, equal_up_to_global_phase
 from . import analysis
@@ -84,10 +81,7 @@ __all__ = [
     "compile_cache_info",
     "clear_compile_caches",
     "set_compile_cache_size",
-    "parametric_cache_clear",
-    "parametric_cache_info",
     "DEFAULT_COMPILE_CACHE_SIZE",
-    "DEFAULT_NOISE_GEMM_THRESHOLD",
     "limit_blas_threads",
     "Statevector",
     "StatevectorSimulator",

@@ -12,8 +12,8 @@ checkable:
   ``build_plan(matrix)``);
 * ``IR003`` — fused step matrices unitary within dtype tolerance;
 * ``IR004`` — noise-event operator stacks complete and CPTP
-  (three Kraus branches, ``(1-r) I + (r/3) sum K_k^\\dagger K_k = I``,
-  identity-first pre-cast ``stack`` consistent with ``operators``);
+  (three unitary Kraus branches,
+  ``(1-r) I + (r/3) sum K_k^\\dagger K_k = I``);
 * ``IR005`` — event rates are finite probabilities in ``[0, 1]``;
 * ``IR006`` — terminal-sample contract (implicit sampling covers every qubit
   in order, pairs in bounds);
@@ -133,11 +133,6 @@ class _guarded:
     def __exit__(self, *exc_info):
         _GUARD.active = self._previous
         return False
-
-
-def _stack_tolerance(dtype: np.dtype) -> float:
-    """Comparison tolerance for operator stacks pre-cast to *dtype*."""
-    return float(100 * np.finfo(np.dtype(dtype)).eps)
 
 
 def _check_qubits(
@@ -260,33 +255,6 @@ def _check_noise_event(
                 location,
                 f"pushed channel is not CPTP: max |sum p_k K^H K - I| = "
                 f"{residual:.3e}",
-            )
-    if event.stack is None:
-        return
-    stack = event.stack
-    expected_shape = (len(event.operators) + 1, dim, dim)
-    if not isinstance(stack, np.ndarray) or stack.shape != expected_shape:
-        report.add(
-            "IR004",
-            location,
-            f"pre-cast stack shape {getattr(stack, 'shape', None)} does not "
-            f"match identity-first layout {expected_shape}",
-        )
-        return
-    tolerance = _stack_tolerance(stack.dtype)
-    if float(np.max(np.abs(stack[0] - np.eye(dim)))) > tolerance:
-        report.add(
-            "IR004", location, "pre-cast stack slice 0 is not the identity"
-        )
-    for k, (matrix, _) in enumerate(event.operators):
-        if not (isinstance(matrix, np.ndarray) and matrix.shape == (dim, dim)):
-            continue
-        cast = np.asarray(matrix, dtype=stack.dtype)
-        if float(np.max(np.abs(stack[k + 1] - cast))) > tolerance:
-            report.add(
-                "IR004",
-                location,
-                f"pre-cast stack slice {k + 1} does not match operators[{k}]",
             )
 
 

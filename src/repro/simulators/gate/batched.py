@@ -18,6 +18,12 @@ the structure-aware slice kernels of :mod:`~repro.simulators.gate.kernels`
 apply unchanged (qubit ``i`` at axis ``i``, trailing axes broadcast through)
 with long contiguous inner runs instead of stride-2 pathologies.
 
+Depolarizing noise has one path: per step, the struck columns are gathered
+into a compact buffer once, each sampled error operator is applied to its
+shots with the same slice kernels, and the buffer is scattered back
+(:meth:`BatchedStatevector.apply_noise_events`).  The cost scales with the
+number of struck shots, which is small at the NISQ rates the engine serves.
+
 Precision: the tensor dtype is a constructor knob.  ``complex64`` halves the
 memory traffic of this bandwidth-bound engine and is ample for sampling
 workloads (the default trajectory engine uses it); ``complex128`` (the class
@@ -58,19 +64,11 @@ import numpy as np
 
 from ...core.errors import SimulationError
 from .gates import cached_gate_matrix, cached_gate_plan
-from .kernels import (
-    DEFAULT_NOISE_GEMM_THRESHOLD,
-    MatrixPlan,
-    apply_diagonal_columns,
-    apply_operator_columns,
-    apply_plan_inplace,
-    build_plan,
-    operator_stack,
-)
+from .kernels import MatrixPlan, apply_diagonal_columns, apply_plan_inplace, build_plan
 from .noise import as_segments
 from .statevector import MAX_SIMULATED_QUBITS, Statevector
 
-__all__ = ["BatchedStatevector", "DEFAULT_NOISE_GEMM_THRESHOLD"]
+__all__ = ["BatchedStatevector"]
 
 
 class BatchedStatevector:
@@ -401,43 +399,22 @@ class BatchedStatevector:
         return outcomes
 
     # -- per-shot noise ----------------------------------------------------------
-    def apply_noise_events(
-        self, events, draws, gemm_threshold: Optional[float] = None
-    ) -> None:
+    def apply_noise_events(self, events, draws) -> None:
         """Sample and apply a step's depolarizing-error events in order.
 
         Each event independently strikes every trajectory with its rate and
         draws one of its equiprobable operators (a ``(matrix, plan)`` pair
-        acting on ``event.qubits``).  Two execution strategies produce bit-identical
-        amplitudes from identical RNG draws:
-
-        * **slice path** (low rates) — because one shot's amplitudes form a
-          *strided column* of the batch-last tensor, all struck columns of
-          the step are gathered into a small contiguous buffer *once*, every
-          event transforms its own (tiny, compact) sub-selection in program
-          order with the ordinary kernels, and the union is scattered back —
-          two strided passes total instead of two per event.
-        * **GEMM path** (high rates) — each event gathers one operator per
-          column out of its identity-first stack (identity for unstruck
-          shots) and applies them all in a single
-          :func:`~repro.simulators.gate.kernels.apply_operator_columns`
-          broadcast, trading per-branch masked gathers for one full-tensor
-          traversal per event, which wins once most shots are struck.
-
-        *gemm_threshold* selects the path: when the step's expected number
-        of sampled operators in this chunk (``batch x sum(rates)``) reaches
-        it, the GEMM path runs; ``None`` (the default) always keeps the
-        slice path.  Seeded counts never depend on the choice.  *draws* is a
+        acting on ``event.qubits``).  One shot's amplitudes form a *strided
+        column* of the batch-last tensor, so all struck columns of the step
+        are gathered into a small contiguous buffer *once*, every event
+        transforms its own (tiny, compact) sub-selection in program order
+        with the ordinary slice kernels, and the union is scattered back —
+        two strided passes per step instead of two per event.  *draws* is a
         generator or a segment list: every segment draws one strike vector
-        per event and a choice vector only when it was struck (the standalone
-        consumption pattern); application on the concatenated batch is
-        per-column either way.
+        per event and a choice vector only when it was struck (the
+        standalone consumption pattern); application on the concatenated
+        batch is per-column either way.
         """
-        if gemm_threshold is not None and events:
-            expected = self.batch_size * sum(event.rate for event in events)
-            if expected >= gemm_threshold:
-                self._apply_noise_events_gemm(events, draws)
-                return
         sampled = []
         union: Optional[np.ndarray] = None
         for event in events:
@@ -463,29 +440,6 @@ class BatchedStatevector:
                 apply_plan_inplace(tensor, event.operators[k][1], event.qubits)
                 compact[:, pick] = picked
         flat[:, selected] = compact  # scatter back
-
-    def _apply_noise_events_gemm(self, events, draws) -> None:
-        """High-rate strategy: one per-column operator GEMM per struck event.
-
-        Consumes the RNG identically to the slice path (one uniform vector
-        per event; one integer vector only when the event struck at all —
-        per segment in merged runs), so a seeded run samples the same
-        errors on the same shots regardless of which path executed.
-        """
-        for event in events:
-            struck, choice = self._draw_noise_event(event, draws)
-            if choice is None:
-                continue
-            stack = event.stack
-            if stack is None or stack.dtype != self.dtype:
-                # Program compiled without a trajectory dtype: build the
-                # stack on the fly (same helper as the compiler, so the
-                # values match a precompiled stack bit for bit).
-                stack = operator_stack(event.operators, self.dtype)
-            # Column c applies operators[choice[c]] when struck, identity
-            # otherwise — the identity-first stack makes that one gather.
-            selection = np.where(struck, choice + 1, 0)
-            apply_operator_columns(self._tensor, stack[selection], event.qubits)
 
     # -- terminal sampling ------------------------------------------------------
     def sample_all(self, draws) -> np.ndarray:

@@ -62,15 +62,12 @@ Two module-level LRUs memoise the phases:
   structural phase (a variational loop pays fusion analysis once per
   optimisation instead of once per evaluation);
 * the **program cache**, keyed on structure + parameter values + effective
-  noise rates + (for noisy programs) trajectory dtype, skips the numeric
-  phase entirely — a noisy QAOA/QEC iteration that re-runs the *same bound
-  circuit* (sweeps over seeds, shot counts, contexts) gets its compiled
-  :class:`TrajectoryProgram` back as a dictionary hit.  The dtype lives in
-  the noisy key because noisy programs carry per-event identity-first
-  operator stacks pre-cast to the engine dtype (step matrices and plans
-  always stay ``complex128``); without it a ``complex64`` program's stacks
-  could leak into a ``complex128`` run.  Noiseless binds are
-  dtype-independent, so their key normalises the dtype away.
+  noise rates, skips the numeric phase entirely — a noisy QAOA/QEC
+  iteration that re-runs the *same bound circuit* (sweeps over seeds, shot
+  counts, contexts) gets its compiled :class:`TrajectoryProgram` back as a
+  dictionary hit.  A bound program holds only ``complex128`` matrices and
+  plans, and the engines cast at apply time, so ``complex64`` and
+  ``complex128`` runs share one entry.
 
 :func:`compile_trajectory_program` is itself implemented as
 ``template + bind`` for every noise setting, so the cached and uncached
@@ -99,7 +96,7 @@ import numpy as np
 from ...core.errors import UnsupportedGateError
 from .circuit import Circuit, Instruction
 from .gates import cached_gate_matrix, cached_gate_plan
-from .kernels import MatrixPlan, build_plan, operator_stack
+from .kernels import MatrixPlan, build_plan
 from .lru import DEFAULT_CACHE_SIZE, BoundedLRU
 from .noise import NoiseModel
 
@@ -128,8 +125,6 @@ __all__ = [
     "compile_cache_info",
     "clear_compile_caches",
     "set_compile_cache_size",
-    "parametric_cache_info",
-    "parametric_cache_clear",
     "set_compile_verify_hooks",
     "DEFAULT_COMPILE_CACHE_SIZE",
 ]
@@ -172,18 +167,11 @@ class NoiseEvent:
     when Pauli ``k`` (x, y, z) is drawn — the raw Pauli for errors at the end
     of a step, or the Pauli conjugated through the remainder of a fused block
     (a 4x4 on *qubits* when the error was absorbed into a 2q gate).
-
-    ``stack`` optionally holds the identity-first operator stack
-    ``(K + 1, d, d)`` pre-cast to the trajectory dtype — slice 0 is the
-    identity (the "not struck" branch), slice ``k + 1`` is ``operators[k]``.
-    The batched engine's GEMM noise path gathers per-column operators out of
-    it; the slice path and the density oracle never read it.
     """
 
     qubits: Tuple[int, ...]
     rate: float
     operators: Tuple[Tuple[np.ndarray, MatrixPlan], ...]
-    stack: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -497,11 +485,7 @@ class ParametricTemplate:
     terminal: Optional[TerminalSample]
 
     def bind(
-        self,
-        circuit: Circuit,
-        noise_model: Optional[NoiseModel] = None,
-        *,
-        dtype: Optional[np.dtype] = None,
+        self, circuit: Circuit, noise_model: Optional[NoiseModel] = None
     ) -> TrajectoryProgram:
         """Produce the concrete :class:`TrajectoryProgram` for *circuit*.
 
@@ -519,13 +503,10 @@ class ParametricTemplate:
             replayed into the conjugated-through :class:`NoiseEvent` stream
             of the full noisy compilation (readout error never enters the
             program; it is applied at execution time).
-        dtype:
-            Optional trajectory dtype.  When given, every noise event gets
-            its identity-first operator ``stack`` pre-cast to that dtype
-            (the batched engine's GEMM noise path reads it without a
-            per-apply conversion).  Step matrices and plans always stay
-            ``complex128`` — the engines cast at apply time — so the dtype
-            never changes sampled counts.
+
+        Step matrices, plans and noise operators always stay ``complex128``;
+        the engines cast at apply time, so one bound program serves every
+        trajectory dtype.
         """
         instructions = _effective_instructions(circuit)
         if noise_model is not None and noise_model.is_noiseless:
@@ -542,7 +523,7 @@ class ParametricTemplate:
                     )
                 else:
                     step = _bind_step(recipe, instructions)
-                steps.append(_finalize_step_dtype(step, dtype))
+                steps.append(step)
             else:
                 steps.append(recipe)
         program = TrajectoryProgram(self.num_qubits, self.num_clbits, steps)
@@ -699,30 +680,6 @@ def _bind_step_noisy(
     if plan is None:
         plan = build_plan(matrix)
     return GateStep(matrix, recipe.qubits, plan, tuple(events))
-
-
-def _finalize_step_dtype(step: GateStep, dtype: Optional[np.dtype]) -> GateStep:
-    """Attach engine-dtype noise operator stacks to a bound step.
-
-    Step matrices and plans always stay ``complex128`` (the engines cast at
-    apply time, so numerics are unchanged); the identity-first event
-    ``stack`` pre-pays the cast that feeds the batched engine's GEMM noise
-    path.  ``dtype=None`` (reference engine, density oracle, exact path) —
-    or a step without events — leaves the step untouched.
-    """
-    if dtype is None or not step.noise:
-        return step
-    dtype = np.dtype(dtype)
-    events = tuple(
-        NoiseEvent(
-            event.qubits,
-            event.rate,
-            event.operators,
-            stack=operator_stack(event.operators, dtype),
-        )
-        for event in step.noise
-    )
-    return GateStep(step.matrix, step.qubits, step.plan, events)
 
 
 def compile_parametric_template(circuit: Circuit) -> ParametricTemplate:
@@ -1061,16 +1018,12 @@ def compile_parametric_template_cached(circuit: Circuit) -> ParametricTemplate:
 
 
 def compile_trajectory_program_cached(
-    circuit: Circuit,
-    noise_model: Optional[NoiseModel] = None,
-    *,
-    dtype: Optional[np.dtype] = None,
+    circuit: Circuit, noise_model: Optional[NoiseModel] = None
 ) -> TrajectoryProgram:
     """Compile *circuit* through the two-level structure-keyed LRU caches.
 
     Level 1 — the **program cache**: an exact re-run (same structure, same
-    parameter values, same effective noise rates, same trajectory *dtype*)
-    returns the previously bound, immutable :class:`TrajectoryProgram`
+    parameter values, same effective noise rates) returns the previously bound, immutable :class:`TrajectoryProgram`
     without any numeric work; this is what makes warm noisy QAOA/QEC
     iterations cache-hit end to end.  Level 2 — the **template cache**: a
     structurally identical circuit with *different* parameters skips the
@@ -1082,19 +1035,12 @@ def compile_trajectory_program_cached(
     if noise_model is not None and noise_model.is_noiseless:
         noise_model = None
     structure = _structure_key(circuit)
-    noise_key = _noise_key(noise_model)
-    # dtype only shapes noisy programs (their pre-cast operator stacks); a
-    # noiseless bind is dtype-independent, so normalising the key component
-    # lets the exact path and the batched engine share one entry.
-    dtype_key = (
-        np.dtype(dtype).str if dtype is not None and noise_key is not None else None
-    )
-    program_key = (structure, _params_key(circuit), noise_key, dtype_key)
+    program_key = (structure, _params_key(circuit), _noise_key(noise_model))
     program = _PROGRAM_CACHE.lookup(program_key)
     if program is not None:
         return program
     template = compile_parametric_template_cached(circuit)
-    program = template.bind(circuit, noise_model, dtype=dtype)
+    program = template.bind(circuit, noise_model)
     _PROGRAM_CACHE.store(program_key, program)
     return program
 
@@ -1176,29 +1122,6 @@ def clear_compile_caches() -> None:
 from .gates import register_cache_invalidation_hook as _register_invalidation
 
 _register_invalidation(clear_compile_caches)
-
-
-def parametric_cache_info() -> Dict[str, int]:
-    """Aggregated compile-cache counters (pre-PR 5 compatibility view).
-
-    ``hits`` counts every compile served without structural analysis —
-    template re-binds *and* whole-program cache hits; ``misses`` counts
-    structural (template) misses; ``size`` is the template entry count.  Use
-    :func:`compile_cache_info` for the per-cache breakdown.
-    """
-    template = _TEMPLATE_CACHE.info()
-    program = _PROGRAM_CACHE.info()
-    return {
-        "hits": template["hits"] + program["hits"],
-        "misses": template["misses"],
-        "size": template["entries"],
-        "maxsize": template["maxsize"],
-    }
-
-
-def parametric_cache_clear() -> None:
-    """Empty every compile-side cache (alias of :func:`clear_compile_caches`)."""
-    clear_compile_caches()
 
 
 # -- full compilation ---------------------------------------------------------------

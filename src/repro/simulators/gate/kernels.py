@@ -21,7 +21,10 @@ The kernels address qubits by *axis position* and leave any extra trailing
 axes untouched, so the same code serves the single-shot
 :class:`~repro.simulators.gate.statevector.Statevector` (qubit ``i`` at axis
 ``i``, no extra axes) and the batched engine's ``(2, ..., 2, batch)`` layout
-(qubit ``i`` at axis ``i``, shots on the trailing axis).
+(qubit ``i`` at axis ``i``, shots on the trailing axis).  The batched
+engine's depolarizing noise uses them too: the struck shots are gathered
+into a compact tensor of the same layout and each sampled error operator is
+applied to its columns with :func:`apply_plan_inplace`.
 """
 
 from __future__ import annotations
@@ -32,25 +35,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "DEFAULT_NOISE_GEMM_THRESHOLD",
     "MatrixPlan",
     "build_plan",
     "conjugate_plan",
     "apply_plan_inplace",
     "apply_matrix_inplace",
     "apply_diagonal_columns",
-    "apply_operator_columns",
-    "operator_stack",
 ]
-
-
-#: Default crossover for the batched engine's GEMM noise path: when a step's
-#: expected number of sampled error operators in one chunk
-#: (``batch x sum(rates)``) reaches this value, per-column operator GEMMs
-#: (:func:`apply_operator_columns`) beat the masked gather/scatter slice loop
-#: (measured on a single-core x86 host at 8-12 qubits; tune per host with the
-#: ``noise_gemm_threshold`` exec-policy knob).
-DEFAULT_NOISE_GEMM_THRESHOLD = 64.0
 
 
 @dataclass(frozen=True)
@@ -189,63 +180,6 @@ def apply_diagonal_columns(
         shape[axes[order[p]]] = 2
     shape[-1] = batch
     tensor *= diag.reshape(shape)
-
-
-def operator_stack(operators, dtype: np.dtype) -> np.ndarray:
-    """Identity-first ``(K + 1, d, d)`` stack of a noise event's operators.
-
-    Slice 0 is the identity (the "not struck" branch); slice ``k + 1`` is
-    the matrix of ``operators[k]`` (``(matrix, plan)`` pairs).  Built in
-    ``complex128`` and cast once to the engine *dtype*, so the precompiled
-    stacks the fusion compiler attaches at bind time and the on-the-fly
-    fallback in the batched engine agree bit for bit.
-    """
-    matrices = [matrix for matrix, _ in operators]
-    dim = matrices[0].shape[0]
-    stack = np.empty((len(matrices) + 1, dim, dim), dtype=np.complex128)
-    stack[0] = np.eye(dim)
-    for k, matrix in enumerate(matrices):
-        stack[k + 1] = matrix
-    return np.ascontiguousarray(stack.astype(np.dtype(dtype), copy=False))
-
-
-def apply_operator_columns(
-    tensor: np.ndarray, matrices: np.ndarray, axes: Sequence[int]
-) -> None:
-    """Apply a **per-column** dense operator to the qubit *axes* of *tensor*.
-
-    *tensor* is a batch-last state tensor (``(2, ..., 2, batch)``) and
-    *matrices* holds one ``2^m x 2^m`` operator per column, shape
-    ``(batch, 2**m, 2**m)`` with bit ``p`` of the row/column index addressing
-    qubit ``axes[p]`` (first = MSB).  This is the GEMM kernel behind the
-    batched engine's high-noise-rate path: one sampled error operator per
-    trajectory applies in ``d^2`` broadcast multiply/adds over the tensor,
-    instead of one masked gather/scatter per operator branch.
-
-    Implemented as elementwise broadcast arithmetic — never a BLAS GEMM — in
-    ascending column order with exact-zero contributions included, so for
-    every column the accumulation order matches the slice kernels'
-    (zero-skipping) order up to exact ``+0.0`` terms: amplitudes agree bit
-    for bit with a per-column :func:`apply_plan_inplace` application, and
-    identity columns pass through unchanged.
-    """
-    m = len(axes)
-    dim = 1 << m
-    batch = tensor.shape[-1]
-    if matrices.shape != (batch, dim, dim):
-        raise ValueError(
-            f"column operator shape {matrices.shape} does not match ({batch}, {dim}, {dim})"
-        )
-    reads = [tensor[_slice_index(tensor.ndim, axes, c)] for c in range(dim)]
-    # Evaluate every output slice before writing any back (reads are views).
-    updates = []
-    for r in range(dim):
-        acc = matrices[:, r, 0] * reads[0]
-        for c in range(1, dim):
-            acc += matrices[:, r, c] * reads[c]
-        updates.append(acc)
-    for r, value in enumerate(updates):
-        tensor[_slice_index(tensor.ndim, axes, r)] = value
 
 
 def apply_matrix_inplace(

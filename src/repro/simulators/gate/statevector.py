@@ -87,7 +87,7 @@ from ...core.errors import SimulationError
 from ...results.counts import Counts
 from .circuit import Circuit
 from .gates import cached_gate_matrix, cached_gate_plan
-from .kernels import DEFAULT_NOISE_GEMM_THRESHOLD, apply_matrix_inplace
+from .kernels import apply_matrix_inplace
 from .noise import NoiseModel
 
 __all__ = [
@@ -435,16 +435,6 @@ class StatevectorSimulator:
         guard of :mod:`~repro.simulators.gate.threads` (best-effort).  Has
         no effect on single-worker runs, and never changes sampled counts —
         it only controls intra-GEMM parallelism.
-    noise_gemm_threshold:
-        Crossover for the batched engine's high-noise GEMM path (float
-        ``>= 0``, or ``None`` to always use the masked-slice path; default
-        :data:`~repro.simulators.gate.batched.DEFAULT_NOISE_GEMM_THRESHOLD`).
-        When a gate step's expected number of sampled error operators in one
-        chunk (``batch x sum(event rates)``) reaches the threshold, its
-        events apply as per-column operator GEMMs instead of per-branch
-        masked slice updates.  The two paths consume identical RNG draws
-        and produce bit-identical amplitudes, so seeded counts never depend
-        on this knob — it is purely a throughput crossover.
     compile_cache_size:
         Optional bound on the module-level compile caches (fusion templates,
         bound trajectory programs, transpile templates; default
@@ -453,14 +443,16 @@ class StatevectorSimulator:
         configuration wins; ``None`` (default) leaves the current bound
         untouched.
     trajectory_workers:
-        Number of threads executing the batched engine's shot chunks
-        (``int >= 1``, or ``"auto"`` for the host CPU count; default ``1``).
+        Number of workers that execute shot chunks (``int >= 1``, or
+        ``"auto"`` for the host CPU count; default ``1``).  The batched and
+        stabilizer engines share one chunk executor; its workers are
+        threads, or processes under ``trajectory_executor="process"``.
         The chunks produced by ``max_batch_memory`` are independent, NumPy's
-        GEMM kernels release the GIL, and every chunk draws from its own
+        kernels release the GIL, and every chunk draws from its own
         :class:`numpy.random.SeedSequence`-spawned stream, so seeded counts
         are **bit-identical for every worker count** and chunk decomposition
-        never depends on this knob.  Only the batched engine parallelises;
-        the reference engine and the exact path ignore this option.
+        never depends on this knob.  The reference and density engines and
+        the exact path ignore this option.
         Interacts with ``max_batch_memory``: there must be at least as many
         chunks as workers for full utilisation (shrink the byte budget or
         raise the shot count if ``num_batches`` in the result metadata is
@@ -517,7 +509,6 @@ class StatevectorSimulator:
         trajectory_workers: Union[int, str] = 1,
         density_sampling: str = "multinomial",
         pin_blas_threads: bool = True,
-        noise_gemm_threshold: Union[float, int, None] = DEFAULT_NOISE_GEMM_THRESHOLD,
         compile_cache_size: Optional[int] = None,
         fault_plan=None,
         verify_compiled: bool = False,
@@ -567,17 +558,6 @@ class StatevectorSimulator:
             raise SimulationError(
                 f"verify_compiled must be a bool, got {verify_compiled!r}"
             )
-        if noise_gemm_threshold is not None:
-            if isinstance(noise_gemm_threshold, bool) or not isinstance(
-                noise_gemm_threshold, (int, float)
-            ):
-                raise SimulationError(
-                    f"noise_gemm_threshold must be a number >= 0 or None, "
-                    f"got {noise_gemm_threshold!r}"
-                )
-            noise_gemm_threshold = float(noise_gemm_threshold)
-            if noise_gemm_threshold < 0.0:
-                raise SimulationError("noise_gemm_threshold must be >= 0 (or None)")
         if compile_cache_size is not None:
             from .fusion import set_compile_cache_size  # local: import cycle
 
@@ -602,7 +582,6 @@ class StatevectorSimulator:
         self.trajectory_workers = trajectory_workers
         self.density_sampling = density_sampling
         self.pin_blas_threads = pin_blas_threads
-        self.noise_gemm_threshold = noise_gemm_threshold
         self.compile_cache_size = compile_cache_size
         self.fault_plan = fault_plan
         self.verify_compiled = verify_compiled
@@ -1137,16 +1116,13 @@ class _AmplitudeEngine:
     def __init__(self, simulator: StatevectorSimulator):
         self.noise_model = _active_noise(simulator.noise_model)
         self.dtype = simulator.trajectory_dtype
-        self.gemm_threshold = simulator.noise_gemm_threshold
         self.stamp = {"trajectory_engine": "batched", "trajectory_dtype": self.dtype}
 
     def compile(self, circuit: Circuit, verify: bool):
         """Compile through the structure-keyed trajectory program cache."""
         from .fusion import compile_trajectory_program_cached  # local: import cycle
 
-        program = compile_trajectory_program_cached(
-            circuit, self.noise_model, dtype=np.dtype(self.dtype)
-        )
+        program = compile_trajectory_program_cached(circuit, self.noise_model)
         if verify:
             _verify_trajectory_artifacts(circuit, program)
         return program
@@ -1162,7 +1138,6 @@ class _AmplitudeEngine:
             segments,
             noise_model=self.noise_model,
             dtype=self.dtype,
-            gemm_threshold=self.gemm_threshold,
             keep_state=keep_state,
         )
 
@@ -1239,7 +1214,6 @@ def execute_program_segments(
     *,
     noise_model: Optional[NoiseModel],
     dtype,
-    gemm_threshold,
     keep_state: bool = False,
 ):
     """Advance one super-chunk of trajectories through a compiled program.
@@ -1272,7 +1246,7 @@ def execute_program_segments(
         if isinstance(step, GateStep):
             state.apply_matrix(step.matrix, step.qubits, plan=step.plan)
             if step.noise:
-                state.apply_noise_events(step.noise, segments, gemm_threshold=gemm_threshold)
+                state.apply_noise_events(step.noise, segments)
         elif isinstance(step, MeasureStep):
             outcomes = state.measure(step.qubit, segments)
             if noise is not None:

@@ -3,7 +3,7 @@
 Each hand-corruption test builds a *valid* compiled artifact, breaks exactly
 one invariant, and asserts the verifier reports the exact rule id with a
 location that points at the corrupted element.  The property test compiles
-random circuits across noise models and trajectory dtypes and asserts every
+random circuits with and without noise and asserts every
 artifact verifies clean — with the session-wide verify-each fixture active,
 the compilation itself would already have raised on a verifier regression.
 """
@@ -251,7 +251,6 @@ def test_unknown_stage_rejected():
 def test_random_programs_verify_clean(seed):
     rng = np.random.default_rng(seed)
     noise_settings = (None, NoiseModel(oneq_error=0.01, twoq_error=0.04))
-    dtype_settings = (None, np.dtype(np.complex64))
     for builder, depth in (
         (random_unitary_circuit, 12),
         (random_mixed_circuit, 16),
@@ -260,10 +259,8 @@ def test_random_programs_verify_clean(seed):
         template = compile_parametric_template(circuit)
         assert analysis.verify_template(template, circuit).ok
         for noise in noise_settings:
-            for dtype in dtype_settings:
-                program = template.bind(circuit, noise, dtype=dtype)
-                report = analysis.verify_program(program)
-                assert report.ok, [str(d) for d in report.diagnostics]
+            report = analysis.verify_program(template.bind(circuit, noise))
+            assert report.ok, [str(d) for d in report.diagnostics]
 
 
 # -- the analyze.py driver ----------------------------------------------------------

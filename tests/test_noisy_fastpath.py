@@ -1,16 +1,14 @@
 """Tests for the noisy fast path (PR 5).
 
-Covers the four layers:
+Covers three layers:
 
 * **noisy parametric compilation** — a template bound with a noise model
   produces programs bit-identical to the uncached noisy compile, for the
   source circuit and for re-binds with fresh angles;
 * **two-level compile cache** — program-level hits for exact re-runs,
-  template-level hits for re-binds, dtype/noise folded into the program
-  key, bounded LRUs with eviction, introspection via ``compile_cache_info``;
-* **GEMM noise path** — ``apply_operator_columns`` agrees with per-column
-  operator application, and the batched engine's GEMM/slice strategies are
-  seeded-count bit-identical at every threshold and worker count;
+  template-level hits for re-binds, noise folded into the program key (the
+  trajectory dtype is not: both dtypes share one bound program), bounded
+  LRUs with eviction, introspection via ``compile_cache_info``;
 * **transpile cache** — structure-keyed routing replay returns circuits
   identical to the uncached transpiler, with counters and eviction.
 """
@@ -32,9 +30,7 @@ from repro.simulators.gate import (
     transpile,
     transpile_cached,
 )
-from repro.simulators.gate.batched import BatchedStatevector
 from repro.simulators.gate.fusion import GateStep, compile_parametric_template
-from repro.simulators.gate.kernels import apply_operator_columns, build_plan
 from repro.simulators.gate.transpiler import (
     clear_transpile_cache,
     set_transpile_cache_size,
@@ -139,36 +135,22 @@ def test_program_cache_hits_on_exact_rerun():
     assert info["program"]["hits"] == 1 and info["program"]["misses"] == 1
 
 
-def test_program_cache_key_separates_noise_and_dtype():
+def test_program_cache_key_separates_noise_but_not_dtype():
     circuit = qaoa_like_circuit(4, 0.4, 0.9)
-    noiseless = compile_trajectory_program_cached(circuit)
+    for dtype in ("complex64", "complex128"):
+        simulator = StatevectorSimulator(noise_model=NOISE, trajectory_dtype=dtype)
+        simulator.run(circuit, shots=64, seed=3)
+    # Bound programs hold complex128 operators only (the engine casts at
+    # apply time), so the complex128 run reuses the complex64 run's entry.
+    info = compile_cache_info()["program"]
+    assert (info["entries"], info["misses"], info["hits"]) == (1, 1, 1)
     noisy = compile_trajectory_program_cached(circuit, NOISE)
+    noiseless = compile_trajectory_program_cached(circuit)
     assert noisy is not noiseless
     assert not any(
         step.noise for step in noiseless.steps if isinstance(step, GateStep)
     )
-    c64 = compile_trajectory_program_cached(
-        circuit, NOISE, dtype=np.dtype(np.complex64)
-    )
-    c128 = compile_trajectory_program_cached(
-        circuit, NOISE, dtype=np.dtype(np.complex128)
-    )
-    assert c64 is not c128 and c64 is not noisy
-    assert compile_cache_info()["program"]["entries"] == 4
-    # The dtype-specific artifact: identity-first operator stacks.
-    stacks = [
-        event.stack
-        for step in c64.steps
-        if isinstance(step, GateStep)
-        for event in step.noise
-    ]
-    assert stacks and all(stack.dtype == np.complex64 for stack in stacks)
-    assert all(
-        np.array_equal(stack[0], np.eye(stack.shape[1], dtype=np.complex64))
-        for stack in stacks
-    )
-    # Matrices and plans are dtype-independent (cast happens at apply time).
-    assert_noisy_programs_identical(c64, c128)
+    assert compile_cache_info()["program"]["entries"] == 2
 
 
 def test_readout_only_noise_compiles_without_events():
@@ -231,86 +213,6 @@ def test_gate_registration_invalidates_compile_caches():
         assert compile_cache_info()["template"]["entries"] == 0
     finally:
         _GATES.pop(name, None)
-
-
-# -- GEMM noise path ----------------------------------------------------------------
-
-
-def test_apply_operator_columns_matches_per_column_reference():
-    rng = np.random.default_rng(11)
-    for qubits, num_qubits in (((1,), 3), ((0, 2), 3), ((2, 1), 3)):
-        dim = 1 << len(qubits)
-        batch = 17
-        state = rng.normal(size=(2,) * num_qubits + (batch,)) + 1j * rng.normal(
-            size=(2,) * num_qubits + (batch,)
-        )
-        ops = rng.normal(size=(batch, dim, dim)) + 1j * rng.normal(
-            size=(batch, dim, dim)
-        )
-        fast = state.copy()
-        apply_operator_columns(fast, ops, qubits)
-        slow = state.copy()
-        for column in range(batch):
-            tensor = slow[..., column].copy()
-            from repro.simulators.gate.kernels import apply_plan_inplace
-
-            apply_plan_inplace(tensor, build_plan(ops[column]), list(qubits))
-            slow[..., column] = tensor
-        assert np.allclose(fast, slow, atol=1e-12)
-
-
-def test_apply_operator_columns_rejects_bad_shapes():
-    state = np.zeros((2, 2, 5), dtype=np.complex128)
-    with pytest.raises(ValueError):
-        apply_operator_columns(state, np.zeros((5, 4, 4)), [0])
-
-
-def test_gemm_and_slice_paths_bit_identical_on_batched_state():
-    program = compile_trajectory_program(
-        qaoa_like_circuit(4, 0.7, 0.3, measure=False),
-        NoiseModel(oneq_error=0.3, twoq_error=0.4),
-    )
-    events = [step.noise for step in program.steps if step.noise]
-    assert events
-    for dtype in (np.complex64, np.complex128):
-        slice_state = BatchedStatevector(4, 64, dtype=dtype)
-        gemm_state = BatchedStatevector(4, 64, dtype=dtype)
-        rng_a = np.random.default_rng(5)
-        rng_b = np.random.default_rng(5)
-        for step_events in events:
-            slice_state.apply_noise_events(step_events, rng_a, gemm_threshold=None)
-            gemm_state.apply_noise_events(step_events, rng_b, gemm_threshold=0.0)
-        a = slice_state.data
-        b = gemm_state.data
-        assert np.array_equal(np.abs(a) ** 2, np.abs(b) ** 2)
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_noise_gemm_threshold_never_changes_seeded_counts(workers):
-    rng = np.random.default_rng(31)
-    circuit = random_mixed_circuit(rng, 4, 14)
-    noise = NoiseModel(oneq_error=0.12, twoq_error=0.18, readout_error=0.04)
-    reference = None
-    for threshold in (None, 0.0, 64.0, 1e9):
-        simulator = StatevectorSimulator(
-            noise_model=noise,
-            noise_gemm_threshold=threshold,
-            max_batch_memory=4096,
-            trajectory_workers=workers,
-        )
-        counts = simulator.run(circuit, shots=768, seed=13).counts
-        if reference is None:
-            reference = dict(counts)
-        assert dict(counts) == reference, (threshold, workers)
-
-
-def test_noise_gemm_threshold_validation():
-    with pytest.raises(SimulationError):
-        StatevectorSimulator(noise_gemm_threshold=-1.0)
-    with pytest.raises(SimulationError):
-        StatevectorSimulator(noise_gemm_threshold="always")
-    assert StatevectorSimulator(noise_gemm_threshold=None).noise_gemm_threshold is None
-    assert StatevectorSimulator(noise_gemm_threshold=8).noise_gemm_threshold == 8.0
 
 
 # -- the reference engine on compiled programs --------------------------------------

@@ -23,10 +23,10 @@ from repro.problems import MaxCutProblem
 from repro.simulators.gate import (
     Circuit,
     StatevectorSimulator,
+    clear_compile_caches,
+    compile_cache_info,
     compile_trajectory_program,
     compile_trajectory_program_cached,
-    parametric_cache_clear,
-    parametric_cache_info,
 )
 from repro.simulators.gate.fusion import GateStep
 from repro.workflows import (
@@ -73,34 +73,35 @@ def assert_programs_identical(a, b):
 
 
 def test_parametric_rebind_matches_fresh_compile():
-    parametric_cache_clear()
+    clear_compile_caches()
     cold = qaoa_like_circuit(5, 0.3, 0.7)
     warm = qaoa_like_circuit(5, 1.1, 0.2)
     compile_trajectory_program_cached(cold)
-    info = parametric_cache_info()
-    assert info["misses"] == 1 and info["size"] == 1
+    info = compile_cache_info()["template"]
+    assert info["misses"] == 1 and info["entries"] == 1
     rebound = compile_trajectory_program_cached(warm)
-    info = parametric_cache_info()
-    assert info["hits"] == 1, info
+    info = compile_cache_info()
+    assert info["template"]["hits"] == 1 and info["program"]["hits"] == 0, info
     fresh = compile_trajectory_program(warm)
     assert_programs_identical(rebound, fresh)
 
 
 def test_parametric_cache_keyed_on_structure_not_params():
-    parametric_cache_clear()
+    clear_compile_caches()
     for angle in (0.1, 0.2, 0.3, 0.4):
         compile_trajectory_program_cached(qaoa_like_circuit(4, angle, -angle))
-    info = parametric_cache_info()
-    assert info["misses"] == 1 and info["hits"] == 3
+    info = compile_cache_info()
+    assert info["template"]["misses"] == 1 and info["template"]["hits"] == 3
+    assert info["program"]["hits"] == 0
     # A different structure (extra gate) must miss.
     other = qaoa_like_circuit(4, 0.1, -0.1)
     other.instructions.insert(0, other.instructions[0])
     compile_trajectory_program_cached(other)
-    assert parametric_cache_info()["misses"] == 2
+    assert compile_cache_info()["template"]["misses"] == 2
 
 
 def test_barriers_do_not_change_the_cache_key():
-    parametric_cache_clear()
+    clear_compile_caches()
     plain = qaoa_like_circuit(4, 0.5, 0.6)
     compile_trajectory_program_cached(plain)
     barred = Circuit(4, 4)
@@ -109,7 +110,7 @@ def test_barriers_do_not_change_the_cache_key():
         if inst.name == "rzz":
             barred.barrier()
     rebound = compile_trajectory_program_cached(barred)
-    assert parametric_cache_info()["hits"] == 1
+    assert compile_cache_info()["template"]["hits"] == 1
     assert_programs_identical(rebound, compile_trajectory_program(barred))
 
 
@@ -118,23 +119,23 @@ def test_seeded_counts_identical_across_cold_and_warm_cache():
     # path, which compiles through the cache.
     circuit = qaoa_like_circuit(4, 0.4, 0.9, mid_measure=True)
     simulator = StatevectorSimulator()
-    parametric_cache_clear()
+    clear_compile_caches()
     cold = simulator.run(circuit, shots=512, seed=11).counts
-    assert parametric_cache_info()["misses"] >= 1
+    assert compile_cache_info()["template"]["misses"] >= 1
     warm = simulator.run(circuit, shots=512, seed=11).counts
-    assert parametric_cache_info()["hits"] >= 1
+    assert compile_cache_info()["program"]["hits"] >= 1
     assert dict(cold) == dict(warm)
 
 
 def test_exact_path_uses_fused_program_and_cache():
-    parametric_cache_clear()
+    clear_compile_caches()
     circuit = qaoa_like_circuit(6, 0.3, 0.5)
     simulator = StatevectorSimulator()
     first = simulator.run(circuit, shots=256, seed=3)
     assert first.metadata["method"] == "exact"
-    assert parametric_cache_info()["misses"] == 1
+    assert compile_cache_info()["template"]["misses"] == 1
     second = simulator.run(qaoa_like_circuit(6, 1.2, 0.8), shots=256, seed=3)
-    assert parametric_cache_info()["hits"] == 1
+    assert compile_cache_info()["template"]["hits"] == 1
     # Same seed, same angles -> bit-identical histogram on a warm cache.
     again = simulator.run(circuit, shots=256, seed=3)
     assert dict(again.counts) == dict(first.counts)

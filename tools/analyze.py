@@ -9,8 +9,8 @@ finds a problem:
    caches, dtype plumbing, wall-clock bans, README knob coverage.
 2. **IR verifier corpus** (``repro.simulators.gate.analysis``) — a
    representative set of circuits (GHZ, QAOA ring, mid-circuit
-   measure/reset, controlled-rotation variety) is compiled across noise
-   models and trajectory dtypes; every template, bound program and
+   measure/reset, controlled-rotation variety) is compiled with and
+   without noise; every template, bound program and
    transpiler stage output is verified against the ``IR``/``TR`` rule
    catalog, and a ``verify_compiled=True`` simulator run checks the result
    metadata contract end to end.
@@ -82,8 +82,6 @@ def _corpus_circuits():
 
 def run_verifier_corpus() -> List[Tuple[str, "object"]]:
     """Compile the corpus and verify every artifact; returns (name, report) pairs."""
-    import numpy as np
-
     from repro.simulators.gate import StatevectorSimulator, analysis
     from repro.simulators.gate.fusion import compile_parametric_template
     from repro.simulators.gate.noise import NoiseModel
@@ -95,21 +93,18 @@ def run_verifier_corpus() -> List[Tuple[str, "object"]]:
         ("noiseless", None),
         ("noisy", NoiseModel(oneq_error=0.01, twoq_error=0.05, readout_error=0.02)),
     )
-    dtype_settings = (("c128", None), ("c64", np.dtype(np.complex64)))
     for circuit in _corpus_circuits():
         template = compile_parametric_template(circuit)
         reports.append(
             (f"{circuit.name}:template", analysis.verify_template(template, circuit))
         )
         for noise_name, noise in noise_settings:
-            for dtype_name, dtype in dtype_settings:
-                program = template.bind(circuit, noise, dtype=dtype)
-                reports.append(
-                    (
-                        f"{circuit.name}:program:{noise_name}:{dtype_name}",
-                        analysis.verify_program(program),
-                    )
+            reports.append(
+                (
+                    f"{circuit.name}:program:{noise_name}",
+                    analysis.verify_program(template.bind(circuit, noise)),
                 )
+            )
 
     # Transpiler stages: a collecting hook records every stage report while
     # the real pipeline (cached replay path included) runs.
