@@ -10,7 +10,8 @@ repository root:
 * **repetition width sweep** — wall clock per 1024 shots of one
   syndrome-extraction round at distances 25 to 501 (49 to 1001 physical
   qubits), demonstrating the polynomial tableau scaling far beyond any
-  amplitude engine's reach.
+  amplitude engine's reach.  The 1001-qubit row must take at most
+  ``WIDTH_RATIO_BOUND`` (3.5) times the 501-qubit row.
 * **surface width sweep** — two rounds of rotated-surface-code extraction
   at distances 5/9/13 (49 to 337 qubits).
 * **logical error rates** — code-capacity repetition memory at distances
@@ -53,6 +54,12 @@ REPETITION_DISTANCES = (25, 51, 125, 251, 501)
 
 #: Rotated-surface-code distances of the width sweep (2d^2 - 1 qubits each).
 SURFACE_DISTANCES = (5, 9, 13)
+
+#: Largest allowed wall-clock ratio of the 1001-qubit to the 501-qubit
+#: repetition row.  Sparse phase writes keep it near 2.3; dense ``(2n, batch)``
+#: phase XORs on every gate and noise event read 4.6.  A ratio of two rows of
+#: one run, so host speed cancels.
+WIDTH_RATIO_BOUND = 3.5
 
 
 def bench_headline(shots=1024, rounds=7, patches=4):
@@ -217,14 +224,15 @@ def smoke_suite():
 
 
 def test_stabilizer_floors():
-    """Headline <1 s at 52 qubits; sweep reaches 1000+ qubits; rates match."""
+    """Headline <1 s at 52q; sweep reaches 1001q at <=3.5x the 501q time; rates match."""
     record = run_suite()
     headline = record["headline"]
     assert headline["num_qubits"] == 52
     assert headline["within_budget"], record
     assert headline["seeded_counts_worker_invariant"]
-    widest = max(row["num_qubits"] for row in record["repetition_widths"])
-    assert widest >= 1000, record
+    walls = {row["num_qubits"]: row["wall_s"] for row in record["repetition_widths"]}
+    assert max(walls) >= 1000, record
+    assert walls[1001] <= WIDTH_RATIO_BOUND * walls[501], walls
     assert all(row["within_5_sigma"] for row in record["logical_error_rates"])
 
 

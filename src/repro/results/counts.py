@@ -58,7 +58,7 @@ class Counts(Mapping[str, int]):
                     raise DecodingError(
                         f"inconsistent bitstring widths in counts: {len(key)} vs {width}"
                     )
-                if any(c not in "01" for c in key):
+                if key.strip("01"):
                     raise DecodingError(f"counts key {key!r} is not a bitstring")
                 count = _as_count(key, value)
                 if count:
@@ -86,27 +86,27 @@ class Counts(Mapping[str, int]):
 
     @classmethod
     def from_array(cls, bits: np.ndarray) -> "Counts":
-        """Build counts from a 2-D ``{0,1}`` array (rows are shots, cols clbits)."""
+        """Build counts from a 2-D ``{0,1}`` array (rows are shots, cols clbits).
+
+        Truthy values count as 1.  Rows are packed to fixed-width byte keys
+        and histogrammed by one ``np.unique``; only distinct rows are decoded
+        to strings, so every width takes this path.  Keys come out sorted.
+        """
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.ndim != 2:
             raise DecodingError("expected a 2-D array of bits")
-        bits = (bits != 0).astype(np.uint8)  # coerce truthy values to 1, like the row-join path
         shots, width = bits.shape
-        if width == 0 or width > 62:
-            # Degenerate or wider-than-int64 rows: fall back to string rows.
-            strings = ["".join("1" if b else "0" for b in row) for row in bits]
-            return cls.from_samples(strings)
-        # Pack each row into an integer so the histogram is one np.unique call
-        # instead of a python loop over shots.
-        weights = (1 << np.arange(width - 1, -1, -1)).astype(np.int64)
-        codes = bits.astype(np.int64) @ weights
-        values, multiplicities = np.unique(codes, return_counts=True)
-        return cls(
-            {
-                format(int(v), f"0{width}b"): int(m)
-                for v, m in zip(values, multiplicities)
-            }
+        if width == 0 or shots == 0:
+            return cls({"": shots} if width == 0 else {})
+        packed = np.packbits(bits, axis=1)  # any nonzero entry packs as a 1 bit
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        values, multiplicities = np.unique(keys, return_counts=True)
+        rows = np.unpackbits(
+            values.view(np.uint8).reshape(len(values), -1), axis=1, count=width
         )
+        text = (rows + ord("0")).tobytes().decode("ascii")
+        strings = [text[i : i + width] for i in range(0, len(text), width)]
+        return cls(dict(zip(strings, multiplicities.tolist())))
 
     # -- basic statistics ----------------------------------------------------------
     @property

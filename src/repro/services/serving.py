@@ -38,6 +38,9 @@ Three properties matter at serving scale:
   completion order; each :class:`JobTicket` is also a future-like handle
   (``done()`` / ``result()`` / ``exception()`` / ``cancel()``) for point
   lookups, and :meth:`JobService.ticket` resolves a handle by job name.
+  A ticket is *collected* when :meth:`JobService.drain` returns it or
+  :meth:`JobService.as_completed` yields it; the service then drops its
+  reference, so a long-lived service holds only uncollected work.
 
 Fault tolerance (PR 9) adds the policies production schedulers treat as
 table stakes, built on the transient/permanent error taxonomy of
@@ -75,8 +78,8 @@ throughput accounting belongs to the caller (see
 
 from __future__ import annotations
 
-import queue as queue_module
 import threading
+from collections import deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -367,9 +370,9 @@ class JobService:
         self._fallback_after = fallback_after
         self._wake = threading.Condition()
         self._pending: List[JobTicket] = []
-        self._all: List[JobTicket] = []
+        self._all: Dict[int, JobTicket] = {}  # uncollected tickets, by job id
         self._by_name: Dict[str, JobTicket] = {}
-        self._events: "queue_module.Queue[JobTicket]" = queue_module.Queue()
+        self._events: "deque[JobTicket]" = deque()
         self._stats_lock = threading.Lock()
         self._stats: Dict[str, int] = {
             "submitted": 0,
@@ -388,7 +391,6 @@ class JobService:
             "executor_fallback": 0,
         }
         self._live = 0
-        self._streamed = 0
         self._job_counter = 0
         self._closed = False
         self._drain_on_close = True
@@ -454,7 +456,7 @@ class JobService:
                 )
                 for bundle, (key, lowered) in zip(admitted, keys)
             ]
-            self._wake.notify()
+            self._wake.notify_all()
         return tickets
 
     def _admit(self, bundle: JobBundle) -> JobBundle:
@@ -511,7 +513,7 @@ class JobService:
         key, lowered = self._coalesce_key(bundle, engine)
         with self._wake:
             ticket = self._enqueue_locked(bundle, engine, estimate, key, lowered)
-            self._wake.notify()
+            self._wake.notify_all()
         return ticket
 
     def _enqueue_locked(
@@ -551,7 +553,7 @@ class JobService:
             _service=self,
         )
         self._by_name[bundle.name] = ticket
-        self._all.append(ticket)
+        self._all[ticket.job_id] = ticket
         self._pending.append(ticket)
         self._live += 1
         with self._stats_lock:
@@ -571,8 +573,7 @@ class JobService:
                     return
                 if not self._pending and self._closed:
                     return
-                batch = list(self._pending)
-                self._pending.clear()
+                batch, self._pending = self._pending, []
             groups: Dict[Any, List[JobTicket]] = {}
             for ticket in batch:
                 groups.setdefault(ticket.coalesce_key, []).append(ticket)
@@ -581,6 +582,7 @@ class JobService:
                     self._stats["groups"] += 1
                     self._stats["coalesced"] += len(tickets) - 1
                 self._lanes.submit(self._run_group, tickets)
+            del batch, groups, ticket, tickets  # an idle dispatcher pins no ticket
 
     def _run_group(self, tickets: List[JobTicket]) -> None:
         """Execute one coalesced group on this lane, merging where eligible."""
@@ -846,42 +848,50 @@ class JobService:
         """A ticket reached a terminal state: stream it, release its slot."""
         with self._wake:
             self._live -= 1
-        self._events.put(ticket)
+            if ticket.job_id in self._all:  # drain() may have collected it already
+                self._events.append(ticket)
+            self._wake.notify_all()
+
+    def _collect(self, ticket: JobTicket) -> None:
+        """Drop the service's references to a handed-out ticket; holds ``_wake``."""
+        self._all.pop(ticket.job_id, None)
+        if self._by_name.get(ticket.name) is ticket:
+            del self._by_name[ticket.name]
 
     # -- results ---------------------------------------------------------------------
     def as_completed(self, timeout: Optional[float] = None) -> Iterator[JobTicket]:
-        """Yield tickets in completion order until every submission is seen.
+        """Yield tickets in completion order until none is left uncollected.
 
         Cancelled tickets appear in the stream like any other terminal
-        state.  Single-consumer: the stream cursor is service-global.
-        *timeout* bounds the wait for **each** next completion; expiry
-        raises :class:`TimeoutError` *without* losing the cursor position —
-        a later ``as_completed()`` call resumes exactly where the stream
-        stopped.
+        state.  Yielding a ticket collects it (the service drops it), and a
+        ticket :meth:`drain` already returned is never yielded.
+        Single-consumer: the stream cursor is service-global.  *timeout*
+        bounds the wait for **each** next completion; expiry raises
+        :class:`TimeoutError` *without* losing the cursor position — a later
+        ``as_completed()`` call resumes exactly where the stream stopped.
         """
         while True:
-            with self._stats_lock:
-                remaining = self._stats["submitted"] - self._streamed
-            if remaining == 0:
-                return
-            try:
-                ticket = self._events.get(timeout=timeout)
-            except queue_module.Empty:
-                raise TimeoutError(
-                    f"no job completed within {timeout}s ({remaining} "
-                    "outstanding); the stream cursor is preserved — call "
-                    "as_completed() again to resume"
-                ) from None
-            with self._stats_lock:
-                self._streamed += 1
+            with self._wake:
+                if not self._wake.wait_for(
+                    lambda: self._events or not self._all, timeout
+                ):
+                    raise TimeoutError(
+                        f"no job completed within {timeout}s ({len(self._all)} "
+                        "outstanding); the stream cursor is preserved — call "
+                        "as_completed() again to resume"
+                    )
+                if not self._events:
+                    return
+                ticket = self._events.popleft()
+                self._collect(ticket)
             yield ticket
 
     def ticket(self, name: str) -> JobTicket:
-        """Look up the (most recent) ticket submitted under *name*."""
+        """The newest ticket under *name* that is live, or settled but uncollected."""
         with self._wake:
             ticket = self._by_name.get(name)
         if ticket is None:
-            raise ServiceError(f"no job named {name!r} has been submitted")
+            raise ServiceError(f"no uncollected job named {name!r}")
         return ticket
 
     def cancel(self, name: str) -> bool:
@@ -889,17 +899,24 @@ class JobService:
         return self.ticket(name).cancel()
 
     def drain(self) -> List[JobTicket]:
-        """Block until every submitted job settled; tickets in job order.
+        """Block until every uncollected job settled; those tickets in job order.
 
+        Returning a ticket collects it (the service drops it), so a second
+        ``drain()`` returns only tickets submitted after the first.
         Cancelled tickets count as settled; ``drain`` never re-raises.
         """
         with self._wake:
-            tickets = list(self._all)
+            tickets = list(self._all.values())
         for ticket in tickets:
             try:
                 ticket.exception()  # waits; does not re-raise failures
             except CancelledError:
                 pass
+        with self._wake:
+            for ticket in tickets:
+                self._collect(ticket)
+            self._events = deque(t for t in self._events if t.job_id in self._all)
+            self._wake.notify_all()
         return tickets
 
     def stats(self) -> Dict[str, int]:
@@ -940,7 +957,7 @@ class JobService:
             self._closed = True
             self._drain_on_close = bool(drain)
             self._wake.notify_all()
-            tickets = list(self._all) if not drain else []
+            tickets = list(self._all.values()) if not drain else []
         if not drain:
             self._stop_event.set()  # cut retry backoffs short
             for ticket in tickets:

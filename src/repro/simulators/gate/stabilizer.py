@@ -21,13 +21,15 @@ tableau therefore stores
   chunk, not per shot), and
 * ``r`` — a per-shot ``(2n, batch)`` ``uint8`` phase matrix.
 
-Gate bit-updates cost ``O(n)`` *once per chunk*; phase updates are one
-vectorised XOR across the batch.  Memory is ``~(2n + width)`` bytes per shot
-plus a fixed ``4 n^2`` bytes per chunk, so thousand-qubit, thousand-shot
-chunks fit comfortably inside the default batch byte budget.  Sampling is
-exact — this is the full tableau algorithm, not an approximate Pauli-frame
-propagation — and measurement outcomes with genuinely random results consume
-one fresh random bit per shot.
+Gate bit-updates cost ``O(n)`` *once per chunk*.  Phase updates are sparse:
+a gate flips only the rows its phase rule selects, and a Pauli error only
+the anticommuting rows on the shots it struck, so phase cost is rows hit x
+shots struck.  Memory is ``~(2n + width)`` bytes per shot plus a fixed
+``4 n^2`` bytes per chunk, so thousand-qubit, thousand-shot chunks fit
+comfortably inside the default batch byte budget.  Sampling is exact — this
+is the full tableau algorithm, not an approximate Pauli-frame propagation —
+and measurement outcomes with genuinely random results consume one fresh
+random bit per shot.
 
 Primitive gate set: ``x``, ``y``, ``z``, ``h``, ``s``, ``sdg``, ``cx``,
 ``cz``, ``swap`` (the compile path in
@@ -38,7 +40,7 @@ these and rejects non-Clifford gates with a typed
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -85,42 +87,52 @@ class StabilizerTableau:
         self.x[np.arange(n), np.arange(n)] = 1
         self.z[n + np.arange(n), np.arange(n)] = 1
 
+    def _flip(self, rows: np.ndarray, shots: Optional[np.ndarray] = None) -> None:
+        """Flip the rows set in *rows* on all shots, or on batch indices *shots*."""
+        hit = rows.nonzero()[0]
+        if hit.size == 0:
+            return
+        if shots is None:
+            self.r[hit] ^= 1
+        else:
+            self.r[hit[:, None], shots] ^= 1  # the np.ix_ block, without its checks
+
     # -- single-qubit gates ----------------------------------------------------------
     def h(self, q: int) -> None:
         """Hadamard: swap the X and Z letters, sign flip on Y rows."""
-        self.r ^= (self.x[:, q] & self.z[:, q])[:, None]
+        self._flip(self.x[:, q] & self.z[:, q])
         column = self.x[:, q].copy()
         self.x[:, q] = self.z[:, q]
         self.z[:, q] = column
 
     def s(self, q: int) -> None:
         """Phase gate: X -> Y, Y -> -X, Z -> Z."""
-        self.r ^= (self.x[:, q] & self.z[:, q])[:, None]
+        self._flip(self.x[:, q] & self.z[:, q])
         self.z[:, q] ^= self.x[:, q]
 
     def sdg(self, q: int) -> None:
         """Inverse phase gate: X -> -Y, Y -> X, Z -> Z."""
-        self.r ^= (self.x[:, q] & (1 ^ self.z[:, q]))[:, None]
+        self._flip(self.x[:, q] & (1 ^ self.z[:, q]))
         self.z[:, q] ^= self.x[:, q]
 
-    def apply_x(self, q: int) -> None:
-        """Pauli X: sign flip on rows anticommuting with X (Z and Y letters)."""
-        self.r ^= self.z[:, q][:, None]
+    def apply_x(self, q: int, shots: Optional[np.ndarray] = None) -> None:
+        """Pauli X (on all shots, or batch indices *shots*): flip Z and Y rows."""
+        self._flip(self.z[:, q], shots)
 
-    def apply_z(self, q: int) -> None:
-        """Pauli Z: sign flip on rows anticommuting with Z (X and Y letters)."""
-        self.r ^= self.x[:, q][:, None]
+    def apply_z(self, q: int, shots: Optional[np.ndarray] = None) -> None:
+        """Pauli Z (on all shots, or batch indices *shots*): flip X and Y rows."""
+        self._flip(self.x[:, q], shots)
 
-    def apply_y(self, q: int) -> None:
-        """Pauli Y: sign flip on rows with an X or Z (but not Y) letter."""
-        self.r ^= (self.x[:, q] ^ self.z[:, q])[:, None]
+    def apply_y(self, q: int, shots: Optional[np.ndarray] = None) -> None:
+        """Pauli Y (on all shots, or batch indices *shots*): flip X and Z rows."""
+        self._flip(self.x[:, q] ^ self.z[:, q], shots)
 
     # -- two-qubit gates -------------------------------------------------------------
     def cx(self, control: int, target: int) -> None:
         """Controlled-X with the standard Aaronson–Gottesman phase rule."""
         xc, zc = self.x[:, control], self.z[:, control]
         xt, zt = self.x[:, target], self.z[:, target]
-        self.r ^= (xc & zt & (xt ^ zc ^ 1))[:, None]
+        self._flip(xc & zt & (xt ^ zc ^ 1))
         self.x[:, target] = xt ^ xc
         self.z[:, control] = zc ^ zt
 
@@ -165,19 +177,15 @@ class StabilizerTableau:
     def apply_pauli_masked(self, kind: str, qubit: int, mask: np.ndarray) -> None:
         """Apply Pauli *kind* on *qubit* to the shots selected by *mask*.
 
-        Pauli conjugation never changes generator bits — it only flips the
-        sign of every generator that anticommutes with the error — so a
-        per-shot error is a single masked XOR into the phase matrix.
+        *mask* is a ``(batch,)`` bool or 0/1 array; a true (1) entry selects
+        the shot.  Pauli conjugation never changes generator bits — it only
+        flips the sign of every generator that anticommutes with the error —
+        so the error flips those rows on the selected shots and nothing else.
         """
-        if kind == "x":
-            rows = self.z[:, qubit]
-        elif kind == "z":
-            rows = self.x[:, qubit]
-        elif kind == "y":
-            rows = self.x[:, qubit] ^ self.z[:, qubit]
-        else:
+        paulis = {"x": self.apply_x, "y": self.apply_y, "z": self.apply_z}
+        if kind not in paulis:
             raise SimulationError(f"{kind!r} is not a Pauli label")
-        self.r ^= rows[:, None] & np.asarray(mask, dtype=np.uint8)[None, :]
+        paulis[kind](qubit, np.flatnonzero(mask))
 
     def apply_depolarizing(self, qubits: Tuple[int, ...], rate: float, draws) -> None:
         """One depolarizing opportunity per qubit: strike with *rate*, draw a Pauli.
@@ -191,7 +199,7 @@ class StabilizerTableau:
         partitioning the batch axis (see
         :func:`~repro.simulators.gate.noise.as_segments`); each segment draws
         both vectors from its own generator, in the order and at the sizes a
-        standalone chunk would.
+        standalone chunk would.  Only the struck shots are touched.
         """
         segments = as_segments(draws, self.batch_size)
         for qubit in qubits:
@@ -199,12 +207,14 @@ class StabilizerTableau:
                 (gen.random(size) < rate, gen.integers(0, 3, size=size))
                 for size, gen in segments
             ]
-            struck = np.concatenate([sub for sub, _ in parts])
-            kinds = np.concatenate([kind for _, kind in parts])
-            for kind, name in enumerate(("x", "y", "z")):
-                mask = struck & (kinds == kind)
-                if mask.any():
-                    self.apply_pauli_masked(name, qubit, mask)
+            struck = np.flatnonzero(np.concatenate([sub for sub, _ in parts]))
+            if struck.size == 0:
+                continue
+            kinds = np.concatenate([kind for _, kind in parts])[struck]
+            for kind, pauli in enumerate((self.apply_x, self.apply_y, self.apply_z)):
+                shots = struck[kinds == kind]
+                if shots.size:
+                    pauli(qubit, shots)
 
     # -- row arithmetic --------------------------------------------------------------
     def _phase_exponents(self, rows: np.ndarray, other: int) -> np.ndarray:

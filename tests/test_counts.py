@@ -58,6 +58,46 @@ def test_from_samples_and_array():
 def test_from_array_coerces_truthy_values():
     # Non-binary truthy entries count as 1, matching the row-join semantics.
     assert dict(Counts.from_array(np.array([[0, 2]], dtype=np.uint8))) == {"01": 1}
+
+
+def test_from_array_zero_shots_gives_empty_counts():
+    for width in (0, 1, 12, 63, 1001):
+        counts = Counts.from_array(np.zeros((0, width), dtype=np.uint8))
+        assert dict(counts) == {} and counts.shots == 0
+
+
+def test_from_array_zero_width_counts_every_shot_under_the_empty_key():
+    assert dict(Counts.from_array(np.zeros((5, 0), dtype=np.uint8))) == {"": 5}
+
+
+def _per_row_reference(bits):
+    """Histogram built one row at a time from Python strings."""
+    reference = {}
+    for row in bits:
+        key = "".join("1" if b else "0" for b in row)
+        reference[key] = reference.get(key, 0) + 1
+    return reference
+
+
+@pytest.mark.parametrize("width", [1, 8, 62, 63, 64, 196, 1001])
+def test_from_array_matches_per_row_strings_in_sorted_order(width):
+    rng = np.random.default_rng(width)
+    bits = (rng.random((300, width)) < 0.02).astype(np.uint8)
+    bits[::3] = bits[0]  # guarantee repeated rows alongside distinct ones
+    counts = Counts.from_array(bits)
+    assert dict(counts) == _per_row_reference(bits)
+    assert list(counts) == sorted(counts)
+    assert counts.shots == 300 and counts.num_clbits == width
+
+
+def test_from_array_coerces_truthy_values_on_wide_rows():
+    bits = np.zeros((3, 100), dtype=np.uint8)
+    bits[0, [0, 70, 99]] = (2, 7, 1)
+    bits[1, 70] = 255
+    expected = _per_row_reference(bits != 0)
+    counts = Counts.from_array(bits)
+    assert dict(counts) == expected
+    assert counts["1" + "0" * 69 + "1" + "0" * 28 + "1"] == 1
     assert dict(Counts.from_array(np.array([[7, 0]], dtype=np.uint8))) == {"10": 1}
 
 

@@ -7,7 +7,11 @@ capable engine, duplicate live names), the service-wide exec-option merge,
 mixed batches, and QEC bundles riding the same queue.
 """
 
+import gc
+import sys
 import threading
+import time
+import weakref
 
 import pytest
 
@@ -206,3 +210,71 @@ def test_failure_routes_to_ticket_not_service(monkeypatch):
         stats = service.stats()
     assert stats["failed"] == 1
     assert stats["completed"] == 0
+
+
+# -- ticket retention: collected tickets are dropped --------------------------------
+
+def test_drained_ticket_is_garbage_collected_once_the_caller_drops_it():
+    with JobService(lanes=1) as service:
+        service.submit(qft_bundle("first"))
+        ref = weakref.ref(service.drain()[0])
+        # The lane may still be returning from the job; once it has, nothing
+        # the service owns (queues, name index, idle dispatcher) holds it.
+        for _ in range(500):
+            gc.collect()
+            if ref() is None:
+                break
+            time.sleep(0.01)
+        assert ref() is None
+        with pytest.raises(ServiceError, match="no uncollected job"):
+            service.ticket("first")
+
+
+def test_second_drain_returns_only_tickets_submitted_after_the_first():
+    with JobService(lanes=1) as service:
+        service.submit_many([qft_bundle(f"a{i}") for i in range(2)])
+        assert [ticket.name for ticket in service.drain()] == ["a0", "a1"]
+        later = service.submit(qft_bundle("b"))
+        assert service.drain() == [later]
+        assert service.drain() == []
+
+
+def test_as_completed_skips_tickets_drain_already_returned():
+    with JobService(lanes=1) as service:
+        service.submit_many([qft_bundle(f"d{i}") for i in range(3)])
+        assert len(service.drain()) == 3
+        assert list(service.as_completed(timeout=60)) == []
+        service.submit(qft_bundle("fresh"))
+        assert [ticket.name for ticket in service.as_completed(timeout=60)] == ["fresh"]
+        # Streaming collected it too: nothing is left for drain().
+        assert service.drain() == []
+
+
+def test_concurrent_drain_and_stream_hand_out_every_ticket_once():
+    # More lanes than cores and a short switch interval: a lost update to the
+    # uncollected set or the completion deque would duplicate, lose or pin
+    # a ticket.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with JobService(lanes=4, coalesce=False) as service:
+            names = {f"c{i}" for i in range(40)}
+            service.submit_many([qft_bundle(name, width=3, samples=64) for name in names])
+            streamed = []
+            consumer = threading.Thread(
+                target=lambda: streamed.extend(service.as_completed(timeout=60))
+            )
+            consumer.start()
+            drained = service.drain()
+            consumer.join(timeout=60)
+            assert not consumer.is_alive()
+            streamed_names = [ticket.name for ticket in streamed]
+            assert len(streamed_names) == len(set(streamed_names))
+            assert set(streamed_names) | {ticket.name for ticket in drained} == names
+            assert service.drain() == []
+            assert list(service.as_completed(timeout=1)) == []
+            for name in names:
+                with pytest.raises(ServiceError):
+                    service.ticket(name)
+    finally:
+        sys.setswitchinterval(interval)

@@ -123,6 +123,131 @@ def test_pauli_noise_on_ghz_matches_density_oracle_marginals():
         assert total_variation_distance(counts, exact) < bound, width
 
 
+# -- sparse phase writes against the dense formulas ---------------------------------
+
+# The dense Aaronson-Gottesman phase rules: each XORs a (2n,) row indicator,
+# broadcast across every shot, into the whole (2n, batch) phase matrix.
+DENSE_PHASE_ROWS = {
+    "h": lambda x, z, q: x[:, q] & z[:, q],
+    "s": lambda x, z, q: x[:, q] & z[:, q],
+    "sdg": lambda x, z, q: x[:, q] & (1 ^ z[:, q]),
+    "x": lambda x, z, q: z[:, q],
+    "y": lambda x, z, q: x[:, q] ^ z[:, q],
+    "z": lambda x, z, q: x[:, q],
+}
+
+
+def dense_gate(tableau, name, qubits):
+    """Apply a primitive gate to *tableau* with full-matrix phase XORs."""
+    x, z, r = tableau.x, tableau.z, tableau.r
+    if name in ("h", "s", "sdg", "x", "y", "z"):
+        (q,) = qubits
+        r ^= DENSE_PHASE_ROWS[name](x, z, q)[:, None]
+        if name == "h":
+            x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
+        elif name in ("s", "sdg"):
+            z[:, q] ^= x[:, q]
+    elif name == "cx":
+        c, t = qubits
+        r ^= (x[:, c] & z[:, t] & (x[:, t] ^ z[:, c] ^ 1))[:, None]
+        x[:, t] ^= x[:, c]
+        z[:, c] ^= z[:, t]
+    elif name == "cz":
+        dense_gate(tableau, "h", (qubits[1],))
+        dense_gate(tableau, "cx", qubits)
+        dense_gate(tableau, "h", (qubits[1],))
+    elif name == "swap":
+        a, b = qubits
+        x[:, [a, b]] = x[:, [b, a]]
+        z[:, [a, b]] = z[:, [b, a]]
+
+
+def dense_pauli_masked(tableau, kind, qubit, mask):
+    """Outer-product XOR of the anticommuting rows and a 0/1 shot mask."""
+    rows = DENSE_PHASE_ROWS[kind](tableau.x, tableau.z, qubit)
+    tableau.r ^= rows[:, None] & np.asarray(mask, dtype=np.uint8)[None, :]
+
+
+def dense_depolarizing(tableau, qubits, rate, segments):
+    """Full-batch masks per Pauli kind, drawn in the tableau's RNG order."""
+    for qubit in qubits:
+        parts = [
+            (gen.random(size) < rate, gen.integers(0, 3, size=size)) for size, gen in segments
+        ]
+        struck = np.concatenate([sub for sub, _ in parts])
+        kinds = np.concatenate([kind for _, kind in parts])
+        for kind, name in enumerate(("x", "y", "z")):
+            dense_pauli_masked(tableau, name, qubit, struck & (kinds == kind))
+
+
+def phased_tableau_pair(seed, num_qubits=6, batch=13):
+    """A random Clifford prefix plus noise (non-trivial phases), and a copy."""
+    rng = np.random.default_rng(seed)
+    circuit = random_clifford_circuit(rng, num_qubits, 40, measure=False)
+    program = compile_stabilizer_program(circuit)
+    tableau = StabilizerTableau(num_qubits, batch_size=batch)
+    for step in program.steps:
+        tableau.apply_gate(step.name, step.qubits)
+        tableau.apply_depolarizing(step.qubits, 0.3, rng)
+    tableau.measure(int(rng.integers(num_qubits)), rng)
+    assert tableau.r.any() and not tableau.r.all()
+    twin = StabilizerTableau(num_qubits, batch_size=batch)
+    twin.x, twin.z, twin.r = tableau.x.copy(), tableau.z.copy(), tableau.r.copy()
+    return tableau, twin
+
+
+def assert_same_tableau(tableau, twin):
+    assert np.array_equal(tableau.x, twin.x)
+    assert np.array_equal(tableau.z, twin.z)
+    assert np.array_equal(tableau.r, twin.r)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["h", "s", "sdg", "x", "y", "z", "cx", "cz", "swap"])
+def test_sparse_gate_phase_writes_equal_dense_formula_oracle(seed, name):
+    tableau, twin = phased_tableau_pair(seed)
+    if name in DENSE_PHASE_ROWS:
+        qubit_sets = [(q,) for q in range(6)]
+    else:
+        qubit_sets = [(0, 1), (4, 2), (5, 0)]
+    for qubits in qubit_sets:
+        tableau.apply_gate(name, qubits)
+        dense_gate(twin, name, qubits)
+        assert_same_tableau(tableau, twin)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dtype", [bool, np.uint8])
+def test_sparse_pauli_masked_equals_dense_formula_oracle(seed, dtype):
+    tableau, twin = phased_tableau_pair(seed)
+    rng = np.random.default_rng(100 + seed)
+    masks = [np.zeros(13, dtype=dtype), np.ones(13, dtype=dtype)]
+    masks += [(rng.random(13) < 0.3).astype(dtype) for _ in range(4)]
+    for mask in masks:
+        for kind in ("x", "y", "z"):
+            for qubit in range(6):
+                tableau.apply_pauli_masked(kind, qubit, mask)
+                dense_pauli_masked(twin, kind, qubit, mask)
+                assert_same_tableau(tableau, twin)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("segmented", [False, True], ids=["generator", "segments"])
+def test_sparse_depolarizing_equals_dense_formula_oracle(seed, segmented):
+    tableau, twin = phased_tableau_pair(seed)
+    sizes = (5, 1, 7) if segmented else (13,)
+
+    def segments():
+        return [(size, np.random.default_rng([seed, i])) for i, size in enumerate(sizes)]
+
+    tableau_segments, oracle_segments = segments(), segments()
+    draws = tableau_segments if segmented else tableau_segments[0][1]
+    for qubits, rate in [((0,), 0.2), ((1, 4), 0.5), ((2, 3, 5), 1.0), ((0, 5), 0.0)]:
+        tableau.apply_depolarizing(qubits, rate, draws)
+        dense_depolarizing(twin, qubits, rate, oracle_segments)
+        assert_same_tableau(tableau, twin)
+
+
 # -- Clifford classification + typed errors -----------------------------------------
 
 
