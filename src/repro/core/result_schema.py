@@ -13,9 +13,10 @@ references.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DescriptorError
 from .qdt import BitOrder, MeasurementSemantics, QuantumDataType
@@ -121,6 +122,21 @@ class ResultSchema:
             if ref.register == register_id
         ]
 
+    def register_extractor(self, qdt: QuantumDataType) -> Callable[[str], str]:
+        """:meth:`register_bits` without the length check, its pairs resolved once.
+
+        Unmeasured carriers gather index ``num_clbits``, the appended ``'0'``.
+        """
+        gather = [self.num_clbits] * qdt.width
+        for clbit, carrier in self.clbits_for_register(qdt.id):
+            if carrier >= qdt.width:
+                raise DescriptorError(
+                    f"clbit reference {qdt.id}[{carrier}] exceeds register width {qdt.width}"
+                )
+            gather[carrier] = clbit
+        pick = operator.itemgetter(*gather)
+        return lambda bitstring: "".join(pick(bitstring + "0"))
+
     def register_bits(self, bitstring: str, qdt: QuantumDataType) -> str:
         """Extract the register-order bitstring of *qdt* from a raw clbit string.
 
@@ -132,14 +148,7 @@ class ResultSchema:
             raise DescriptorError(
                 f"bitstring length {len(bitstring)} != num_clbits {self.num_clbits}"
             )
-        chars = ["0"] * qdt.width
-        for clbit, carrier in self.clbits_for_register(qdt.id):
-            if carrier >= qdt.width:
-                raise DescriptorError(
-                    f"clbit reference {qdt.id}[{carrier}] exceeds register width {qdt.width}"
-                )
-            chars[carrier] = bitstring[clbit]
-        return "".join(chars)
+        return self.register_extractor(qdt)(bitstring)
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

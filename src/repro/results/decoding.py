@@ -107,7 +107,7 @@ def decode_counts(
     (marginal statistics); the raw joint histogram is preserved on the result
     for callers that need correlations.
     """
-    if counts.num_clbits and counts.num_clbits != schema.num_clbits:
+    if counts and counts.num_clbits != schema.num_clbits:
         raise DecodingError(
             f"counts have {counts.num_clbits} clbits but the result schema declares "
             f"{schema.num_clbits}"
@@ -118,9 +118,10 @@ def decode_counts(
     total = counts.shots
     for register_id in schema.registers():
         qdt = qdts[register_id]
+        extract = schema.register_extractor(qdt)
         per_bits: Dict[str, int] = {}
         for bitstring, count in counts.items():
-            register_bits = schema.register_bits(bitstring, qdt)
+            register_bits = extract(bitstring)
             per_bits[register_bits] = per_bits.get(register_bits, 0) + count
         outcomes = [
             DecodedOutcome(

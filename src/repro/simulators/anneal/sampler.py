@@ -6,6 +6,12 @@ are advanced simultaneously with NumPy: each sweep visits every variable once
 and, for each read, proposes a single-spin flip accepted with the Metropolis
 probability at the sweep's inverse temperature.
 
+Each sweep draws a permutation of the variables (the visiting order), then
+one ``(num_variables, num_reads)`` block of uniforms: the same stream as one
+draw per visit, so seeded samples equal those of the one-draw-per-visit loop
+the tests keep as their oracle.  A visit costs one local-field matrix-vector
+product and a short chain of in-place NumPy calls.
+
 Spins are simulated in SPIN form regardless of the model's vartype; BINARY
 models are converted on entry and results are always reported as spins (the
 middle layer's decoding convention maps ``+1 -> 0``, ``-1 -> 1``).
@@ -79,16 +85,29 @@ class SimulatedAnnealingSampler:
         )
 
         states_f = states.astype(float)
-        for beta in betas:
-            # Visit variables in a fresh random order each sweep.
-            for var in rng.permutation(n):
-                local_field = states_f @ W[:, var] + h[var]
-                # Flipping s_i changes the energy by -2 * s_i * (h_i + sum_j W_ij s_j).
-                delta_e = -2.0 * states_f[:, var] * local_field
-                accept = (delta_e <= 0.0) | (
-                    rng.random(num_reads) < np.exp(-beta * np.clip(delta_e, 0.0, 700.0 / beta))
-                )
-                states_f[accept, var] *= -1.0
+        # Prebuilt column views and Python scalars trim per-visit interpreter cost.
+        spins_of = [states_f[:, v] for v in range(n)]
+        couplings_of = [W[:, v] for v in range(n)]
+        fields = h.tolist()
+        for beta in betas.tolist():
+            order = rng.permutation(n).tolist()
+            uniforms = rng.random((n, num_reads))  # row k serves the k-th visit
+            cap = 700.0 / beta
+            for var, uniform in zip(order, uniforms):
+                spins = spins_of[var]
+                # p holds the local field, then dE = -2 * s_i * field, then the
+                # acceptance probability exp(-beta * clip(dE, 0, 700 / beta)), which
+                # is 1 for dE <= 0: every uniform in [0, 1) is below it.
+                p = states_f @ couplings_of[var]
+                if fields[var]:  # adding a zero bias changes no decision
+                    p += fields[var]
+                p *= spins
+                p *= -2.0
+                np.maximum(p, 0.0, out=p)
+                np.minimum(p, cap, out=p)
+                p *= -beta
+                np.exp(p, out=p)
+                spins *= np.where(uniform < p, -1.0, 1.0)
 
         samples = states_f.astype(np.int8)
         energies = spin_model.energies(samples)

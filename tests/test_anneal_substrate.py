@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SimulationError
+from repro.results import SampleSet
 from repro.simulators.anneal import (
     BinaryQuadraticModel,
     ExactSolver,
@@ -152,3 +153,138 @@ def test_sampler_argument_validation():
         sampler.sample(cycle_bqm(), num_reads=0)
     with pytest.raises(SimulationError):
         sampler.sample(cycle_bqm(), num_reads=2, initial_states=np.zeros((1, 4)))
+
+
+# -- the optimised sweep against the one-draw-per-visit loop -----------------------------------
+
+def one_draw_per_visit_sample(
+    bqm,
+    *,
+    num_reads,
+    num_sweeps,
+    beta_range=None,
+    schedule="geometric",
+    seed=None,
+    initial_states=None,
+):
+    """The sampler's original sweep loop, kept verbatim as the oracle.
+
+    It draws one ``num_reads`` block of uniforms per visit and flips the
+    accepted reads through a boolean mask.
+    """
+    spin_model = bqm.change_vartype(Vartype.SPIN)
+    h, J, offset = spin_model.to_arrays()
+    n = len(h)
+    # Symmetric coupling matrix for local-field computation.
+    W = J + J.T
+
+    rng = np.random.default_rng(seed)
+    if initial_states is not None:
+        states = np.asarray(initial_states, dtype=np.int8).copy()
+    else:
+        states = rng.choice(np.array([-1, 1], dtype=np.int8), size=(num_reads, n))
+
+    betas = beta_schedule(
+        num_sweeps, beta_range or default_beta_range(spin_model), schedule
+    )
+
+    states_f = states.astype(float)
+    for beta in betas:
+        # Visit variables in a fresh random order each sweep.
+        for var in rng.permutation(n):
+            local_field = states_f @ W[:, var] + h[var]
+            # Flipping s_i changes the energy by -2 * s_i * (h_i + sum_j W_ij s_j).
+            delta_e = -2.0 * states_f[:, var] * local_field
+            accept = (delta_e <= 0.0) | (
+                rng.random(num_reads) < np.exp(-beta * np.clip(delta_e, 0.0, 700.0 / beta))
+            )
+            states_f[accept, var] *= -1.0
+
+    samples = states_f.astype(np.int8)
+    energies = spin_model.energies(samples)
+    sample_set = SampleSet(
+        samples,
+        energies,
+        variables=[str(v) for v in spin_model.variables],
+    )
+    return sample_set.aggregate()
+
+
+def ring_with_chords(nodes, chords, rng, integer=False):
+    edges = [(i, (i + 1) % nodes) for i in range(nodes)] + list(chords)
+    weights = rng.integers(1, 3, len(edges)) if integer else rng.uniform(0.5, 1.5, len(edges))
+    return BinaryQuadraticModel.from_ising([0.0] * nodes, dict(zip(edges, weights.tolist())))
+
+
+def random_ising(n, rng, density=0.5):
+    h = rng.normal(0.0, 1.0, n)
+    couplings = {
+        (i, j): float(rng.normal(0.0, 1.0))
+        for i in range(n) for j in range(i + 1, n) if rng.random() < density
+    }
+    return BinaryQuadraticModel.from_ising(h.tolist(), couplings)
+
+
+def oracle_models():
+    rng = np.random.default_rng(2024)
+    return {
+        "ring12": ring_with_chords(12, [(0, 3), (4, 7), (8, 11)], rng),
+        "random8": random_ising(8, rng),
+        "random3": random_ising(3, rng, density=1.0),
+        "random20": random_ising(20, rng, density=0.3),
+        # Integer couplings on a bipartite ring give exact-zero local fields.
+        "int_ring10": ring_with_chords(10, [(0, 5)], rng, integer=True),
+        "qubo": BinaryQuadraticModel.from_qubo(
+            {(0, 0): -1.0, (1, 1): -1.0, (2, 2): 0.5, (0, 1): 2.0, (1, 2): -1.5, (0, 2): 0.75}
+        ),
+        "single": BinaryQuadraticModel.from_ising([0.3], {}),
+    }
+
+
+ORACLE_MODELS = oracle_models()
+#: Per model, reads and sweeps: seed, beta range and whether initial states are given.
+ORACLE_DRAWS = [(11, None, False), (12, (1e-4, 1e4), False), (13, None, True)]
+
+
+def assert_same_sampleset(got, want):
+    assert np.array_equal(got.samples, want.samples)
+    assert np.array_equal(got.energies, want.energies)
+    assert np.array_equal(got.num_occurrences, want.num_occurrences)
+    assert got.variables == want.variables
+    assert got.to_counts().to_dict() == want.to_counts().to_dict()
+
+
+def check_against_one_draw_per_visit(bqm, num_reads, num_sweeps, schedule, seed, beta_range, initial):
+    initial_states = None
+    if initial:
+        initial_states = np.random.default_rng(seed + 100).choice(
+            np.array([-1, 1], dtype=np.int8), size=(num_reads, bqm.num_variables)
+        )
+    kwargs = dict(num_reads=num_reads, num_sweeps=num_sweeps, beta_range=beta_range,
+                  schedule=schedule, seed=seed, initial_states=initial_states)
+    got = SimulatedAnnealingSampler().sample(bqm, **kwargs)
+    assert_same_sampleset(got, one_draw_per_visit_sample(bqm, **kwargs))
+
+
+@pytest.mark.parametrize("num_sweeps", [1, 30])
+@pytest.mark.parametrize("num_reads", [1, 7, 200])
+@pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
+def test_sweep_matches_one_draw_per_visit_oracle(model, num_reads, num_sweeps):
+    for schedule in ("geometric", "linear"):
+        for seed, beta_range, initial in ORACLE_DRAWS:
+            check_against_one_draw_per_visit(
+                ORACLE_MODELS[model], num_reads, num_sweeps, schedule, seed, beta_range, initial
+            )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("schedule", ["geometric", "linear"])
+@pytest.mark.parametrize("model", ["random40", "ring40"])
+def test_wide_sweep_matches_one_draw_per_visit_oracle(model, schedule):
+    rng = np.random.default_rng(40)
+    bqm = {
+        "random40": lambda: random_ising(40, rng, density=0.2),
+        "ring40": lambda: ring_with_chords(40, [(0, 20), (10, 30)], rng),
+    }[model]()
+    for seed, beta_range, initial in ((21, None, False), (22, (1e-4, 1e4), True)):
+        check_against_one_draw_per_visit(bqm, 1000, 100, schedule, seed, beta_range, initial)

@@ -1,5 +1,6 @@
 """Tests for result-schema-driven decoding of counts."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -74,3 +75,39 @@ def test_raw_counts_preserved(ising_vars):
     counts = Counts({"0101": 1})
     decoded = decode_counts(counts, schema, {ising_vars.id: ising_vars})
     assert decoded.raw_counts is counts
+
+
+def test_zero_width_counts_rejected_up_front(ising_vars):
+    schema = ResultSchema.for_register(ising_vars)
+    with pytest.raises(DecodingError):
+        decode_counts(Counts({"": 5}), schema, {ising_vars.id: ising_vars})
+
+
+def test_decode_matches_per_outcome_register_bits():
+    a = integer_register("a", 3)
+    b = ising_register("b", 3)  # carrier b[1] is never measured
+    schema = ResultSchema(
+        basis="Z", datatype="AS_RAW",
+        clbit_order=["b[2]", "a[0]", "b[0]", "a[2]", "a[1]"],
+    )
+    qdts = {"a": a, "b": b}
+    assert schema.register_bits("10110", a) == "001"
+    assert schema.register_bits("10110", b) == "101"
+
+    rng = random.Random(7)
+    keys = {"".join(rng.choice("01") for _ in range(5)) for _ in range(24)}
+    counts = Counts({key: rng.randint(1, 50) for key in keys})
+    decoded = decode_counts(counts, schema, qdts)
+    assert decoded.register_ids() == ["b", "a"]
+    for register_id, qdt in qdts.items():
+        per_bits = {}
+        for bitstring, count in counts.items():
+            bits = schema.register_bits(bitstring, qdt)
+            per_bits[bits] = per_bits.get(bits, 0) + count
+        got = decoded[register_id].outcomes
+        assert [(o.bits, o.count) for o in got] == sorted(
+            per_bits.items(), key=lambda kv: (-kv[1], kv[0])
+        )
+        assert [o.value for o in got] == [qdt.decode_bits(o.bits) for o in got]
+        assert [o.probability for o in got] == [o.count / counts.shots for o in got]
+    assert all(o.bits[1] == "0" for o in decoded["b"].outcomes)

@@ -297,11 +297,10 @@ def test_differential_sweep_mixed_circuits(num_qubits, circuit_seed):
 @pytest.mark.slow
 @pytest.mark.parametrize("num_qubits", [2, 3, 4])
 @pytest.mark.parametrize("circuit_seed", [0, 1, 2])
-def test_sweep_noisy_cache_and_gemm_identity(num_qubits, circuit_seed):
+def test_sweep_noisy_cache_and_worker_identity(num_qubits, circuit_seed):
     # Sweep lane of the noisy identities over random mixed circuits at rates
     # above the NISQ range: cold-vs-warm compile per engine, and seeded
-    # counts per worker count.  (The name predates the removal of the GEMM
-    # noise path; it is kept so the parametrized test ids stay stable.)
+    # counts per worker count.
     rng = np.random.default_rng(4200 + 10 * num_qubits + circuit_seed)
     circuit = random_mixed_circuit(rng, num_qubits, 5 * num_qubits)
     noise = NoiseModel(oneq_error=0.08, twoq_error=0.14, readout_error=0.02)
