@@ -6,7 +6,7 @@ both).  This package exposes:
 
 * :func:`verify_program` / :func:`verify_template` /
   :func:`verify_stabilizer_program` / :func:`verify_result_metadata` —
-  contract checks over compiled fusion artifacts (rules ``IR001``-``IR010``);
+  contract checks over compiled fusion artifacts (rules ``IR001``-``IR011``);
 * :func:`verify_stage` — contract checks over transpiler stage outputs
   (rules ``TR001``-``TR006``);
 * :func:`set_verify_each` — install (or remove) verification hooks inside the

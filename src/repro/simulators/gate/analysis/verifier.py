@@ -1,4 +1,4 @@
-"""Static verifier for the compiled trajectory IR (rules ``IR001``-``IR008``).
+"""Static verifier for the compiled trajectory IR (rules ``IR001``-``IR011``).
 
 The fusion compiler's output — :class:`~repro.simulators.gate.fusion.ParametricTemplate`
 (structural phase) and :class:`~repro.simulators.gate.fusion.TrajectoryProgram`
@@ -28,7 +28,11 @@ checkable:
 * ``IR010`` — tableau symplectic invariant: executing the program's Clifford
   steps on a probe tableau preserves the binary symplectic commutation
   structure (checked after every step at verifier widths, once at the end
-  for very wide programs).
+  for very wide programs);
+* ``IR011`` — stabilizer phase program well-formed: row indices in
+  ``[0, 2n)``, random-measurement pivots in the stabilizer half and not among
+  their targets, constant bits 0 or 1, and one op group per noise qubit,
+  measurement, reset and terminal pair, in source order.
 
 Failures are :class:`~.diagnostics.IRDiagnostic` values with step provenance,
 never bare asserts; see :mod:`~.diagnostics`.
@@ -57,7 +61,7 @@ from ..fusion import (
     compile_parametric_template,
 )
 from ..kernels import build_plan
-from ..stabilizer import PRIMITIVE_GATES, StabilizerTableau
+from ..stabilizer import PRIMITIVE_GATES, MeasureFlips, PauliFlips, StabilizerTableau
 from .diagnostics import VerificationReport
 
 __all__ = [
@@ -82,6 +86,7 @@ IR_RULES = {
     "IR008": "structural cache key invariant under parameter substitution",
     "IR009": "stabilizer program well-formed (primitives, operands, Pauli-channel rates)",
     "IR010": "tableau symplectic invariant preserved by the compiled Clifford steps",
+    "IR011": "stabilizer phase program well-formed (row indices, pivots, constants, op groups)",
 }
 
 #: Operand count of every tableau primitive (the IR009 arity table).
@@ -345,8 +350,53 @@ def verify_program(program: TrajectoryProgram) -> VerificationReport:
     return report
 
 
+def _check_phase_program(report: VerificationReport, program: StabilizerProgram) -> None:
+    """IR011 on the phase program the stabilizer kernel executes."""
+    if program.phases is None:
+        report.add("IR011", "phases", "no phase program: compile with compile_stabilizer_program")
+        return
+    n = program.num_qubits
+    groups = []
+    for index, op in enumerate(program.phases):
+        location = f"phases[{index}]"
+        if not isinstance(op, (PauliFlips, MeasureFlips)):
+            report.add("IR011", location, f"unknown phase op {type(op).__name__}")
+            continue
+        noise = isinstance(op, PauliFlips)
+        groups.append(("noise", op.qubit, op.rate) if noise else ("measure", op.qubit, op.clbit))
+        rows = np.concatenate(op.rows if noise else (op.rows, op.flips))
+        if rows.size and (rows.min() < 0 or rows.max() >= 2 * n):
+            report.add("IR011", location, f"row index outside [0, {2 * n})")
+        if noise:
+            continue
+        if op.pivot is not None and not (n <= op.pivot < 2 * n and op.pivot not in op.rows):
+            report.add(
+                "IR011",
+                location,
+                f"pivot {op.pivot} is outside the stabilizer half [{n}, {2 * n}) "
+                f"or among its rowsum targets",
+            )
+        if op.constant not in (0, 1):
+            report.add("IR011", location, f"constant bit {op.constant!r} is not 0 or 1")
+    expected = []
+    for step in program.steps:
+        if isinstance(step, PauliChannelStep):
+            expected += [("noise", qubit, step.rate) for qubit in step.qubits]
+        elif isinstance(step, (MeasureStep, ResetStep)):
+            expected.append(("measure", step.qubit, getattr(step, "clbit", -1)))
+    if program.terminal is not None:
+        expected += [("measure", qubit, clbit) for qubit, clbit in program.terminal.pairs]
+    if groups != expected:
+        report.add(
+            "IR011",
+            "phases",
+            f"{len(groups)} op groups do not follow the {len(expected)} noise "
+            f"qubits, measurements, resets and terminal pairs of the source, in order",
+        )
+
+
 def verify_stabilizer_program(program: StabilizerProgram) -> VerificationReport:
-    """Verify one compiled :class:`StabilizerProgram` (IR001/IR006/IR009/IR010).
+    """Verify one compiled :class:`StabilizerProgram` (IR001/IR006/IR009-IR011).
 
     Structural pass (IR009 plus the shared bounds/terminal rules): every
     :class:`~repro.simulators.gate.fusion.CliffordStep` must name a tableau
@@ -357,14 +407,18 @@ def verify_stabilizer_program(program: StabilizerProgram) -> VerificationReport:
     and terminal operands must be in bounds (implicit terminal sampling must
     cover every qubit in order, as for trajectory programs).
 
-    Dynamic pass (IR010), run only when the structural pass is clean: the
-    program's Clifford steps execute on a one-shot probe
-    :class:`~repro.simulators.gate.stabilizer.StabilizerTableau` and the
-    binary symplectic Gram invariant is checked after every step (once at
-    the end beyond ``24`` qubits, where the per-step cubic check would
-    dominate) — a wrong tableau update rule cannot pass.  Pauli channels,
-    measurements and resets never change the shared bit structure's
-    symplectic property, so the gate stream alone decides the invariant.
+    Run only when the structural pass is clean: IR011 checks the phase
+    program the kernel executes (row indices in ``[0, 2n)``, random
+    pivots in the stabilizer half ``[n, 2n)`` and not among their rowsum
+    targets, constant bits 0 or 1, one op group per noise qubit,
+    measurement, reset and terminal pair, in source order).  IR010 executes
+    the Clifford steps on a probe
+    :class:`~repro.simulators.gate.stabilizer.StabilizerTableau` and checks
+    the binary symplectic Gram invariant after every step (once at the end
+    beyond ``24`` qubits, where the per-step cubic check would dominate),
+    so a wrong tableau update rule cannot pass.  Pauli channels,
+    measurements and resets never change the bit structure's symplectic
+    property, so the gate stream alone decides the invariant.
     """
     report = VerificationReport("stabilizer program")
     with _guarded():
@@ -425,7 +479,7 @@ def verify_stabilizer_program(program: StabilizerProgram) -> VerificationReport:
         _check_terminal(report, program.terminal, num_qubits, program.num_clbits)
         if report.ok:
             stepwise = num_qubits <= _SYMPLECTIC_STEPWISE_QUBITS
-            probe = StabilizerTableau(num_qubits, 1)
+            probe = StabilizerTableau(num_qubits)
             checked_any = False
             for index, step in enumerate(program.steps):
                 if not isinstance(step, CliffordStep):
@@ -448,6 +502,7 @@ def verify_stabilizer_program(program: StabilizerProgram) -> VerificationReport:
                         "tableau lost the symplectic invariant over the "
                         "Clifford stream",
                     )
+            _check_phase_program(report, program)
     return report
 
 

@@ -313,18 +313,27 @@ class Circuit:
 
     def depth(self, *, include_measure: bool = True) -> int:
         """Circuit depth: length of the longest qubit/clbit dependency chain."""
-        levels: Dict[Tuple[str, int], int] = {}
+        # One integer level per wire; plain comparisons are cheaper than max().
+        qubit_levels: Dict[int, int] = {}
+        clbit_levels: Dict[int, int] = {}
         depth = 0
         for inst in self.instructions:
-            if inst.name == "barrier":
+            if inst.name == "barrier" or (not include_measure and inst.name == "measure"):
                 continue
-            if not include_measure and inst.name == "measure":
-                continue
-            wires = [("q", q) for q in inst.qubits] + [("c", c) for c in inst.clbits]
-            level = 1 + max((levels.get(w, 0) for w in wires), default=0)
-            for w in wires:
-                levels[w] = level
-            depth = max(depth, level)
+            level = 0
+            for q in inst.qubits:
+                if qubit_levels.get(q, 0) > level:
+                    level = qubit_levels[q]
+            for c in inst.clbits:
+                if clbit_levels.get(c, 0) > level:
+                    level = clbit_levels[c]
+            level += 1
+            for q in inst.qubits:
+                qubit_levels[q] = level
+            for c in inst.clbits:
+                clbit_levels[c] = level
+            if level > depth:
+                depth = level
         return depth
 
     def has_measurements(self) -> bool:

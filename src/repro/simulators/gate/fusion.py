@@ -99,6 +99,7 @@ from .gates import cached_gate_matrix, cached_gate_plan
 from .kernels import MatrixPlan, build_plan
 from .lru import DEFAULT_CACHE_SIZE, BoundedLRU
 from .noise import NoiseModel
+from .stabilizer import MeasureFlips, PauliFlips, StabilizerTableau
 
 __all__ = [
     "NoiseEvent",
@@ -267,14 +268,19 @@ class StabilizerProgram:
     :class:`MeasureStep` and :class:`ResetStep`; trailing measurements are
     peeled into the same :class:`TerminalSample` contract (implicit terminal
     measurement included) as :class:`TrajectoryProgram`, so the engines share
-    one result-semantics contract.  Immutable after compilation and safe to
-    execute from many shot chunks concurrently.
+    one result-semantics contract.  ``phases``, what the run kernel
+    executes, holds one ``PauliFlips`` per noise qubit and one
+    ``MeasureFlips`` per measurement, reset and terminal pair, in source
+    order (:mod:`~repro.simulators.gate.stabilizer`).  Immutable after
+    compilation (phase index arrays are read-only) and safe to execute from
+    many shot chunks concurrently.
     """
 
     num_qubits: int
     num_clbits: int
     steps: List[object] = field(default_factory=list)
     terminal: Optional[TerminalSample] = None
+    phases: Optional[Tuple[object, ...]] = None
 
     @property
     def bits_width(self) -> int:
@@ -909,6 +915,8 @@ def compile_stabilizer_program(
     Trailing measurements are peeled into the shared :class:`TerminalSample`
     contract (implicit terminal measurement over every qubit for
     measurement-free circuits), identical to the trajectory compiler.
+    Finally the steps run once on a batch-free tableau to record the
+    program's ``phases``, so no run or chunk replays the Clifford structure.
     """
     if noise_model is not None and noise_model.is_noiseless:
         noise_model = None
@@ -942,10 +950,48 @@ def compile_stabilizer_program(
     steps, terminal = _peel_terminal(steps, circuit)
     program = StabilizerProgram(circuit.num_qubits, circuit.num_clbits, steps)
     program.terminal = terminal
+    program.phases = _phase_program(program)
     hook = _STABILIZER_HOOK
     if hook is not None:
         hook(program, circuit)
     return program
+
+
+def _read_only(rows: np.ndarray) -> np.ndarray:
+    rows.flags.writeable = False
+    return rows
+
+
+def _phase_program(program: StabilizerProgram) -> Tuple[object, ...]:
+    """Run *program*'s steps once on a tableau and record its phase program.
+
+    The tableau's signs are the reference ``c`` of the kernel's ``R XOR c``
+    split: gates change only them and emit no op.  A random measurement
+    collapses the tableau to outcome 0; a reset (``clbit`` -1) also records
+    the rows its conditional X flips, read after the collapse.
+    """
+    tableau = StabilizerTableau(program.num_qubits)
+    phases: List[object] = []
+
+    def measure(qubit: int, clbit: int) -> None:
+        constant, rows, pivot = tableau.measure(qubit)
+        flips = tableau.pauli_rows(qubit)[0] if clbit < 0 else np.empty(0, dtype=np.intp)
+        phases.append(
+            MeasureFlips(qubit, clbit, _read_only(rows), pivot, constant, _read_only(flips))
+        )
+
+    for step in program.steps:
+        if isinstance(step, CliffordStep):
+            tableau.apply_gate(step.name, step.qubits)
+        elif isinstance(step, PauliChannelStep):
+            for qubit in step.qubits:
+                rows = tuple(map(_read_only, tableau.pauli_rows(qubit)))
+                phases.append(PauliFlips(qubit, step.rate, rows))
+        else:
+            measure(step.qubit, getattr(step, "clbit", -1))
+    for qubit, clbit in program.terminal.pairs if program.terminal else ():
+        measure(qubit, clbit)
+    return tuple(phases)
 
 
 # -- template + program caches -------------------------------------------------------

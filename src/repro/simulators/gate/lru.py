@@ -1,9 +1,10 @@
 """A small thread-safe bounded LRU with hit/miss instrumentation.
 
-One implementation behind the three compile-side caches (fusion templates,
-bound trajectory programs, transpile routing templates), so lock discipline,
-eviction order and counter semantics cannot drift between them.  Values must
-be immutable (they are returned to concurrent callers unchanged).
+One implementation behind the four compile-side caches (fusion templates,
+bound trajectory programs, stabilizer programs, transpile routing templates),
+so lock discipline, eviction order and counter semantics cannot drift between
+them.  Values must be immutable (they are returned to concurrent callers
+unchanged).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Batched Aaronson–Gottesman stabilizer tableau engine for Clifford circuits.
+"""Compile-once Aaronson–Gottesman stabilizer engine for Clifford circuits.
 
 The state-vector engines cap out near a dozen qubits; QEC workloads
 (repetition/surface-code cycles) need hundreds.  For Clifford circuits the
@@ -6,30 +6,34 @@ Aaronson–Gottesman tableau representation tracks the state in ``O(n^2)`` bits
 instead of ``2^n`` amplitudes: binary matrices ``x`` and ``z`` of shape
 ``(2n, n)`` hold the Pauli letter of every (de)stabilizer generator on every
 qubit (rows ``0..n-1`` are destabilizers, rows ``n..2n-1`` stabilizers), and a
-phase vector records each generator's sign.
+sign vector records each generator's sign.
 
-Batched layout
---------------
-This implementation exploits a structural fact of Clifford *programs with
-Pauli noise*: conjugating the generators by a Pauli error never changes their
-``x``/``z`` bits — only their signs.  Gate updates and the measurement pivot
-choice depend **only** on the bits, so across a whole batch of Monte-Carlo
-trajectories the bit matrices evolve identically and can be shared.  The
-tableau therefore stores
+Compile once, run phases only
+-----------------------------
+Conjugating the generators by a Pauli error never changes their ``x``/``z``
+bits — only their signs.  Gate updates, rowsum ``i``-exponents, each
+measurement's random-or-deterministic branch and the rows a Pauli flips
+depend **only** on the bits, so every trajectory shares them.  The compile
+(:func:`~repro.simulators.gate.fusion.compile_stabilizer_program`) therefore
+runs the program once on a :class:`StabilizerTableau` and records a *phase
+program* of :class:`PauliFlips` and :class:`MeasureFlips` ops, and the run
+kernel :func:`execute_stabilizer_program_segments` holds only a
+``(2n, batch)`` ``uint8`` sign matrix ``R``.  Row ``i``'s true sign on shot
+``s`` is ``R[i, s] XOR c[i]``, with ``c`` the compile-time tableau's sign
+vector and ``R`` starting at zero:
 
-* ``x``, ``z`` — shared ``(2n, n)`` ``uint8`` bit matrices (one copy per
-  chunk, not per shot), and
-* ``r`` — a per-shot ``(2n, batch)`` ``uint8`` phase matrix.
+* gate phase rules change ``c`` only, so gates cost nothing at run time;
+* a Pauli error flips its anticommuting rows on the shots it struck;
+* a deterministic measurement reads the XOR of named rows of ``R`` and a
+  constant bit; a random one applies its rowsum to ``R`` and writes one
+  fresh random bit per shot into the pivot row;
+* a reset then flips the rows of its conditional X on the shots that read 1.
 
-Gate bit-updates cost ``O(n)`` *once per chunk*.  Phase updates are sparse:
-a gate flips only the rows its phase rule selects, and a Pauli error only
-the anticommuting rows on the shots it struck, so phase cost is rows hit x
-shots struck.  Memory is ``~(2n + width)`` bytes per shot plus a fixed
-``4 n^2`` bytes per chunk, so thousand-qubit, thousand-shot chunks fit
-comfortably inside the default batch byte budget.  Sampling is exact — this
-is the full tableau algorithm, not an approximate Pauli-frame propagation —
-and measurement outcomes with genuinely random results consume one fresh
-random bit per shot.
+Run-time cost is the noise draws, plus rows hit x shots struck, plus a small
+row XOR per deterministic measurement; memory is ``(2n + width)`` bytes per
+shot.  Sampling is exact (the full tableau algorithm, not an approximate
+Pauli-frame propagation), and every random draw is the one, at the size and
+in the order, a per-shot tableau run makes.
 
 Primitive gate set: ``x``, ``y``, ``z``, ``h``, ``s``, ``sdg``, ``cx``,
 ``cz``, ``swap`` (the compile path in
@@ -40,15 +44,17 @@ these and rejects non-Clifford gates with a typed
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ...core.errors import SimulationError
-from .noise import as_segments
 
 __all__ = [
     "StabilizerTableau",
+    "PauliFlips",
+    "MeasureFlips",
     "PRIMITIVE_GATES",
     "execute_stabilizer_program_segments",
 ]
@@ -59,80 +65,71 @@ PRIMITIVE_GATES = ("id", "x", "y", "z", "h", "s", "sdg", "cx", "cz", "swap")
 
 
 class StabilizerTableau:
-    """A batch of stabilizer states sharing one bit tableau.
+    """One stabilizer state: the bit tableau plus a ``(2n,)`` sign vector.
+
+    The compile runs each stabilizer program once on this class; a gate's
+    phase rule is one XOR of a ``(2n,)`` row mask into the sign vector ``r``.
 
     Parameters
     ----------
     num_qubits:
         Width of the register (no upper cap; memory is quadratic in the
-        width and linear in the batch).
-    batch_size:
-        Number of simultaneous trajectories.  All gate and measurement
-        structure is shared; only the per-shot phase matrix and measurement
-        outcomes differ between trajectories.
+        width).
     """
 
-    def __init__(self, num_qubits: int, batch_size: int = 1):
+    def __init__(self, num_qubits: int):
         if num_qubits < 1:
             raise SimulationError("stabilizer tableau needs at least one qubit")
-        if batch_size < 1:
-            raise SimulationError("stabilizer batch size must be >= 1")
         n = num_qubits
         self.num_qubits = n
-        self.batch_size = batch_size
         # Rows 0..n-1: destabilizers (X_i); rows n..2n-1: stabilizers (Z_i).
         self.x = np.zeros((2 * n, n), dtype=np.uint8)
         self.z = np.zeros((2 * n, n), dtype=np.uint8)
-        self.r = np.zeros((2 * n, batch_size), dtype=np.uint8)
+        self.r = np.zeros(2 * n, dtype=np.uint8)
         self.x[np.arange(n), np.arange(n)] = 1
         self.z[n + np.arange(n), np.arange(n)] = 1
-
-    def _flip(self, rows: np.ndarray, shots: Optional[np.ndarray] = None) -> None:
-        """Flip the rows set in *rows* on all shots, or on batch indices *shots*."""
-        hit = rows.nonzero()[0]
-        if hit.size == 0:
-            return
-        if shots is None:
-            self.r[hit] ^= 1
-        else:
-            self.r[hit[:, None], shots] ^= 1  # the np.ix_ block, without its checks
 
     # -- single-qubit gates ----------------------------------------------------------
     def h(self, q: int) -> None:
         """Hadamard: swap the X and Z letters, sign flip on Y rows."""
-        self._flip(self.x[:, q] & self.z[:, q])
+        self.r ^= self.x[:, q] & self.z[:, q]
         column = self.x[:, q].copy()
         self.x[:, q] = self.z[:, q]
         self.z[:, q] = column
 
     def s(self, q: int) -> None:
         """Phase gate: X -> Y, Y -> -X, Z -> Z."""
-        self._flip(self.x[:, q] & self.z[:, q])
+        self.r ^= self.x[:, q] & self.z[:, q]
         self.z[:, q] ^= self.x[:, q]
 
     def sdg(self, q: int) -> None:
         """Inverse phase gate: X -> -Y, Y -> X, Z -> Z."""
-        self._flip(self.x[:, q] & (1 ^ self.z[:, q]))
+        self.r ^= self.x[:, q] & (1 ^ self.z[:, q])
         self.z[:, q] ^= self.x[:, q]
 
-    def apply_x(self, q: int, shots: Optional[np.ndarray] = None) -> None:
-        """Pauli X (on all shots, or batch indices *shots*): flip Z and Y rows."""
-        self._flip(self.z[:, q], shots)
+    def apply_x(self, q: int) -> None:
+        """Pauli X: flip the Z and Y rows."""
+        self.r ^= self.z[:, q]
 
-    def apply_z(self, q: int, shots: Optional[np.ndarray] = None) -> None:
-        """Pauli Z (on all shots, or batch indices *shots*): flip X and Y rows."""
-        self._flip(self.x[:, q], shots)
+    def apply_z(self, q: int) -> None:
+        """Pauli Z: flip the X and Y rows."""
+        self.r ^= self.x[:, q]
 
-    def apply_y(self, q: int, shots: Optional[np.ndarray] = None) -> None:
-        """Pauli Y (on all shots, or batch indices *shots*): flip X and Z rows."""
-        self._flip(self.x[:, q] ^ self.z[:, q], shots)
+    def apply_y(self, q: int) -> None:
+        """Pauli Y: flip the X and Z rows."""
+        self.r ^= self.x[:, q] ^ self.z[:, q]
+
+    def pauli_rows(self, q: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows an X, a Y and a Z error on *q* flip (the anticommuting ones)."""
+        x, z = self.x[:, q].copy(), self.z[:, q].copy()
+        return z.nonzero()[0], (x ^ z).nonzero()[0], x.nonzero()[0]
 
     # -- two-qubit gates -------------------------------------------------------------
     def cx(self, control: int, target: int) -> None:
         """Controlled-X with the standard Aaronson–Gottesman phase rule."""
         xc, zc = self.x[:, control], self.z[:, control]
         xt, zt = self.x[:, target], self.z[:, target]
-        self._flip(xc & zt & (xt ^ zc ^ 1))
+        self.r ^= xc & zt & (xt ^ zc ^ 1)
         self.x[:, target] = xt ^ xc
         self.z[:, control] = zc ^ zt
 
@@ -150,141 +147,58 @@ class StabilizerTableau:
     # -- dispatch --------------------------------------------------------------------
     def apply_gate(self, name: str, qubits: Tuple[int, ...]) -> None:
         """Apply one primitive Clifford gate by name (see ``PRIMITIVE_GATES``)."""
-        if name == "cx":
-            self.cx(qubits[0], qubits[1])
-        elif name == "cz":
-            self.cz(qubits[0], qubits[1])
-        elif name == "swap":
-            self.swap(qubits[0], qubits[1])
-        elif name == "h":
-            self.h(qubits[0])
-        elif name == "s":
-            self.s(qubits[0])
-        elif name == "sdg":
-            self.sdg(qubits[0])
-        elif name == "x":
-            self.apply_x(qubits[0])
-        elif name == "y":
-            self.apply_y(qubits[0])
-        elif name == "z":
-            self.apply_z(qubits[0])
-        elif name == "id":
-            pass
-        else:
+        if name not in PRIMITIVE_GATES:
             raise SimulationError(f"{name!r} is not a primitive stabilizer gate")
-
-    # -- Pauli-frame noise -----------------------------------------------------------
-    def apply_pauli_masked(self, kind: str, qubit: int, mask: np.ndarray) -> None:
-        """Apply Pauli *kind* on *qubit* to the shots selected by *mask*.
-
-        *mask* is a ``(batch,)`` bool or 0/1 array; a true (1) entry selects
-        the shot.  Pauli conjugation never changes generator bits — it only
-        flips the sign of every generator that anticommutes with the error —
-        so the error flips those rows on the selected shots and nothing else.
-        """
-        paulis = {"x": self.apply_x, "y": self.apply_y, "z": self.apply_z}
-        if kind not in paulis:
-            raise SimulationError(f"{kind!r} is not a Pauli label")
-        paulis[kind](qubit, np.flatnonzero(mask))
-
-    def apply_depolarizing(self, qubits: Tuple[int, ...], rate: float, draws) -> None:
-        """One depolarizing opportunity per qubit: strike with *rate*, draw a Pauli.
-
-        Mirrors the trajectory engines' channel: each qubit the source gate
-        touched is struck independently with probability *rate*, and a struck
-        shot applies a uniformly drawn X, Y or Z.  The draw count per qubit is
-        fixed (one uniform vector + one integer vector), so a chunk's RNG
-        stream consumption is independent of which shots are struck.  *draws*
-        is a generator or a list of ``(size, generator)`` segments
-        partitioning the batch axis (see
-        :func:`~repro.simulators.gate.noise.as_segments`); each segment draws
-        both vectors from its own generator, in the order and at the sizes a
-        standalone chunk would.  Only the struck shots are touched.
-        """
-        segments = as_segments(draws, self.batch_size)
-        for qubit in qubits:
-            parts = [
-                (gen.random(size) < rate, gen.integers(0, 3, size=size))
-                for size, gen in segments
-            ]
-            struck = np.flatnonzero(np.concatenate([sub for sub, _ in parts]))
-            if struck.size == 0:
-                continue
-            kinds = np.concatenate([kind for _, kind in parts])[struck]
-            for kind, pauli in enumerate((self.apply_x, self.apply_y, self.apply_z)):
-                shots = struck[kinds == kind]
-                if shots.size:
-                    pauli(qubit, shots)
+        if name != "id":  # the Paulis are apply_*: x and z name the bit matrices
+            getattr(self, f"apply_{name}" if name in ("x", "y", "z") else name)(*qubits)
 
     # -- row arithmetic --------------------------------------------------------------
-    def _phase_exponents(self, rows: np.ndarray, other: int) -> np.ndarray:
-        """Mod-4 ``i``-exponents of multiplying row *other* onto each of *rows*.
-
-        The Aaronson–Gottesman ``g`` function summed over qubit columns:
-        ``g(x1, z1, x2, z2)`` is the exponent of ``i`` produced by multiplying
-        the Pauli letter ``(x1, z1)`` (from row *other*, the left factor) onto
-        ``(x2, z2)`` (from each accumulating row).  Depends only on the shared
-        bits, so one scalar per row serves the whole batch.
-        """
-        x1 = self.x[other].astype(np.int64)
-        z1 = self.z[other].astype(np.int64)
-        x2 = self.x[rows].astype(np.int64)
-        z2 = self.z[rows].astype(np.int64)
-        term = (
-            (x1 * z1) * (z2 - x2)
-            + (x1 * (1 - z1)) * (z2 * (2 * x2 - 1))
-            + ((1 - x1) * z1) * (x2 * (1 - 2 * z2))
-        )
-        return term.sum(axis=1) % 4
-
     def _rowsum_many(self, rows: np.ndarray, other: int) -> None:
         """Multiply row *other* onto every row in *rows* (vectorised rowsum).
 
-        For each target row the product of two commuting-phase Pauli strings
-        accumulates a real sign: ``2 r_h + 2 r_other + sum(g)`` is 0 or 2 mod
-        4, so the new phase is ``r_h ^ r_other ^ (sum(g) mod 4 == 2)``.  The
-        sign correction comes from shared bits (one scalar per row); the
-        per-shot part is a batched XOR.
+        Each product of two commuting Pauli strings has a real sign, so its
+        ``i``-exponent ``e`` is 0 or 2 mod 4 and the new sign is
+        ``r_h ^ r_other ^ (e == 2)``.  ``e`` is the Aaronson–Gottesman ``g``
+        summed over columns, by popcounts: with ``P = i^{x.z} X^x Z^z``,
+        moving ``Z^{z1}`` past ``X^{x2}`` gives ``P1 P2 = i^e P3`` where
+        ``e = x1.z1 + x2.z2 + 2 z1.x2 - x3.z3`` (row *other* is ``P1``).
         """
         if rows.size == 0:
             return
-        flips = (self._phase_exponents(rows, other) == 2).astype(np.uint8)
-        self.r[rows] ^= self.r[other][None, :] ^ flips[:, None]
-        self.x[rows] ^= self.x[other][None, :]
-        self.z[rows] ^= self.z[other][None, :]
+        x1, z1, x2, z2 = self.x[other], self.z[other], self.x[rows], self.z[rows]
+        count = np.count_nonzero
+        e = count(x1 & z1) + count(x2 & z2, axis=1) + 2 * count(z1 & x2, axis=1)
+        e -= count((x1 ^ x2) & (z1 ^ z2), axis=1)
+        self.r[rows] ^= self.r[other] ^ (e % 4 == 2).astype(np.uint8)
+        self.x[rows] ^= self.x[other]
+        self.z[rows] ^= self.z[other]
 
-    def _deterministic_phase(self, qubit: int) -> np.ndarray:
-        """Per-shot outcome of a deterministic Z measurement (no state change).
+    def _deterministic_phase(self, qubit: int) -> Tuple[np.ndarray, int]:
+        """The stabilizer rows whose product is ``±Z_qubit``, and its sign bit.
 
-        Accumulates, destabilizer by destabilizer, the product of stabilizer
-        rows whose destabilizer partner has an X letter on *qubit* — the
-        scratch-row construction of the Aaronson–Gottesman measurement — and
-        returns the product's ``(batch,)`` phase vector, which *is* the
-        measurement outcome per shot.
+        Stabilizer row ``n + i`` enters the product exactly when destabilizer
+        ``i`` has an X letter on *qubit* (the scratch-row construction of the
+        Aaronson–Gottesman measurement).  The sign is the XOR of the rows'
+        signs, flipped when the ordered product's ``i``-exponent is 2.  Each
+        row multiplies, as the left factor, onto the product of the rows
+        before it; summed over the rows, the product rule of
+        :meth:`_rowsum_many` telescopes to ``sum(x.z) + 2 sum(z_k.acc_k)``
+        (``acc_k`` the running product's X bits), because the running product
+        starts at the identity and ends at ``±Z_qubit``, which has no Y letter.
         """
         n = self.num_qubits
-        acc_x = np.zeros(n, dtype=np.int64)
-        acc_z = np.zeros(n, dtype=np.int64)
-        phase = np.zeros(self.batch_size, dtype=np.int64)  # i-exponent / 2 pairs
-        exponent = 0
-        for i in np.nonzero(self.x[:n, qubit])[0]:
-            row = n + int(i)
-            x1 = self.x[row].astype(np.int64)
-            z1 = self.z[row].astype(np.int64)
-            term = (
-                (x1 * z1) * (acc_z - acc_x)
-                + (x1 * (1 - z1)) * (acc_z * (2 * acc_x - 1))
-                + ((1 - x1) * z1) * (acc_x * (1 - 2 * acc_z))
-            )
-            exponent = (exponent + int(term.sum())) % 4
-            phase ^= self.r[row].astype(np.int64)
-            acc_x ^= x1
-            acc_z ^= z1
-        return (phase ^ (1 if exponent == 2 else 0)).astype(np.uint8)
+        rows = n + self.x[:n, qubit].nonzero()[0]
+        exponent = np.count_nonzero(self.x[rows] & self.z[rows])
+        acc_x = np.zeros(n, dtype=np.uint8)
+        for row in rows:
+            exponent += 2 * np.count_nonzero(self.z[row] & acc_x)
+            acc_x ^= self.x[row]
+        sign = int(np.bitwise_xor.reduce(self.r[rows])) ^ int(exponent % 4 == 2)
+        return rows, sign
 
     # -- measurement -----------------------------------------------------------------
-    def measurement_probabilities(self, qubit: int) -> np.ndarray:
-        """Per-shot probability of measuring 1 on *qubit* — exactly 0, 0.5 or 1.
+    def measurement_probabilities(self, qubit: int) -> float:
+        """Probability of measuring 1 on *qubit* — exactly 0, 0.5 or 1.
 
         Does not modify the state: a stabilizer state's single-qubit Z
         marginal is either uniformly random (some stabilizer anticommutes
@@ -293,49 +207,42 @@ class StabilizerTableau:
         """
         n = self.num_qubits
         if self.x[n:, qubit].any():
-            return np.full(self.batch_size, 0.5)
-        return self._deterministic_phase(qubit).astype(np.float64)
+            return 0.5
+        return float(self._deterministic_phase(qubit)[1])
 
-    def measure(self, qubit: int, draws) -> np.ndarray:
-        """Projectively measure *qubit* in the Z basis across the batch.
+    def measure(self, qubit: int, outcome: int = 0) -> Tuple[int, np.ndarray, Optional[int]]:
+        """Projectively measure *qubit* in the Z basis and collapse the state.
 
-        Returns the ``(batch,)`` outcome vector and collapses the state.
-        Whether the outcome is random is a property of the shared bits, so
-        the whole batch takes the same branch: the random branch consumes one
-        fresh random bit per shot, the deterministic branch consumes none.
-        *draws* is a generator or a segment list; the random bits come from
-        each segment's own generator (branch choice is shared-bit structure,
-        identical to a standalone chunk by construction).
+        Returns ``(outcome, rows, pivot)``.  When a stabilizer anticommutes
+        with ``Z_q`` the outcome is random and takes the given *outcome*:
+        stabilizer row ``pivot`` is multiplied onto the other anticommuting
+        rows ``rows`` (the rowsum targets), moves to its destabilizer slot,
+        and is replaced by ``(-1)^outcome Z_q``.  Otherwise the outcome is the
+        sign of the product of stabilizer rows ``rows``, the state does not
+        change, and ``pivot`` is ``None``.
         """
         n = self.num_qubits
-        pivots = np.nonzero(self.x[n:, qubit])[0]
+        pivots = self.x[n:, qubit].nonzero()[0]
         if pivots.size == 0:
-            return self._deterministic_phase(qubit)
+            rows, sign = self._deterministic_phase(qubit)
+            return sign, rows, None
         pivot = n + int(pivots[0])
-        others = np.nonzero(self.x[:, qubit])[0]
+        others = self.x[:, qubit].nonzero()[0]
         others = others[others != pivot]
         self._rowsum_many(others, pivot)
-        # Old pivot row becomes its own destabilizer; the new pivot row is
-        # (-1)^outcome Z_q with one fresh random bit per shot.
         self.x[pivot - n] = self.x[pivot]
         self.z[pivot - n] = self.z[pivot]
         self.r[pivot - n] = self.r[pivot]
-        outcomes = np.concatenate(
-            [
-                gen.integers(0, 2, size=size, dtype=np.uint8)
-                for size, gen in as_segments(draws, self.batch_size)
-            ]
-        )
         self.x[pivot] = 0
         self.z[pivot] = 0
         self.z[pivot, qubit] = 1
-        self.r[pivot] = outcomes
-        return outcomes.copy()
+        self.r[pivot] = outcome
+        return outcome, others, pivot
 
-    def reset(self, qubit: int, draws) -> None:
-        """Measure *qubit*, then flip the shots that collapsed to 1 back to 0."""
-        outcomes = self.measure(qubit, draws)
-        self.apply_pauli_masked("x", qubit, outcomes)
+    def reset(self, qubit: int) -> None:
+        """Measure *qubit*, then flip it back to ``|0>`` if it read 1."""
+        if self.measure(qubit)[0]:
+            self.apply_x(qubit)
 
     # -- invariants ------------------------------------------------------------------
     def is_symplectic(self) -> bool:
@@ -359,11 +266,68 @@ class StabilizerTableau:
         return bool(np.array_equal(gram, expected))
 
 
+# -- the phase program -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PauliFlips:
+    """One noise qubit of a Pauli channel: the sign rows each error flips.
+
+    Each shot is struck with probability ``rate``; a struck shot draws X, Y
+    or Z uniformly and flips ``rows[0]``, ``rows[1]`` or ``rows[2]`` — the
+    generators anticommuting with that error on ``qubit``.
+    """
+
+    qubit: int
+    rate: float
+    rows: Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True)
+class MeasureFlips:
+    """One Z measurement of ``qubit``: its sign-row update and its outcome.
+
+    Deterministic when ``pivot`` is ``None``: the outcome is the XOR of sign
+    rows ``rows`` and the bit ``constant``.  Random otherwise: ``rows`` are
+    the rowsum targets of stabilizer row ``pivot``, whose sign moves to its
+    destabilizer slot and is replaced by one fresh random bit per shot, the
+    outcome.  The outcome goes to ``clbit`` — or, for a reset
+    (``clbit == -1``), flips sign rows ``flips`` on the shots that read 1.
+    """
+
+    qubit: int
+    clbit: int
+    rows: np.ndarray
+    pivot: Optional[int]
+    constant: int
+    flips: np.ndarray
+
+
+def _strike(signs: np.ndarray, op: PauliFlips, segments) -> None:
+    """One Pauli channel opportunity: strike with ``op.rate``, draw a Pauli.
+
+    Each segment draws one uniform vector and one integer vector from its
+    own generator, whichever shots are struck; only the struck shots'
+    anticommuting rows are touched.
+    """
+    parts = [(gen.random(size) < op.rate, gen.integers(0, 3, size=size)) for size, gen in segments]
+    struck = np.concatenate([hit for hit, _ in parts]).nonzero()[0]
+    if struck.size == 0:
+        return
+    kinds = np.concatenate([kind for _, kind in parts])[struck]
+    for kind, rows in enumerate(op.rows):
+        shots = struck[kinds == kind]
+        if shots.size and rows.size:
+            signs[rows[:, None], shots] ^= 1  # the np.ix_ block, without its checks
+
+
 def execute_stabilizer_program_segments(program, segments, noise_model=None) -> np.ndarray:
     """Run one super-chunk of trajectories through a compiled stabilizer program.
 
     The stabilizer engine's segment kernel, used for every chunk the
-    simulator executes (a solo run is a merged group of one).
+    simulator executes (a solo run is a merged group of one).  It executes
+    only the program's phase program on a ``(2n, batch)`` sign matrix; the
+    Clifford structure was run once, at compile time.
 
     Parameters
     ----------
@@ -373,15 +337,16 @@ def execute_stabilizer_program_segments(program, segments, noise_model=None) -> 
     segments:
         ``(size, generator)`` pairs partitioning the batch axis; each pair is
         one standalone chunk of one job with that chunk's own seeded
-        generator.  The shared bit matrices evolve identically at any batch
-        width, and every random draw (Pauli channels, random-branch
+        generator.  Every random draw (Pauli channels, random-branch
         measurements, readout flips) is pulled per segment in standalone
         order, so slicing the returned rows back per segment reproduces each
         chunk bit for bit at every grouping.
     noise_model:
         Optional :class:`~repro.simulators.gate.noise.NoiseModel`; only its
         readout error is consulted here — gate noise was already lowered into
-        the program's Pauli channel steps at compile time.
+        the program's Pauli channels at compile time.  It applies to
+        mid-circuit and explicit terminal measurements, not to resets or the
+        implicit terminal measurement.
 
     Returns
     -------
@@ -391,29 +356,32 @@ def execute_stabilizer_program_segments(program, segments, noise_model=None) -> 
         collapse is the chain rule of the joint outcome distribution),
         honouring the implicit-terminal-measurement contract.
     """
-    from .fusion import CliffordStep, MeasureStep, PauliChannelStep, ResetStep
-
+    n = program.num_qubits
     total = sum(size for size, _ in segments)
-    tableau = StabilizerTableau(program.num_qubits, total)
+    signs = np.zeros((2 * n, total), dtype=np.uint8)
     bits = np.zeros((total, program.bits_width), dtype=np.uint8)
-    for step in program.steps:
-        if isinstance(step, CliffordStep):
-            tableau.apply_gate(step.name, step.qubits)
-        elif isinstance(step, PauliChannelStep):
-            tableau.apply_depolarizing(step.qubits, step.rate, segments)
-        elif isinstance(step, MeasureStep):
-            outcomes = tableau.measure(step.qubit, segments)
-            if noise_model is not None:
-                outcomes = noise_model.apply_readout_error_segmented(outcomes, segments)
-            bits[:, step.clbit] = outcomes
-        elif isinstance(step, ResetStep):
-            tableau.reset(step.qubit, segments)
-        else:  # pragma: no cover - compiler invariant
-            raise SimulationError(f"unknown stabilizer step {type(step).__name__}")
-    if program.terminal is not None:
-        for qubit, clbit in program.terminal.pairs:
-            column = tableau.measure(qubit, segments)
-            if noise_model is not None and not program.terminal.implicit:
-                column = noise_model.apply_readout_error_segmented(column, segments)
-            bits[:, clbit] = column
+    # An implicit terminal sample means the circuit measures nothing else.
+    implicit = program.terminal is not None and program.terminal.implicit
+    readout = None if implicit else noise_model
+    for op in program.phases:
+        if type(op) is PauliFlips:
+            _strike(signs, op, segments)
+            continue
+        if op.pivot is None:
+            outcome = np.bitwise_xor.reduce(signs[op.rows], axis=0)
+            if op.constant:
+                outcome ^= 1
+        else:
+            signs[op.rows] ^= signs[op.pivot]
+            signs[op.pivot - n] = signs[op.pivot]
+            outcome = np.concatenate(
+                [gen.integers(0, 2, size=size, dtype=np.uint8) for size, gen in segments]
+            )
+            signs[op.pivot] = outcome
+        if op.clbit < 0:
+            signs[op.flips] ^= outcome
+            continue
+        if readout is not None:
+            outcome = readout.apply_readout_error_segmented(outcome, segments)
+        bits[:, op.clbit] = outcome
     return bits

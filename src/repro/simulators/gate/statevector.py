@@ -24,7 +24,7 @@ simulator picks one path per group:
   chunk simultaneously, on either the batched amplitude engine
   (:class:`~repro.simulators.gate.batched.BatchedStatevector`, trailing shot
   axis, layout ``(2, ..., 2, batch)``) or, for Clifford circuits, the
-  batched stabilizer tableau (:mod:`~repro.simulators.gate.stabilizer`).
+  compile-once stabilizer tableau (:mod:`~repro.simulators.gate.stabilizer`).
   Both run through **one plan and one executor**.  The plan splits each
   job's shots into the standalone chunks the ``max_batch_memory`` byte
   budget admits, gives chunk ``i`` the ``i``-th
@@ -402,7 +402,7 @@ class StatevectorSimulator:
         sampling error beyond the chosen ``density_sampling`` conversion.
         Width is capped at
         :data:`~repro.simulators.gate.density.MAX_DENSITY_QUBITS` qubits.
-        ``"stabilizer"`` samples trajectories on the batched
+        ``"stabilizer"`` samples trajectories on the compile-once
         Aaronson–Gottesman tableau of
         :mod:`~repro.simulators.gate.stabilizer` — Clifford circuits only
         (non-Clifford gates raise
@@ -1143,7 +1143,7 @@ class _AmplitudeEngine:
 
 
 class _StabilizerEngine:
-    """The batched stabilizer-tableau engine (``trajectory_engine="stabilizer"``).
+    """The compile-once stabilizer-tableau engine (``trajectory_engine="stabilizer"``).
 
     Compiles through the Clifford lowering table (non-Clifford gates raise
     :class:`~repro.core.errors.UnsupportedGateError`); results never carry a
@@ -1170,10 +1170,9 @@ class _StabilizerEngine:
     def bytes_per_shot(self, program) -> int:
         """``2 n`` phase bytes plus ``bits_width`` outcome bytes.
 
-        The shared bit matrices are a fixed ``4 n^2`` bytes per chunk,
-        amortised across the batch, so the byte budget that admits hundreds
-        of amplitude trajectories admits hundreds of thousands of tableau
-        trajectories.
+        The kernel holds no bit matrices (the structure is compiled once), so
+        the byte budget that admits hundreds of amplitude trajectories admits
+        hundreds of thousands of tableau trajectories.
         """
         return 2 * program.num_qubits + program.bits_width
 

@@ -1,15 +1,25 @@
 """Shared helpers for the differential / property test harness.
 
 Seeded random-circuit generators and distribution-distance metrics used by
-``test_differential_engines.py`` and ``test_fusion_properties.py``.  Not a
-test module itself (no ``test_`` prefix, so pytest does not collect it).
+``test_differential_engines.py`` and ``test_fusion_properties.py``, plus the
+batched stabilizer tableau and kernel that ``test_stabilizer_engine.py``
+holds the phase-only kernel against.  Not a test module itself (no ``test_``
+prefix, so pytest does not collect it).
 """
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.core.errors import SimulationError
 from repro.simulators.gate import Circuit
+from repro.simulators.gate.fusion import (
+    CliffordStep,
+    MeasureStep,
+    PauliChannelStep,
+    ResetStep,
+)
+from repro.simulators.gate.noise import as_segments
 
 ONEQ_GATES = (
     ("h", 0),
@@ -182,3 +192,372 @@ def counts_distribution(counts: Mapping[str, int]) -> Dict[str, float]:
     """Empirical probabilities of a counts histogram."""
     shots = sum(counts.values())
     return {key: value / shots for key, value in counts.items()} if shots else {}
+
+
+# -- the batched stabilizer oracle ---------------------------------------------------
+#
+# The tableau class and segment kernel the stabilizer engine ran before its
+# Clifford structure was compiled once, kept verbatim (only renamed) as the
+# oracle: every chunk replays the gates on shared bit matrices and keeps a
+# per-shot (2n, batch) phase matrix.  The phase-only kernel must reproduce
+# its bit rows byte for byte, draw for draw.
+
+
+class BatchedStabilizerTableau:
+    """A batch of stabilizer states sharing one bit tableau.
+
+    Parameters
+    ----------
+    num_qubits:
+        Width of the register (no upper cap; memory is quadratic in the
+        width and linear in the batch).
+    batch_size:
+        Number of simultaneous trajectories.  All gate and measurement
+        structure is shared; only the per-shot phase matrix and measurement
+        outcomes differ between trajectories.
+    """
+
+    def __init__(self, num_qubits: int, batch_size: int = 1):
+        if num_qubits < 1:
+            raise SimulationError("stabilizer tableau needs at least one qubit")
+        if batch_size < 1:
+            raise SimulationError("stabilizer batch size must be >= 1")
+        n = num_qubits
+        self.num_qubits = n
+        self.batch_size = batch_size
+        # Rows 0..n-1: destabilizers (X_i); rows n..2n-1: stabilizers (Z_i).
+        self.x = np.zeros((2 * n, n), dtype=np.uint8)
+        self.z = np.zeros((2 * n, n), dtype=np.uint8)
+        self.r = np.zeros((2 * n, batch_size), dtype=np.uint8)
+        self.x[np.arange(n), np.arange(n)] = 1
+        self.z[n + np.arange(n), np.arange(n)] = 1
+
+    def _flip(self, rows: np.ndarray, shots: Optional[np.ndarray] = None) -> None:
+        """Flip the rows set in *rows* on all shots, or on batch indices *shots*."""
+        hit = rows.nonzero()[0]
+        if hit.size == 0:
+            return
+        if shots is None:
+            self.r[hit] ^= 1
+        else:
+            self.r[hit[:, None], shots] ^= 1  # the np.ix_ block, without its checks
+
+    # -- single-qubit gates ----------------------------------------------------------
+    def h(self, q: int) -> None:
+        """Hadamard: swap the X and Z letters, sign flip on Y rows."""
+        self._flip(self.x[:, q] & self.z[:, q])
+        column = self.x[:, q].copy()
+        self.x[:, q] = self.z[:, q]
+        self.z[:, q] = column
+
+    def s(self, q: int) -> None:
+        """Phase gate: X -> Y, Y -> -X, Z -> Z."""
+        self._flip(self.x[:, q] & self.z[:, q])
+        self.z[:, q] ^= self.x[:, q]
+
+    def sdg(self, q: int) -> None:
+        """Inverse phase gate: X -> -Y, Y -> X, Z -> Z."""
+        self._flip(self.x[:, q] & (1 ^ self.z[:, q]))
+        self.z[:, q] ^= self.x[:, q]
+
+    def apply_x(self, q: int, shots: Optional[np.ndarray] = None) -> None:
+        """Pauli X (on all shots, or batch indices *shots*): flip Z and Y rows."""
+        self._flip(self.z[:, q], shots)
+
+    def apply_z(self, q: int, shots: Optional[np.ndarray] = None) -> None:
+        """Pauli Z (on all shots, or batch indices *shots*): flip X and Y rows."""
+        self._flip(self.x[:, q], shots)
+
+    def apply_y(self, q: int, shots: Optional[np.ndarray] = None) -> None:
+        """Pauli Y (on all shots, or batch indices *shots*): flip X and Z rows."""
+        self._flip(self.x[:, q] ^ self.z[:, q], shots)
+
+    # -- two-qubit gates -------------------------------------------------------------
+    def cx(self, control: int, target: int) -> None:
+        """Controlled-X with the standard Aaronson–Gottesman phase rule."""
+        xc, zc = self.x[:, control], self.z[:, control]
+        xt, zt = self.x[:, target], self.z[:, target]
+        self._flip(xc & zt & (xt ^ zc ^ 1))
+        self.x[:, target] = xt ^ xc
+        self.z[:, control] = zc ^ zt
+
+    def cz(self, control: int, target: int) -> None:
+        """Controlled-Z via the H-conjugation identity ``CZ = H_t CX H_t``."""
+        self.h(target)
+        self.cx(control, target)
+        self.h(target)
+
+    def swap(self, a: int, b: int) -> None:
+        """SWAP: exchange the two qubits' tableau columns (no phase change)."""
+        self.x[:, [a, b]] = self.x[:, [b, a]]
+        self.z[:, [a, b]] = self.z[:, [b, a]]
+
+    # -- dispatch --------------------------------------------------------------------
+    def apply_gate(self, name: str, qubits: Tuple[int, ...]) -> None:
+        """Apply one primitive Clifford gate by name (see ``PRIMITIVE_GATES``)."""
+        if name == "cx":
+            self.cx(qubits[0], qubits[1])
+        elif name == "cz":
+            self.cz(qubits[0], qubits[1])
+        elif name == "swap":
+            self.swap(qubits[0], qubits[1])
+        elif name == "h":
+            self.h(qubits[0])
+        elif name == "s":
+            self.s(qubits[0])
+        elif name == "sdg":
+            self.sdg(qubits[0])
+        elif name == "x":
+            self.apply_x(qubits[0])
+        elif name == "y":
+            self.apply_y(qubits[0])
+        elif name == "z":
+            self.apply_z(qubits[0])
+        elif name == "id":
+            pass
+        else:
+            raise SimulationError(f"{name!r} is not a primitive stabilizer gate")
+
+    # -- Pauli-frame noise -----------------------------------------------------------
+    def apply_pauli_masked(self, kind: str, qubit: int, mask: np.ndarray) -> None:
+        """Apply Pauli *kind* on *qubit* to the shots selected by *mask*.
+
+        *mask* is a ``(batch,)`` bool or 0/1 array; a true (1) entry selects
+        the shot.  Pauli conjugation never changes generator bits — it only
+        flips the sign of every generator that anticommutes with the error —
+        so the error flips those rows on the selected shots and nothing else.
+        """
+        paulis = {"x": self.apply_x, "y": self.apply_y, "z": self.apply_z}
+        if kind not in paulis:
+            raise SimulationError(f"{kind!r} is not a Pauli label")
+        paulis[kind](qubit, np.flatnonzero(mask))
+
+    def apply_depolarizing(self, qubits: Tuple[int, ...], rate: float, draws) -> None:
+        """One depolarizing opportunity per qubit: strike with *rate*, draw a Pauli.
+
+        Mirrors the trajectory engines' channel: each qubit the source gate
+        touched is struck independently with probability *rate*, and a struck
+        shot applies a uniformly drawn X, Y or Z.  The draw count per qubit is
+        fixed (one uniform vector + one integer vector), so a chunk's RNG
+        stream consumption is independent of which shots are struck.  *draws*
+        is a generator or a list of ``(size, generator)`` segments
+        partitioning the batch axis (see
+        :func:`~repro.simulators.gate.noise.as_segments`); each segment draws
+        both vectors from its own generator, in the order and at the sizes a
+        standalone chunk would.  Only the struck shots are touched.
+        """
+        segments = as_segments(draws, self.batch_size)
+        for qubit in qubits:
+            parts = [
+                (gen.random(size) < rate, gen.integers(0, 3, size=size))
+                for size, gen in segments
+            ]
+            struck = np.flatnonzero(np.concatenate([sub for sub, _ in parts]))
+            if struck.size == 0:
+                continue
+            kinds = np.concatenate([kind for _, kind in parts])[struck]
+            for kind, pauli in enumerate((self.apply_x, self.apply_y, self.apply_z)):
+                shots = struck[kinds == kind]
+                if shots.size:
+                    pauli(qubit, shots)
+
+    # -- row arithmetic --------------------------------------------------------------
+    def _phase_exponents(self, rows: np.ndarray, other: int) -> np.ndarray:
+        """Mod-4 ``i``-exponents of multiplying row *other* onto each of *rows*.
+
+        The Aaronson–Gottesman ``g`` function summed over qubit columns:
+        ``g(x1, z1, x2, z2)`` is the exponent of ``i`` produced by multiplying
+        the Pauli letter ``(x1, z1)`` (from row *other*, the left factor) onto
+        ``(x2, z2)`` (from each accumulating row).  Depends only on the shared
+        bits, so one scalar per row serves the whole batch.
+        """
+        x1 = self.x[other].astype(np.int64)
+        z1 = self.z[other].astype(np.int64)
+        x2 = self.x[rows].astype(np.int64)
+        z2 = self.z[rows].astype(np.int64)
+        term = (
+            (x1 * z1) * (z2 - x2)
+            + (x1 * (1 - z1)) * (z2 * (2 * x2 - 1))
+            + ((1 - x1) * z1) * (x2 * (1 - 2 * z2))
+        )
+        return term.sum(axis=1) % 4
+
+    def _rowsum_many(self, rows: np.ndarray, other: int) -> None:
+        """Multiply row *other* onto every row in *rows* (vectorised rowsum).
+
+        For each target row the product of two commuting-phase Pauli strings
+        accumulates a real sign: ``2 r_h + 2 r_other + sum(g)`` is 0 or 2 mod
+        4, so the new phase is ``r_h ^ r_other ^ (sum(g) mod 4 == 2)``.  The
+        sign correction comes from shared bits (one scalar per row); the
+        per-shot part is a batched XOR.
+        """
+        if rows.size == 0:
+            return
+        flips = (self._phase_exponents(rows, other) == 2).astype(np.uint8)
+        self.r[rows] ^= self.r[other][None, :] ^ flips[:, None]
+        self.x[rows] ^= self.x[other][None, :]
+        self.z[rows] ^= self.z[other][None, :]
+
+    def _deterministic_phase(self, qubit: int) -> np.ndarray:
+        """Per-shot outcome of a deterministic Z measurement (no state change).
+
+        Accumulates, destabilizer by destabilizer, the product of stabilizer
+        rows whose destabilizer partner has an X letter on *qubit* — the
+        scratch-row construction of the Aaronson–Gottesman measurement — and
+        returns the product's ``(batch,)`` phase vector, which *is* the
+        measurement outcome per shot.
+        """
+        n = self.num_qubits
+        acc_x = np.zeros(n, dtype=np.int64)
+        acc_z = np.zeros(n, dtype=np.int64)
+        phase = np.zeros(self.batch_size, dtype=np.int64)  # i-exponent / 2 pairs
+        exponent = 0
+        for i in np.nonzero(self.x[:n, qubit])[0]:
+            row = n + int(i)
+            x1 = self.x[row].astype(np.int64)
+            z1 = self.z[row].astype(np.int64)
+            term = (
+                (x1 * z1) * (acc_z - acc_x)
+                + (x1 * (1 - z1)) * (acc_z * (2 * acc_x - 1))
+                + ((1 - x1) * z1) * (acc_x * (1 - 2 * acc_z))
+            )
+            exponent = (exponent + int(term.sum())) % 4
+            phase ^= self.r[row].astype(np.int64)
+            acc_x ^= x1
+            acc_z ^= z1
+        return (phase ^ (1 if exponent == 2 else 0)).astype(np.uint8)
+
+    # -- measurement -----------------------------------------------------------------
+    def measurement_probabilities(self, qubit: int) -> np.ndarray:
+        """Per-shot probability of measuring 1 on *qubit* — exactly 0, 0.5 or 1.
+
+        Does not modify the state: a stabilizer state's single-qubit Z
+        marginal is either uniformly random (some stabilizer anticommutes
+        with ``Z_q``) or deterministic (``Z_q`` is itself in the group, up to
+        sign).
+        """
+        n = self.num_qubits
+        if self.x[n:, qubit].any():
+            return np.full(self.batch_size, 0.5)
+        return self._deterministic_phase(qubit).astype(np.float64)
+
+    def measure(self, qubit: int, draws) -> np.ndarray:
+        """Projectively measure *qubit* in the Z basis across the batch.
+
+        Returns the ``(batch,)`` outcome vector and collapses the state.
+        Whether the outcome is random is a property of the shared bits, so
+        the whole batch takes the same branch: the random branch consumes one
+        fresh random bit per shot, the deterministic branch consumes none.
+        *draws* is a generator or a segment list; the random bits come from
+        each segment's own generator (branch choice is shared-bit structure,
+        identical to a standalone chunk by construction).
+        """
+        n = self.num_qubits
+        pivots = np.nonzero(self.x[n:, qubit])[0]
+        if pivots.size == 0:
+            return self._deterministic_phase(qubit)
+        pivot = n + int(pivots[0])
+        others = np.nonzero(self.x[:, qubit])[0]
+        others = others[others != pivot]
+        self._rowsum_many(others, pivot)
+        # Old pivot row becomes its own destabilizer; the new pivot row is
+        # (-1)^outcome Z_q with one fresh random bit per shot.
+        self.x[pivot - n] = self.x[pivot]
+        self.z[pivot - n] = self.z[pivot]
+        self.r[pivot - n] = self.r[pivot]
+        outcomes = np.concatenate(
+            [
+                gen.integers(0, 2, size=size, dtype=np.uint8)
+                for size, gen in as_segments(draws, self.batch_size)
+            ]
+        )
+        self.x[pivot] = 0
+        self.z[pivot] = 0
+        self.z[pivot, qubit] = 1
+        self.r[pivot] = outcomes
+        return outcomes.copy()
+
+    def reset(self, qubit: int, draws) -> None:
+        """Measure *qubit*, then flip the shots that collapsed to 1 back to 0."""
+        outcomes = self.measure(qubit, draws)
+        self.apply_pauli_masked("x", qubit, outcomes)
+
+    # -- invariants ------------------------------------------------------------------
+    def is_symplectic(self) -> bool:
+        """Whether the rows still form a valid symplectic generating set.
+
+        Checks the full pairwise commutation structure: stabilizers commute
+        among themselves, destabilizers commute among themselves, and
+        destabilizer ``i`` anticommutes with stabilizer ``j`` exactly when
+        ``i == j``.  Equivalently, the binary symplectic Gram matrix
+        ``x z^T + z x^T (mod 2)`` must equal the canonical off-diagonal block
+        form.  The matmul runs in float32 (exact for column sums below
+        ``2^24``) so wide tableaus stay fast without int64 matmul loops.
+        """
+        x = self.x.astype(np.float32)
+        z = self.z.astype(np.float32)
+        gram = (x @ z.T + z @ x.T) % 2
+        n = self.num_qubits
+        expected = np.zeros((2 * n, 2 * n), dtype=np.float32)
+        expected[:n, n:] = np.eye(n, dtype=np.float32)
+        expected[n:, :n] = np.eye(n, dtype=np.float32)
+        return bool(np.array_equal(gram, expected))
+
+
+def execute_batched_stabilizer_segments(program, segments, noise_model=None) -> np.ndarray:
+    """Run one super-chunk of trajectories through a compiled stabilizer program.
+
+    The stabilizer engine's segment kernel, used for every chunk the
+    simulator executes (a solo run is a merged group of one).
+
+    Parameters
+    ----------
+    program:
+        A :class:`~repro.simulators.gate.fusion.StabilizerProgram` (immutable,
+        shared across chunks and threads).
+    segments:
+        ``(size, generator)`` pairs partitioning the batch axis; each pair is
+        one standalone chunk of one job with that chunk's own seeded
+        generator.  The shared bit matrices evolve identically at any batch
+        width, and every random draw (Pauli channels, random-branch
+        measurements, readout flips) is pulled per segment in standalone
+        order, so slicing the returned rows back per segment reproduces each
+        chunk bit for bit at every grouping.
+    noise_model:
+        Optional :class:`~repro.simulators.gate.noise.NoiseModel`; only its
+        readout error is consulted here — gate noise was already lowered into
+        the program's Pauli channel steps at compile time.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(sum(sizes), bits_width)`` ``uint8`` classical-bit rows in segment
+        order.  Terminal measurements are sampled jointly (sequential tableau
+        collapse is the chain rule of the joint outcome distribution),
+        honouring the implicit-terminal-measurement contract.
+    """
+
+    total = sum(size for size, _ in segments)
+    tableau = BatchedStabilizerTableau(program.num_qubits, total)
+    bits = np.zeros((total, program.bits_width), dtype=np.uint8)
+    for step in program.steps:
+        if isinstance(step, CliffordStep):
+            tableau.apply_gate(step.name, step.qubits)
+        elif isinstance(step, PauliChannelStep):
+            tableau.apply_depolarizing(step.qubits, step.rate, segments)
+        elif isinstance(step, MeasureStep):
+            outcomes = tableau.measure(step.qubit, segments)
+            if noise_model is not None:
+                outcomes = noise_model.apply_readout_error_segmented(outcomes, segments)
+            bits[:, step.clbit] = outcomes
+        elif isinstance(step, ResetStep):
+            tableau.reset(step.qubit, segments)
+        else:  # pragma: no cover - compiler invariant
+            raise SimulationError(f"unknown stabilizer step {type(step).__name__}")
+    if program.terminal is not None:
+        for qubit, clbit in program.terminal.pairs:
+            column = tableau.measure(qubit, segments)
+            if noise_model is not None and not program.terminal.implicit:
+                column = noise_model.apply_readout_error_segmented(column, segments)
+            bits[:, clbit] = column
+    return bits

@@ -82,6 +82,58 @@ def test_circuit_depth():
     assert circuit.depth() == 3
 
 
+def tuple_keyed_depth(circuit, include_measure=True):
+    """The original ``Circuit.depth``: one dict keyed on ``("q", i)``/``("c", j)``."""
+    levels = {}
+    depth = 0
+    for inst in circuit.instructions:
+        if inst.name == "barrier":
+            continue
+        if not include_measure and inst.name == "measure":
+            continue
+        wires = [("q", q) for q in inst.qubits] + [("c", c) for c in inst.clbits]
+        level = 1 + max((levels.get(w, 0) for w in wires), default=0)
+        for w in wires:
+            levels[w] = level
+        depth = max(depth, level)
+    return depth
+
+
+def random_depth_circuit(rng, num_qubits, num_clbits, length):
+    """Gates, barriers, mid-circuit measurements (any clbit) and resets."""
+    circuit = Circuit(num_qubits, num_clbits)
+    for _ in range(length):
+        roll = rng.random()
+        qubit = int(rng.integers(num_qubits))
+        if roll < 0.15:
+            circuit.measure(qubit, int(rng.integers(num_clbits)))
+        elif roll < 0.25:
+            circuit.reset(qubit)
+        elif roll < 0.35:
+            circuit.barrier(*rng.choice(num_qubits, int(rng.integers(1, num_qubits + 1)), replace=False))
+        elif roll < 0.7 and num_qubits > 1:
+            a, b = rng.choice(num_qubits, 2, replace=False)
+            circuit.cx(int(a), int(b))
+        else:
+            circuit.h(qubit)
+    return circuit
+
+
+def test_depth_matches_tuple_keyed_oracle():
+    rng = np.random.default_rng(314)
+    circuits = [Circuit(3, 2)]
+    circuits += [
+        random_depth_circuit(rng, 1 + k % 6, 1 + k % 4, int(rng.integers(0, 60)))
+        for k in range(200)
+    ]
+    for circuit in circuits:
+        for include_measure in (True, False):
+            assert circuit.depth(include_measure=include_measure) == tuple_keyed_depth(
+                circuit, include_measure
+            )
+    assert circuits[0].depth() == 0
+
+
 def test_circuit_validation_errors():
     circuit = Circuit(2, 1)
     with pytest.raises(SimulationError):

@@ -2,17 +2,24 @@
 
 Covers the tableau invariants (symplectic form preserved by every gate /
 measure / reset), the Aaronson–Gottesman measurement contract (probabilities
-are exactly 0, 1/2 or 1; repeated measurement is idempotent), the Clifford
-compile path and its typed ``UnsupportedGateError``, engine routing
-(``"auto"`` selection, registry resolution, backend fallback behaviour), the
-seeded chunk-stream determinism guarantees, and the IR009/IR010 verifier
-rules on hand-built broken programs.
+are exactly 0, 1/2 or 1; repeated measurement is idempotent), the phase-only
+kernel against the batched tableau it replaced (byte-equal bit rows and
+equal generator end states), the Clifford compile path and its typed
+``UnsupportedGateError``, engine routing (``"auto"`` selection, registry
+resolution, backend fallback behaviour), the seeded chunk-stream determinism
+guarantees, and the IR009/IR010/IR011 verifier rules on hand-built broken
+programs.
 """
+
+import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.errors import SimulationError, UnsupportedGateError
+from repro.services.qec import repetition_code_circuit, surface_code_cycle_circuit
 from repro.simulators.gate import (
     Circuit,
     DensityMatrixSimulator,
@@ -31,76 +38,92 @@ from repro.simulators.gate.fusion import (
     StabilizerProgram,
     TerminalSample,
 )
+from repro.simulators.gate.stabilizer import (
+    MeasureFlips,
+    PauliFlips,
+    execute_stabilizer_program_segments,
+)
 
-from engine_testlib import random_clifford_circuit, total_variation_distance
+from engine_testlib import (
+    BatchedStabilizerTableau,
+    execute_batched_stabilizer_segments,
+    random_clifford_circuit,
+    total_variation_distance,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import analyze  # noqa: E402  (needs the tools/ path above)
 
 
 # -- tableau invariants -------------------------------------------------------------
 
 
 def test_symplectic_invariant_after_every_gate_measure_reset():
-    # Walk a seeded random Clifford circuit gate by gate on a small batch and
-    # check the binary symplectic form survives every single update,
-    # including the rowsum-heavy measurement and reset paths.
+    # Walk a seeded random Clifford circuit gate by gate and check the binary
+    # symplectic form survives every single update, including the
+    # rowsum-heavy measurement and reset paths (random outcomes collapsed to
+    # both 0 and 1).
     rng = np.random.default_rng(5)
     circuit = random_clifford_circuit(rng, 4, 30, measure=False)
     program = compile_stabilizer_program(circuit)
-    tableau = StabilizerTableau(4, batch_size=3)
+    tableau = StabilizerTableau(4)
     assert tableau.is_symplectic()
     for step in program.steps:
         assert isinstance(step, CliffordStep)
         tableau.apply_gate(step.name, step.qubits)
         assert tableau.is_symplectic(), step
     for qubit in range(4):
-        tableau.measure(qubit, np.random.default_rng(qubit))
+        tableau.measure(qubit, qubit % 2)
         assert tableau.is_symplectic(), ("measure", qubit)
-        tableau.reset(qubit, np.random.default_rng(qubit + 10))
+        tableau.reset(qubit)
         assert tableau.is_symplectic(), ("reset", qubit)
 
 
 def test_measurement_probabilities_are_exactly_zero_half_or_one():
-    tableau = StabilizerTableau(2, batch_size=4)
-    probabilities = tableau.measurement_probabilities(0)
-    assert np.all(probabilities == 0.0)  # |00>: P(1) = 0 exactly
+    tableau = StabilizerTableau(2)
+    probability = tableau.measurement_probabilities(0)
+    assert probability == 0.0  # |00>: P(1) = 0 exactly
     tableau.apply_gate("h", (0,))
-    assert np.all(tableau.measurement_probabilities(0) == 0.5)
+    assert tableau.measurement_probabilities(0) == 0.5
     tableau.apply_gate("cx", (0, 1))
-    assert np.all(tableau.measurement_probabilities(1) == 0.5)
+    assert tableau.measurement_probabilities(1) == 0.5
     tableau.apply_gate("x", (0,))
     # Still the (phase-flipped) Bell pair: marginals stay exactly 1/2.
-    assert np.all(tableau.measurement_probabilities(0) == 0.5)
-    deterministic = StabilizerTableau(1, batch_size=2)
+    assert tableau.measurement_probabilities(0) == 0.5
+    deterministic = StabilizerTableau(1)
     deterministic.apply_gate("x", (0,))
-    assert np.all(deterministic.measurement_probabilities(0) == 1.0)
+    assert deterministic.measurement_probabilities(0) == 1.0
 
 
 def test_repeated_measurement_is_idempotent():
     # After a random measurement collapses the state, re-measuring the same
-    # qubit is deterministic: identical outcomes, no further RNG consumption.
-    tableau = StabilizerTableau(3, batch_size=64)
-    tableau.apply_gate("h", (0,))
-    tableau.apply_gate("cx", (0, 1))
-    tableau.apply_gate("cx", (1, 2))
-    rng = np.random.default_rng(2)
-    first = tableau.measure(0, rng)
-    state_before = rng.bit_generator.state
-    again = tableau.measure(0, rng)
-    assert np.array_equal(first, again)
-    assert rng.bit_generator.state == state_before  # deterministic: no draws
-    # GHZ correlations survive the collapse: all three qubits agree.
-    assert np.array_equal(tableau.measure(1, rng), first)
-    assert np.array_equal(tableau.measure(2, rng), first)
+    # qubit is deterministic: the same outcome, and no fresh random bit.
+    for outcome in (0, 1):
+        tableau = StabilizerTableau(3)
+        tableau.apply_gate("h", (0,))
+        tableau.apply_gate("cx", (0, 1))
+        tableau.apply_gate("cx", (1, 2))
+        first, _, pivot = tableau.measure(0, outcome)
+        assert first == outcome and pivot is not None  # the random branch
+        again, _, pivot = tableau.measure(0)
+        assert again == first
+        assert pivot is None  # deterministic: no fresh bit
+        # GHZ correlations survive the collapse: all three qubits agree.
+        assert tableau.measure(1)[0] == first
+        assert tableau.measure(2)[0] == first
 
 
 def test_reset_forces_zero_regardless_of_prior_state():
-    tableau = StabilizerTableau(2, batch_size=32)
+    tableau = StabilizerTableau(3)
     tableau.apply_gate("x", (0,))
     tableau.apply_gate("h", (1,))
-    rng = np.random.default_rng(9)
-    tableau.reset(0, rng)
-    tableau.reset(1, rng)
-    assert np.all(tableau.measurement_probabilities(0) == 0.0)
-    assert np.all(tableau.measurement_probabilities(1) == 0.0)
+    tableau.apply_gate("h", (2,))
+    tableau.measure(2, 1)  # collapse |+> to |1>
+    for qubit in range(3):
+        tableau.reset(qubit)
+    for qubit in range(3):
+        assert tableau.measurement_probabilities(qubit) == 0.0
 
 
 def test_pauli_noise_on_ghz_matches_density_oracle_marginals():
@@ -124,6 +147,8 @@ def test_pauli_noise_on_ghz_matches_density_oracle_marginals():
 
 
 # -- sparse phase writes against the dense formulas ---------------------------------
+#
+# These pin the batched oracle the phase-only kernel is held against below.
 
 # The dense Aaronson-Gottesman phase rules: each XORs a (2n,) row indicator,
 # broadcast across every shot, into the whole (2n, batch) phase matrix.
@@ -185,13 +210,13 @@ def phased_tableau_pair(seed, num_qubits=6, batch=13):
     rng = np.random.default_rng(seed)
     circuit = random_clifford_circuit(rng, num_qubits, 40, measure=False)
     program = compile_stabilizer_program(circuit)
-    tableau = StabilizerTableau(num_qubits, batch_size=batch)
+    tableau = BatchedStabilizerTableau(num_qubits, batch_size=batch)
     for step in program.steps:
         tableau.apply_gate(step.name, step.qubits)
         tableau.apply_depolarizing(step.qubits, 0.3, rng)
     tableau.measure(int(rng.integers(num_qubits)), rng)
     assert tableau.r.any() and not tableau.r.all()
-    twin = StabilizerTableau(num_qubits, batch_size=batch)
+    twin = BatchedStabilizerTableau(num_qubits, batch_size=batch)
     twin.x, twin.z, twin.r = tableau.x.copy(), tableau.z.copy(), tableau.r.copy()
     return tableau, twin
 
@@ -246,6 +271,135 @@ def test_sparse_depolarizing_equals_dense_formula_oracle(seed, segmented):
         tableau.apply_depolarizing(qubits, rate, draws)
         dense_depolarizing(twin, qubits, rate, oracle_segments)
         assert_same_tableau(tableau, twin)
+
+
+# -- the phase-only kernel against the batched oracle -------------------------------
+
+#: Noise settings of the oracle sweep.
+ORACLE_NOISE = {
+    "off": None,
+    "depolarizing": NoiseModel(oneq_error=0.02, twoq_error=0.05),
+    "depolarizing_readout": NoiseModel(oneq_error=0.05, twoq_error=0.1, readout_error=0.03),
+    "readout": NoiseModel(readout_error=0.05),
+}
+
+#: Segmentations of the oracle sweep; the second has a width-1 segment.
+ORACLE_SEGMENTS = ([37], [13, 1, 20], [64, 64])
+
+
+def random_dynamic_clifford_circuit(rng, num_qubits, depth):
+    """Random Clifford gates between mid-circuit measurements and resets.
+
+    Each mid-circuit measurement writes its own clbit after the terminal
+    block's ``num_qubits``, so every outcome reaches the bit rows.
+    """
+    circuit = Circuit(num_qubits, num_qubits + depth)
+    clbit = num_qubits
+    for _ in range(depth):
+        roll = rng.random()
+        if roll < 0.2:
+            circuit.measure(int(rng.integers(num_qubits)), clbit)
+            clbit += 1
+        elif roll < 0.3:
+            circuit.reset(int(rng.integers(num_qubits)))
+        else:
+            for inst in random_clifford_circuit(rng, num_qubits, 1, measure=False).instructions:
+                circuit.append(inst.name, inst.qubits)
+    for qubit in range(num_qubits):
+        circuit.measure(qubit, qubit)
+    return circuit
+
+
+def measurement_free_with_resets(rng, num_qubits):
+    """Clifford gates and resets, no measurement: the implicit terminal path."""
+    circuit = random_clifford_circuit(rng, num_qubits, 12, measure=False)
+    for qubit in range(num_qubits):
+        circuit.reset(qubit)
+        circuit.h(qubit)
+    return circuit
+
+
+def signed_rowsum_circuit():
+    """A random measurement whose rowsum product has Y letters, read back later.
+
+    Measuring qubit 0 multiplies the pivot ``X0 X1 Z2`` onto ``X0 Z1 X2``;
+    the product ``Y1 Y2`` carries an ``i``-exponent the rowsum must track.
+    S-dagger and H then map it to ``Z1 Z2``, whose sign the parity of the
+    last two outcomes reads.  Random circuits reach this case about once in
+    400.
+    """
+    circuit = Circuit(3, 3)
+    circuit.h(1).h(2).cz(1, 2).cx(1, 0).cx(2, 0)
+    circuit.measure(0, 0)
+    circuit.sdg(1).sdg(2).h(1).h(2)
+    circuit.measure(1, 1)
+    circuit.measure(2, 2)
+    circuit.x(0)  # keeps qubit 0's measurement ahead of the S-dagger and H
+    return circuit
+
+
+def random_branches(program):
+    """How many of *program*'s measurements take the random branch."""
+    return sum(isinstance(op, MeasureFlips) and op.pivot is not None for op in program.phases)
+
+
+def assert_kernel_matches_oracle(program, noise, sizes, seed):
+    """Byte-equal bit rows and equal generator end states, kernel vs oracle."""
+
+    def segments():
+        return [(size, np.random.default_rng([seed, i])) for i, size in enumerate(sizes)]
+
+    ours, theirs = segments(), segments()
+    got = execute_stabilizer_program_segments(program, ours, noise)
+    want = execute_batched_stabilizer_segments(program, theirs, noise)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), sizes
+    for (_, mine), (_, oracle) in zip(ours, theirs):
+        assert mine.bit_generator.state == oracle.bit_generator.state, sizes
+
+
+@pytest.mark.parametrize("noise", sorted(ORACLE_NOISE))
+def test_phase_kernel_matches_batched_oracle_on_random_circuits(noise):
+    rng = np.random.default_rng(2026)
+    circuits = [random_dynamic_clifford_circuit(rng, 1 + k % 8, 24) for k in range(16)]
+    circuits += [measurement_free_with_resets(rng, width) for width in (1, 3, 6)]
+    circuits.append(signed_rowsum_circuit())
+    branches = 0
+    for index, circuit in enumerate(circuits):
+        program = compile_stabilizer_program(circuit, ORACLE_NOISE[noise])
+        branches += random_branches(program)
+        for sizes in ORACLE_SEGMENTS:
+            assert_kernel_matches_oracle(program, ORACLE_NOISE[noise], sizes, index)
+    assert branches >= 40, branches
+
+
+def test_phase_kernel_matches_batched_oracle_on_surface_cycle():
+    circuit = surface_code_cycle_circuit(5, rounds=1)
+    for noise in ORACLE_NOISE.values():
+        program = compile_stabilizer_program(circuit, noise)
+        assert random_branches(program) > 0
+        assert_kernel_matches_oracle(program, noise, [13, 1, 20], 5)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("readout", [0.0, 0.02])
+def test_phase_kernel_matches_batched_oracle_on_the_1001q_repetition_round(readout):
+    # The qec_1001q benchmark program: one distance-501 repetition round.
+    noise = NoiseModel(oneq_error=1e-3, twoq_error=5e-3, readout_error=readout)
+    program = compile_stabilizer_program(repetition_code_circuit(501, rounds=1), noise)
+    for sizes in ([512], [200, 1, 311]):
+        assert_kernel_matches_oracle(program, noise, sizes, 61)
+
+
+def test_phase_program_index_arrays_are_read_only():
+    circuit = random_dynamic_clifford_circuit(np.random.default_rng(3), 4, 16)
+    program = compile_stabilizer_program(circuit, ORACLE_NOISE["depolarizing"])
+    arrays = []
+    for op in program.phases:
+        arrays.extend(op.rows if isinstance(op, PauliFlips) else (op.rows, op.flips))
+    assert arrays and not any(rows.flags.writeable for rows in arrays)
+    with pytest.raises(ValueError):
+        arrays[0][...] = 0
 
 
 # -- Clifford classification + typed errors -----------------------------------------
@@ -439,3 +593,80 @@ def test_verifier_flags_out_of_range_qubit_as_ir001():
     report = verify_stabilizer_program(program)
     assert not report.ok
     assert "IR001" in report.rule_ids
+
+
+def _dynamic_program():
+    circuit = Circuit(3, 3)
+    circuit.h(0).cx(0, 1)
+    circuit.measure(0, 0)
+    circuit.reset(0)
+    circuit.s(1)
+    circuit.measure_all()
+    return compile_stabilizer_program(circuit, NoiseModel(oneq_error=0.05, twoq_error=0.1))
+
+
+def _corrupted(program, corruption):
+    """*program* with one hand-corrupted phase op (or group list)."""
+    n = program.num_qubits
+    phases = list(program.phases)
+    noise = next(k for k, op in enumerate(phases) if isinstance(op, PauliFlips))
+    random = next(
+        k for k, op in enumerate(phases) if isinstance(op, MeasureFlips) and op.pivot is not None
+    )
+    op = phases[random]
+    if corruption == "row_out_of_range":
+        x_rows, y_rows, _ = phases[noise].rows
+        phases[noise] = dataclasses.replace(phases[noise], rows=(x_rows, y_rows, np.array([2 * n])))
+    elif corruption == "negative_row":
+        phases[random] = dataclasses.replace(op, rows=np.array([-1]))
+    elif corruption == "destabilizer_pivot":
+        phases[random] = dataclasses.replace(op, pivot=op.pivot - n)
+    elif corruption == "pivot_among_targets":
+        phases[random] = dataclasses.replace(op, rows=np.append(op.rows, op.pivot))
+    elif corruption == "constant_not_a_bit":
+        phases[random] = dataclasses.replace(op, constant=2)
+    elif corruption == "dropped_group":
+        del phases[noise]
+    elif corruption == "swapped_groups":
+        phases[random], phases[random + 1] = phases[random + 1], phases[random]
+    elif corruption == "missing":
+        return dataclasses.replace(program, phases=None)
+    return dataclasses.replace(program, phases=tuple(phases))
+
+
+@pytest.mark.parametrize(
+    "corruption",
+    [
+        "row_out_of_range",
+        "negative_row",
+        "destabilizer_pivot",
+        "pivot_among_targets",
+        "constant_not_a_bit",
+        "dropped_group",
+        "swapped_groups",
+        "missing",
+    ],
+)
+def test_verifier_flags_corrupted_phase_program_as_ir011(corruption):
+    program = _dynamic_program()
+    assert verify_stabilizer_program(program).ok
+    report = verify_stabilizer_program(_corrupted(program, corruption))
+    assert not report.ok
+    assert set(report.rule_ids) == {"IR011"}, report.to_dict()
+
+
+def test_verifier_flags_every_dropped_phase_group_as_ir011():
+    program = _dynamic_program()
+    for index in range(len(program.phases)):
+        phases = program.phases[:index] + program.phases[index + 1 :]
+        report = verify_stabilizer_program(dataclasses.replace(program, phases=phases))
+        assert "IR011" in report.rule_ids, index
+
+
+def test_every_corpus_stabilizer_program_verifies_clean():
+    circuits = [circuit for circuit in analyze._corpus_circuits() if is_clifford_circuit(circuit)]
+    assert {"ghz", "clifford_dynamic"} <= {circuit.name for circuit in circuits}
+    for circuit in circuits:
+        for noise in (None, NoiseModel(oneq_error=0.01, twoq_error=0.05, readout_error=0.02)):
+            report = verify_stabilizer_program(compile_stabilizer_program(circuit, noise))
+            assert report.ok, (circuit.name, report.to_dict())

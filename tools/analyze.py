@@ -9,11 +9,12 @@ finds a problem:
    caches, dtype plumbing, wall-clock bans, README knob coverage.
 2. **IR verifier corpus** (``repro.simulators.gate.analysis``) — a
    representative set of circuits (GHZ, QAOA ring, mid-circuit
-   measure/reset, controlled-rotation variety) is compiled with and
-   without noise; every template, bound program and
-   transpiler stage output is verified against the ``IR``/``TR`` rule
-   catalog, and a ``verify_compiled=True`` simulator run checks the result
-   metadata contract end to end.
+   measure/reset, controlled-rotation variety, a Clifford circuit with
+   mid-circuit measure/reset) is compiled with and without noise; every
+   template, bound program, stabilizer program and transpiler stage output
+   is verified against the ``IR``/``TR`` rule catalog, and a
+   ``verify_compiled=True`` simulator run checks the result metadata
+   contract end to end.
 
 Usage::
 
@@ -77,7 +78,18 @@ def _corpus_circuits():
     controlled.swap(0, 2)
     controlled.rzz(1.1, 0, 1)
 
-    return [ghz, qaoa, dynamic, controlled]
+    # Clifford with a random-outcome mid-circuit measurement and a reset, so
+    # the stabilizer section sees every phase-program op kind.
+    clifford_dynamic = Circuit(3, 3, name="clifford_dynamic")
+    clifford_dynamic.h(0)
+    clifford_dynamic.cx(0, 1)
+    clifford_dynamic.measure(0, 0)
+    clifford_dynamic.reset(0)
+    clifford_dynamic.s(1)
+    clifford_dynamic.cz(1, 2)
+    clifford_dynamic.measure_all()
+
+    return [ghz, qaoa, dynamic, controlled, clifford_dynamic]
 
 
 def run_verifier_corpus() -> List[Tuple[str, "object"]]:
@@ -133,19 +145,19 @@ def run_verifier_corpus() -> List[Tuple[str, "object"]]:
         passes.set_stage_hook(None)
     reports.extend(staged)
 
-    # Stabilizer compile path: the Clifford member of the corpus (GHZ)
-    # lowered onto the tableau engine and checked against IR009/IR010.
-    from repro.simulators.gate.fusion import compile_stabilizer_program
+    # Stabilizer compile path: the Clifford members of the corpus lowered
+    # onto the tableau engine and checked against IR009-IR011.
+    from repro.simulators.gate.fusion import compile_stabilizer_program, is_clifford_circuit
 
-    ghz = _corpus_circuits()[0]
-    for noise_name, noise in noise_settings:
-        stabilizer_program = compile_stabilizer_program(ghz, noise)
-        reports.append(
-            (
-                f"{ghz.name}:stabilizer:{noise_name}",
-                analysis.verify_stabilizer_program(stabilizer_program),
+    for circuit in filter(is_clifford_circuit, _corpus_circuits()):
+        for noise_name, noise in noise_settings:
+            stabilizer_program = compile_stabilizer_program(circuit, noise)
+            reports.append(
+                (
+                    f"{circuit.name}:stabilizer:{noise_name}",
+                    analysis.verify_stabilizer_program(stabilizer_program),
+                )
             )
-        )
 
     # End-to-end knob path: a verify_compiled run checks program, template
     # and result metadata inside the simulator itself.
