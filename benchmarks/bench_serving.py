@@ -12,7 +12,9 @@ repository root:
   job alone, cold grouping).  Compile caches are cleared before each run so
   the comparison is honest: ``coalesced_speedup`` (uncoalesced wall over
   merged wall) is the headline, ``merge_speedup`` (back-to-back wall over
-  merged wall) isolates what the merged fast path itself buys.
+  merged wall) isolates what the merged fast path itself buys.  Each run
+  also records ``transpiles``, the transpile-cache lookups (hits plus
+  misses) it made: a merged group transpiles once, for all its members.
 * **trajectory executor** — warm wall clock of the same seeded noisy
   workload on the thread executor versus the persistent process pool, with
   the bit-identity check between their counts.  The speedup is reported for
@@ -124,6 +126,7 @@ def bench_serving(jobs_per_shape, samples, lanes):
             stats = service.stats()
         assert stats["failed"] == 0, stats
         assert all(ticket.exception() is None for ticket in tickets)
+        caches = compile_cache_info()
         rows[label] = {
             "jobs": len(bundles),
             "wall_s": round(elapsed, 4),
@@ -132,7 +135,8 @@ def bench_serving(jobs_per_shape, samples, lanes):
             "coalesced": stats["coalesced"],
             "merged_groups": stats["merged_groups"],
             "merged_jobs": stats["merged_jobs"],
-            "template_compiles": compile_cache_info()["template"]["misses"],
+            "template_compiles": caches["template"]["misses"],
+            "transpiles": caches["transpile"]["hits"] + caches["transpile"]["misses"],
         }
     return {
         "jobs_per_shape": jobs_per_shape,
@@ -215,7 +219,7 @@ def run_suite(write=True, *, jobs_per_shape=6, samples=1024, lanes=2,
 
 
 def test_serving_floors():
-    """Merged groups win outright; structures compile once; executors match."""
+    """Merged groups win outright; structures compile and transpile once; executors match."""
     record = run_suite()
     serving = record["serving"]
     coalesced = serving["runs"]["coalesced"]
@@ -228,6 +232,8 @@ def test_serving_floors():
     # The QEC shape compiles on the stabilizer engine, so at most the QAOA
     # and QFT structures touch the template cache -- and only once each.
     assert coalesced["template_compiles"] <= 2, serving
+    # A merged group transpiles once: its other members reuse that result.
+    assert coalesced["transpiles"] == coalesced["merged_groups"], serving
     uncoalesced = serving["runs"]["uncoalesced"]
     assert uncoalesced["groups"] == uncoalesced["jobs"], serving
     assert uncoalesced["merged_jobs"] == 0, serving

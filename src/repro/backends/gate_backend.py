@@ -129,8 +129,9 @@ class GateBackend(Backend):
             maps; capped at
             :data:`~repro.simulators.gate.density.MAX_DENSITY_QUBITS`
             qubits).  ``"stabilizer"`` runs the whole circuit on the
-            batched Clifford tableau engine — no width cap (hundreds of
-            qubits for QEC cycles), but a non-Clifford gate raises the
+            Clifford tableau engine: one tableau pass per compile, then a
+            phase-only kernel on per-shot signs.  No width cap (hundreds
+            of qubits for QEC cycles), but a non-Clifford gate raises the
             typed :class:`~repro.core.errors.UnsupportedGateError`
             (re-raised as-is, never wrapped in a
             :class:`~repro.core.errors.BackendError`).  ``"auto"`` resolves
@@ -228,16 +229,16 @@ class GateBackend(Backend):
         """Hashable merge-eligibility key for batch-axis merged execution.
 
         Two bundles may execute as one merged run iff their keys are equal:
-        identical bound circuit (structure **and** parameter values),
-        identical frozen exec options (minus the serving-only
+        identical transpile input (the bound circuit's structure **and**
+        parameter values, barriers included: they block the peephole
+        passes, so the group can share one transpiled circuit), identical
+        frozen exec options (minus the serving-only
         :attr:`MERGE_NEUTRAL_OPTIONS`), identical target constraints, and
         the same engine.  ``samples`` and ``seed`` are per-job
         :class:`~repro.core.context.ExecPolicy` fields — not options — and
         are deliberately free to differ: they become the merged run's
         per-job ``(shots, seed)`` specs, each with its own RNG streams.
         """
-        from ..simulators.gate.fusion import params_key, structure_key  # local: cycle
-
         circuit, _ = lowered if lowered is not None else self.build_circuit(bundle)
         context = bundle.context or ContextDescriptor(exec=ExecPolicy(engine=self.engines[0]))
         exec_policy = context.exec
@@ -258,8 +259,9 @@ class GateBackend(Backend):
         )
         return (
             exec_policy.engine,
-            structure_key(circuit),
-            params_key(circuit),
+            circuit.num_qubits,
+            circuit.num_clbits,
+            tuple((i.name, i.qubits, i.clbits, i.params) for i in circuit.instructions),
             target_key,
             _freeze(options),
         )
@@ -271,8 +273,11 @@ class GateBackend(Backend):
     ) -> List[ExecutionResult]:
         """Execute several merge-eligible bundles as one merged simulator run.
 
-        Callers group by :meth:`merge_key`; this method transpiles the
-        shared circuit once (cache hits for the rest of the group) and hands
+        Callers group by :meth:`merge_key`, which keys on the transpile
+        input, so only the first member is transpiled.  Every other member
+        keeps its own capability check, context and lowering, and reuses
+        that first transpile result: the circuit the merged run executes
+        and the transpile metrics in its metadata.  This method hands
         the per-bundle ``(samples, seed)`` specs to
         :meth:`~repro.simulators.gate.statevector.StatevectorSimulator.run_merged`,
         which guarantees each job's seeded counts are bit-identical to a
@@ -285,10 +290,12 @@ class GateBackend(Backend):
         if not bundles:
             return []
         lowered_list = list(lowered) if lowered is not None else [None] * len(bundles)
-        prepared = [
-            self._prepare(bundle, low) for bundle, low in zip(bundles, lowered_list)
+        first = self._prepare(bundles[0], lowered_list[0])
+        _, exec_first, _, _, transpiled_first = first
+        prepared = [first] + [
+            self._prepare(bundle, low, transpiled_first)
+            for bundle, low in zip(bundles[1:], lowered_list[1:])
         ]
-        _, exec_first, _, _, transpiled_first = prepared[0]
         specs = [
             (exec_policy.samples, exec_policy.seed)
             for _, exec_policy, _, _, _ in prepared
@@ -308,12 +315,12 @@ class GateBackend(Backend):
             in zip(bundles, prepared, simulations)
         ]
 
-    def _prepare(self, bundle: JobBundle, lowered: Optional[tuple]):
+    def _prepare(self, bundle: JobBundle, lowered: Optional[tuple], transpiled=None):
         """Shared front half of :meth:`run` / :meth:`run_merged`.
 
         Capability check, context default, lowering (reusing a caller-built
         ``(circuit, allocation)`` pair when supplied) and cached
-        transpilation.
+        transpilation, unless a merged group's *transpiled* result is given.
         """
         self.check_capabilities(bundle)
         context = bundle.context or ContextDescriptor(exec=ExecPolicy(engine=self.engines[0]))
@@ -323,13 +330,14 @@ class GateBackend(Backend):
             lowered if lowered is not None else self.build_circuit(bundle)
         )
 
-        target = exec_policy.target
-        transpiled = transpile_cached(
-            circuit,
-            basis_gates=list(target.basis_gates) if target and target.basis_gates else None,
-            coupling_map=list(target.coupling_map) if target and target.coupling_map else None,
-            optimization_level=int(exec_policy.options.get("optimization_level", 1)),
-        )
+        if transpiled is None:
+            target = exec_policy.target
+            transpiled = transpile_cached(
+                circuit,
+                basis_gates=list(target.basis_gates) if target and target.basis_gates else None,
+                coupling_map=list(target.coupling_map) if target and target.coupling_map else None,
+                optimization_level=int(exec_policy.options.get("optimization_level", 1)),
+            )
         return context, exec_policy, circuit, allocation, transpiled
 
     def _make_simulator(self, exec_policy: ExecPolicy, transpiled_circuit: Circuit) -> StatevectorSimulator:
@@ -391,6 +399,7 @@ class GateBackend(Backend):
             if op.result_schema is not None and op.name in allocation.clbit_offsets
         ]
         counts: Counts = simulation.counts
+        metrics = transpiled.metrics  # the transpiler measured both circuits
         return ExecutionResult(
             backend_name=self.name,
             engine=exec_policy.engine,
@@ -401,11 +410,11 @@ class GateBackend(Backend):
                 "shots": exec_policy.samples,
                 "seed": exec_policy.seed,
                 "num_qubits": circuit.num_qubits,
-                "lowered_depth": circuit.depth(),
-                "lowered_twoq": circuit.num_twoq_gates(),
-                "transpiled_depth": transpiled.circuit.depth(),
-                "transpiled_twoq": transpiled.circuit.num_twoq_gates(),
-                "transpile_metrics": dict(transpiled.metrics),
+                "lowered_depth": int(metrics["original_depth"]),
+                "lowered_twoq": int(metrics["original_twoq"]),
+                "transpiled_depth": int(metrics["depth"]),
+                "transpiled_twoq": int(metrics["twoq"]),
+                "transpile_metrics": dict(metrics),
                 "simulation_method": simulation.metadata.get("method"),
                 "trajectory_engine": simulation.metadata.get("trajectory_engine"),
                 "trajectory_executor": simulation.metadata.get("trajectory_executor"),

@@ -85,10 +85,19 @@ class Counts(Mapping[str, int]):
         return cls(Counter(str(s) for s in samples))
 
     @classmethod
-    def from_array(cls, bits: np.ndarray) -> "Counts":
+    def _trusted(cls, data: Dict[str, int]) -> "Counts":
+        """Wrap engine output that is well formed by construction, unchecked."""
+        counts = cls.__new__(cls)
+        counts._data = data
+        return counts
+
+    @classmethod
+    def from_array(cls, bits: np.ndarray, multiplicities: Optional[np.ndarray] = None) -> "Counts":
         """Build counts from a 2-D ``{0,1}`` array (rows are shots, cols clbits).
 
-        Truthy values count as 1.  Rows are packed to fixed-width byte keys
+        Truthy values count as 1.  *multiplicities* optionally weights row
+        ``i`` by ``multiplicities[i]`` shots (summed in int64; keys whose
+        total is 0 are dropped).  Rows are packed to fixed-width byte keys
         and histogrammed by one ``np.unique``; only distinct rows are decoded
         to strings, so every width takes this path.  Keys come out sorted.
         """
@@ -96,17 +105,27 @@ class Counts(Mapping[str, int]):
         if bits.ndim != 2:
             raise DecodingError("expected a 2-D array of bits")
         shots, width = bits.shape
+        weights = None if multiplicities is None else np.asarray(multiplicities, np.int64)
+        if weights is not None and (weights.shape != (shots,) or (weights < 0).any()):
+            raise DecodingError("expected one non-negative multiplicity per row")
         if width == 0 or shots == 0:
-            return cls({"": shots} if width == 0 else {})
+            total = shots if weights is None else int(weights.sum())
+            return cls._trusted({"": total} if width == 0 and total else {})
         packed = np.packbits(bits, axis=1)  # any nonzero entry packs as a 1 bit
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        values, multiplicities = np.unique(keys, return_counts=True)
+        if weights is None:
+            values, totals = np.unique(keys, return_counts=True)
+        else:
+            values, inverse = np.unique(keys, return_inverse=True)
+            totals = np.zeros(len(values), dtype=np.int64)
+            np.add.at(totals, inverse, weights)
+            values, totals = values[totals != 0], totals[totals != 0]
         rows = np.unpackbits(
-            values.view(np.uint8).reshape(len(values), -1), axis=1, count=width
+            values.view(np.uint8).reshape(len(values), packed.shape[1]), axis=1, count=width
         )
         text = (rows + ord("0")).tobytes().decode("ascii")
         strings = [text[i : i + width] for i in range(0, len(text), width)]
-        return cls(dict(zip(strings, multiplicities.tolist())))
+        return cls._trusted(dict(zip(strings, totals.tolist())))
 
     # -- basic statistics ----------------------------------------------------------
     @property

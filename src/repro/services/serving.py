@@ -27,7 +27,7 @@ Three properties matter at serving scale:
   merge-eligible slice of a coalesced group (matching
   :meth:`~repro.backends.gate_backend.GateBackend.merge_key`) executes as
   **one** backend invocation on the batch axis instead of back-to-back:
-  one compile, one tensor evolution over the concatenated shots, counts
+  one transpile, one compile, one tensor evolution over all shots, counts
   split back per ticket.  The segmented chunk plan keeps every member's
   seeded counts bit-identical to a standalone run, and failure isolation
   guarantees one member's deadline or crash never poisons the rest — the

@@ -120,7 +120,6 @@ __all__ = [
     "compile_parametric_template",
     "compile_parametric_template_cached",
     "structure_key",
-    "params_key",
     "compile_trajectory_program",
     "compile_trajectory_program_cached",
     "compile_cache_info",
@@ -1041,16 +1040,6 @@ def structure_key(circuit: Circuit) -> tuple:
     it is part of the module's contract, not an implementation detail.
     """
     return _structure_key(circuit)
-
-
-def params_key(circuit: Circuit) -> tuple:
-    """Public alias of the parameter-values cache key.
-
-    Merged-group execution requires *bound-circuit* equality — identical
-    structure **and** identical parameter values — so the backend's merge
-    eligibility key pairs this with :func:`structure_key`.
-    """
-    return _params_key(circuit)
 
 
 def compile_parametric_template_cached(circuit: Circuit) -> ParametricTemplate:

@@ -347,15 +347,25 @@ class Statevector:
         self, shots: int, rng: np.random.Generator, qubits: Optional[Sequence[int]] = None
     ) -> Counts:
         """Sample *shots* outcomes of the given qubits (default all)."""
-        qubits = list(range(self.num_qubits)) if qubits is None else list(qubits)
+        n = self.num_qubits
+        qubits = range(n) if qubits is None else qubits
+        if any(not 0 <= q < n for q in qubits):
+            raise SimulationError(f"sampled qubits {list(qubits)} out of range for {n} qubits")
+        return self._sample_bits(shots, rng, [n - 1 - q for q in qubits])
+
+    def _sample_bits(self, shots: int, rng: np.random.Generator, shifts: Sequence[int]) -> Counts:
+        """Sample *shots* basis indices; key column ``j`` is bit ``shifts[j]``.
+
+        One ``np.unique`` over the sampled indices, one ``(distinct,
+        columns)`` bit matrix built by shifts (a shift of ``num_qubits``
+        reads a constant 0), then :meth:`Counts.from_array` with the
+        multiplicities.
+        """
         probs = self.probabilities()
         outcomes = rng.choice(len(probs), size=shots, p=probs / probs.sum())
-        data: Dict[str, int] = {}
-        for index, multiplicity in zip(*np.unique(outcomes, return_counts=True)):
-            full = index_to_bits(int(index), self.num_qubits)
-            key = "".join(full[q] for q in qubits)
-            data[key] = data.get(key, 0) + int(multiplicity)
-        return Counts(data)
+        indices, multiplicities = np.unique(outcomes, return_counts=True)
+        bits = (indices[:, None] >> np.asarray(shifts, dtype=np.int64)) & 1
+        return Counts.from_array(bits, multiplicities)
 
 
 @dataclass
@@ -947,18 +957,11 @@ class StatevectorSimulator:
             # implicitly at the end, keyed over all qubits in qubit order.
             return state.sample_counts(shots, rng), True
 
-        num_clbits = circuit.num_clbits
-        probs = state.probabilities()
-        outcomes = rng.choice(len(probs), size=shots, p=probs / probs.sum())
-        data: Dict[str, int] = {}
-        for index, multiplicity in zip(*np.unique(outcomes, return_counts=True)):
-            full = index_to_bits(int(index), circuit.num_qubits)
-            key_chars = ["0"] * num_clbits
-            for clbit, qubit in measure_map.items():
-                key_chars[clbit] = full[qubit]
-            key = "".join(key_chars)
-            data[key] = data.get(key, 0) + int(multiplicity)
-        return Counts(data), False
+        n = circuit.num_qubits
+        shifts = [n] * circuit.num_clbits  # an unmeasured clbit reads 0
+        for clbit, qubit in measure_map.items():
+            shifts[clbit] = n - 1 - qubit
+        return state._sample_bits(shots, rng, shifts), False
 
     # -- reference trajectories ------------------------------------------------------
     def _run_reference(

@@ -3,16 +3,18 @@
 Seeded random-circuit generators and distribution-distance metrics used by
 ``test_differential_engines.py`` and ``test_fusion_properties.py``, plus the
 batched stabilizer tableau and kernel that ``test_stabilizer_engine.py``
-holds the phase-only kernel against.  Not a test module itself (no ``test_``
-prefix, so pytest does not collect it).
+holds the phase-only kernel against, and the per-outcome exact-path samplers
+that ``test_statevector.py`` holds the array counts builder against.  Not a
+test module itself (no ``test_`` prefix, so pytest does not collect it).
 """
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.errors import SimulationError
-from repro.simulators.gate import Circuit
+from repro.results import Counts
+from repro.simulators.gate import Circuit, Statevector, index_to_bits
 from repro.simulators.gate.fusion import (
     CliffordStep,
     MeasureStep,
@@ -561,3 +563,60 @@ def execute_batched_stabilizer_segments(program, segments, noise_model=None) -> 
                 column = noise_model.apply_readout_error_segmented(column, segments)
             bits[:, clbit] = column
     return bits
+
+
+# -- the per-outcome exact-path oracles ------------------------------------------------
+#
+# ``Statevector.sample_counts`` and ``StatevectorSimulator._sample_exact`` as
+# they were before the exact path built its counts at array speed, kept
+# verbatim (only lifted to module functions) as the oracle: one
+# ``index_to_bits`` string and one Python join per distinct outcome, then the
+# checked ``Counts`` constructor.  The array builder must give equal mappings
+# from the same draws.
+
+
+def per_outcome_sample_counts(
+    self: Statevector, shots: int, rng: np.random.Generator, qubits: Optional[Sequence[int]] = None
+) -> Counts:
+    """Sample *shots* outcomes of the given qubits (default all)."""
+    qubits = list(range(self.num_qubits)) if qubits is None else list(qubits)
+    probs = self.probabilities()
+    outcomes = rng.choice(len(probs), size=shots, p=probs / probs.sum())
+    data: Dict[str, int] = {}
+    for index, multiplicity in zip(*np.unique(outcomes, return_counts=True)):
+        full = index_to_bits(int(index), self.num_qubits)
+        key = "".join(full[q] for q in qubits)
+        data[key] = data.get(key, 0) + int(multiplicity)
+    return Counts(data)
+
+
+def per_outcome_sample_exact(
+    state: Statevector,
+    measure_map: Dict[int, int],
+    circuit: Circuit,
+    shots: int,
+    rng: np.random.Generator,
+) -> Tuple[Counts, bool]:
+    """Sample *shots* outcomes from the evolved exact state.
+
+    Returns the counts and whether the measurement was implicit.
+    """
+    if shots == 0:
+        return Counts({}), False
+    if not measure_map:
+        # Documented contract: measurement-free circuits are measured
+        # implicitly at the end, keyed over all qubits in qubit order.
+        return per_outcome_sample_counts(state, shots, rng), True
+
+    num_clbits = circuit.num_clbits
+    probs = state.probabilities()
+    outcomes = rng.choice(len(probs), size=shots, p=probs / probs.sum())
+    data: Dict[str, int] = {}
+    for index, multiplicity in zip(*np.unique(outcomes, return_counts=True)):
+        full = index_to_bits(int(index), circuit.num_qubits)
+        key_chars = ["0"] * num_clbits
+        for clbit, qubit in measure_map.items():
+            key_chars[clbit] = full[qubit]
+        key = "".join(key_chars)
+        data[key] = data.get(key, 0) + int(multiplicity)
+    return Counts(data), False

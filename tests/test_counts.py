@@ -88,6 +88,32 @@ def test_from_array_matches_per_row_strings_in_sorted_order(width):
     assert dict(counts) == _per_row_reference(bits)
     assert list(counts) == sorted(counts)
     assert counts.shots == 300 and counts.num_clbits == width
+    # Per-row multiplicities (zeros included) equal the expanded rows.
+    multiplicities = rng.integers(0, 4, size=300)
+    weighted = Counts.from_array(bits, multiplicities)
+    assert dict(weighted) == _per_row_reference(np.repeat(bits, multiplicities, axis=0))
+    assert list(weighted) == sorted(weighted)
+    assert weighted.shots == int(multiplicities.sum())
+    assert all(type(value) is int and value > 0 for value in weighted.values())
+
+
+def test_from_array_multiplicity_edge_cases():
+    zero_width = np.zeros((3, 0), dtype=np.uint8)
+    assert dict(Counts.from_array(zero_width, [2, 0, 5])) == {"": 7}
+    assert dict(Counts.from_array(zero_width, [0, 0, 0])) == {}
+    assert dict(Counts.from_array(np.zeros((0, 0), dtype=np.uint8), [])) == {}
+    assert dict(Counts.from_array(np.zeros((0, 4), dtype=np.uint8), [])) == {}
+    # A row whose multiplicities sum to 0 is dropped, as Counts(mapping) drops it.
+    bits = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.uint8)
+    assert dict(Counts.from_array(bits, [0, 0, 3])) == {"01": 3}
+    assert dict(Counts.from_array(bits, [0, 0, 0])) == {}
+    # Multiplicities accumulate in int64, past any float-exact range.
+    big = 2**62 - 1
+    assert dict(Counts.from_array(bits[:2], np.array([big, 0]))) == {"10": big}
+    assert dict(Counts.from_array(bits[:2], [2**40, 2**40])) == {"10": 2**41}
+    for bad in ([1, 2], [1, -1, 1], [[1, 1, 1]]):
+        with pytest.raises(DecodingError):
+            Counts.from_array(bits, bad)
 
 
 def test_from_array_coerces_truthy_values_on_wide_rows():

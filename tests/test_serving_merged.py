@@ -7,7 +7,8 @@ and the fast path degrades gracefully — per-job opt-out, cancelled members,
 a member's deadline expiry, and whole-group failures all isolate to the
 affected ticket while the rest of the group still completes (merged when
 ``>= 2`` members remain live, solo otherwise).  Also covered: the cached
-lowering artifact means no job is lowered again at execution time.
+lowering artifact means no job is lowered again at execution time, a merged
+group transpiles once, and a barrier keeps jobs out of one merge.
 """
 
 import threading
@@ -15,11 +16,17 @@ from concurrent.futures import CancelledError
 
 import pytest
 
+from repro.backends import gate_backend, runtime
 from repro.core import ContextDescriptor, ExecPolicy, package, phase_register
 from repro.core.errors import DeadlineExceededError
-from repro.oplib import measurement, qft_operator
+from repro.oplib import build_operator, measurement, qft_operator
+from repro.oplib.stateprep import prep_uniform
+from repro.problems import MaxCutProblem
 from repro.services import JobService
 from repro.services import serving as serving_module
+from repro.simulators.gate.transpiler import transpile
+from repro.workflows import build_qaoa_bundle
+from repro.workflows.maxcut import default_gate_context
 
 
 def qft_bundle(name, *, width=4, seed=1, samples=256, options=None):
@@ -124,6 +131,111 @@ def test_lowering_happens_once_per_job():
             executed = list(calls)
     assert len(keyed) == 3  # once per job, at admission
     assert executed == keyed  # and never again during execution
+
+
+def qaoa_group(size):
+    """Merge-eligible QAOA bundles on a routed ring-with-chord target."""
+    edges = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]
+    problem = MaxCutProblem.from_edges(edges, [0.5 + 0.1 * k for k in range(len(edges))])
+    return [
+        build_qaoa_bundle(
+            problem,
+            gammas=[0.35],
+            betas=[2.65],
+            context=default_gate_context(problem, samples=256 + 32 * i, seed=i + 1),
+            name=f"t{i}",
+        )
+        for i in range(size)
+    ]
+
+
+def test_one_transpile_per_merged_group_metadata_unchanged(monkeypatch):
+    calls = []
+    real_transpile = gate_backend.transpile_cached
+
+    def counting_transpile(circuit, **kwargs):
+        calls.append(circuit.name)
+        return real_transpile(circuit, **kwargs)
+
+    bundles = qaoa_group(8)
+    monkeypatch.setattr(gate_backend, "transpile_cached", counting_transpile)
+    with JobService(lanes=1) as service:
+        results = [ticket.result(timeout=120) for ticket in service.submit_many(bundles)]
+        stats = service.stats()
+    assert stats["merged_groups"] == 1 and stats["merged_jobs"] == 8
+    assert calls == ["t0"]  # the first member's transpile serves the group
+    monkeypatch.undo()
+
+    ignored = {"wall_time_s", "merged", "serving"}
+    backend = gate_backend.GateBackend()
+    for bundle, result in zip(bundles, results):
+        served = result.metadata
+        solo = runtime.submit(bundle).metadata
+        assert {k: v for k, v in served.items() if k not in ignored} == {
+            k: v for k, v in solo.items() if k not in ignored
+        }
+        lowered, _ = backend.build_circuit(bundle)
+        target = bundle.context.exec.target
+        transpiled = transpile(
+            lowered,
+            basis_gates=list(target.basis_gates),
+            coupling_map=list(target.coupling_map),
+            optimization_level=bundle.context.exec.options["optimization_level"],
+        ).circuit
+        fresh = {
+            "lowered_depth": lowered.depth(),
+            "lowered_twoq": lowered.num_twoq_gates(),
+            "transpiled_depth": transpiled.depth(),
+            "transpiled_twoq": transpiled.num_twoq_gates(),
+        }
+        assert {key: served[key] for key in fresh} == fresh
+        assert all(type(served[key]) is int for key in fresh)
+        assert fresh["transpiled_twoq"] > fresh["lowered_twoq"]  # the chord was routed
+    # Every member owns its metadata: mutating one result touches no other.
+    results[0].metadata["transpile_metrics"]["depth"] = -1.0
+    assert all(r.metadata["transpile_metrics"]["depth"] > 0 for r in results[1:])
+
+
+def barrier_bundle(name, *, barrier, seed):
+    """H, [barrier,] H, measure on three qubits under heavy 1q noise."""
+    reg = phase_register("p", 3)
+    operators = [prep_uniform(reg, name="h1")]
+    if barrier:
+        operators.append(build_operator("bar", "BARRIER", reg))
+    operators += [prep_uniform(reg, name="h2"), measurement(reg)]
+    context = ContextDescriptor(
+        exec=ExecPolicy(
+            engine="gate.aer_simulator",
+            samples=512,
+            seed=seed,
+            options={"noise": {"oneq_error": 0.2}},
+        )
+    )
+    return package(reg, operators, context, name=name)
+
+
+def test_barrier_keeps_jobs_out_of_one_merge():
+    # Without the barrier the peephole passes cancel H.H, so A transpiles to
+    # no gates and no noise; B's barrier keeps its gates (and their noise).
+    # The two share a coalesce group but must not share a transpiled circuit.
+    bundles = [
+        barrier_bundle("A", barrier=False, seed=11),
+        barrier_bundle("B", barrier=True, seed=22),
+    ]
+    with JobService(lanes=1) as service:
+        served, tickets = counts_by_name(service, bundles)
+        stats = service.stats()
+    assert stats["groups"] == 1
+    assert stats["merged_groups"] == 0  # two subgroups of one, each run solo
+    assert served["A"] == {"000": 512}
+    assert len(served["B"]) == 8
+    for bundle, ticket in zip(bundles, tickets):
+        solo = runtime.submit(bundle)
+        assert served[bundle.name] == dict(solo.counts)
+        metrics = ticket.result().metadata["transpile_metrics"]
+        assert metrics == solo.metadata["transpile_metrics"]
+    assert tickets[0].result().metadata["transpile_metrics"]["gates"] == 0
+    assert tickets[1].result().metadata["transpile_metrics"]["gates"] == 6
 
 
 # -- failure isolation --------------------------------------------------------------

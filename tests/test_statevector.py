@@ -14,6 +14,12 @@ from repro.simulators.gate import (
     index_to_bits,
 )
 
+from engine_testlib import (
+    per_outcome_sample_counts,
+    per_outcome_sample_exact,
+    random_unitary_circuit,
+)
+
 
 def test_initial_state_and_amplitudes():
     state = Statevector(2)
@@ -195,3 +201,86 @@ def test_qubit_limit_enforced():
 def test_apply_matrix_shape_check():
     with pytest.raises(SimulationError):
         Statevector(2).apply_matrix(np.eye(2), [0, 1])
+
+
+# -- the exact path's array counts builder against the per-outcome oracle -----------
+
+SAMPLE_SHOTS = (0, 1, 4096)
+
+
+def _random_state(num_qubits, seed):
+    circuit = random_unitary_circuit(np.random.default_rng(seed), num_qubits, 6 * num_qubits)
+    return Statevector(num_qubits).evolve(circuit)
+
+
+def _assert_same_draws(counts, expected, rng, oracle_rng):
+    assert dict(counts) == dict(expected)
+    assert list(counts) == sorted(counts)  # exact-path keys come out sorted
+    assert all(type(value) is int for value in counts.values())
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("shots", SAMPLE_SHOTS)
+@pytest.mark.parametrize("num_qubits", [1, 3, 7])
+def test_sample_counts_matches_per_outcome_oracle(num_qubits, shots):
+    state = _random_state(num_qubits, seed=num_qubits)
+    order = np.random.default_rng(shots).permutation(num_qubits).tolist()
+    for qubits in (None, [], order, order[: (num_qubits + 1) // 2], [order[0]] * 2):
+        rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+        counts = state.sample_counts(shots, rng, qubits)
+        expected = per_outcome_sample_counts(state, shots, oracle_rng, qubits)
+        _assert_same_draws(counts, expected, rng, oracle_rng)
+        assert counts.shots == shots
+
+
+def test_sample_counts_rejects_out_of_range_qubits():
+    state = _random_state(3, seed=0)
+    for qubits in ([3], [0, -1]):
+        with pytest.raises(SimulationError):
+            state.sample_counts(8, np.random.default_rng(0), qubits)
+
+
+def _measure_maps(num_qubits, num_clbits, rng):
+    """Clbit -> qubit maps: full, permuted, partial, clbits left unmeasured, none."""
+    order = rng.permutation(num_qubits).tolist()
+    return [
+        {q: q for q in range(num_qubits)},
+        dict(enumerate(order)),
+        dict(enumerate(order[: (num_qubits + 1) // 2])),
+        {num_clbits - 1 - c: q for c, q in enumerate(order)},
+        {},
+    ]
+
+
+@pytest.mark.parametrize("shots", SAMPLE_SHOTS)
+@pytest.mark.parametrize("num_qubits", [1, 3, 7])
+def test_sample_exact_matches_per_outcome_oracle(num_qubits, shots):
+    state = _random_state(num_qubits, seed=10 + num_qubits)
+    circuit = Circuit(num_qubits, num_qubits + 2)
+    for measure_map in _measure_maps(num_qubits, circuit.num_clbits, np.random.default_rng(shots)):
+        rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+        counts, implicit = StatevectorSimulator._sample_exact(
+            state, measure_map, circuit, shots, rng
+        )
+        expected, expected_implicit = per_outcome_sample_exact(
+            state, measure_map, circuit, shots, oracle_rng
+        )
+        _assert_same_draws(counts, expected, rng, oracle_rng)
+        assert implicit == expected_implicit
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_run_with_a_clbit_measured_twice_matches_oracle(seed):
+    # Two terminal measurements write clbit 1; the later one wins, as in
+    # the measure map the per-outcome loop read.
+    gates = random_unitary_circuit(np.random.default_rng(seed), 4, 24)
+    circuit = Circuit(4, 3)
+    circuit.instructions.extend(gates.instructions)
+    circuit.measure(0, 1).measure(2, 1).measure(3, 0)
+    result = StatevectorSimulator().run(circuit, shots=4096, seed=seed)
+    assert result.metadata["method"] == "exact"
+    expected, _ = per_outcome_sample_exact(
+        Statevector(4).evolve(gates), {1: 2, 0: 3}, circuit, 4096, np.random.default_rng(seed)
+    )
+    assert dict(result.counts) == dict(expected)
+    assert list(result.counts) == sorted(result.counts)
