@@ -5,13 +5,23 @@ re-verifies the whole bundle at packaging time.  This ablation measures that
 overhead — packaging with full validation vs. packaging with validation
 switched off vs. constructing the raw BQM directly — for growing problem
 sizes.  The expected shape: validation costs a small constant factor
-(milliseconds), negligible against any execution backend.
+(milliseconds).
+
+Validation is not free at width: on the 1001-qubit repetition-memory bundle
+(the ``qec_1001q`` job) it once took 13 ms per job, about 1.8x the bundle's
+lowering.  The last row times validation, lowering and a transpile-cache hit
+on that bundle and asserts that validation costs no more than lowering.
 """
+
+import statistics
+import time
 
 import pytest
 
-from repro.core import package
-from repro.oplib import ising_problem_operator
+from repro.backends import get_backend
+from repro.core import ContextDescriptor, ExecPolicy, package
+from repro.oplib import ising_problem_operator, repetition_memory_operator, repetition_register
+from repro.simulators.gate.transpiler import transpile_cached
 from repro.problems import MaxCutProblem, random_graph
 from repro.simulators.anneal import BinaryQuadraticModel
 from repro.workflows import default_anneal_context, maxcut_register
@@ -63,3 +73,37 @@ def test_direct_bqm_construction_baseline(benchmark, nodes):
 
     benchmark(run)
     benchmark.extra_info.update({"nodes": nodes, "baseline": "raw BQM, no middle layer"})
+
+
+def test_front_half_of_the_1001_qubit_repetition_job(benchmark):
+    register = repetition_register("patch", 501)
+    operator = repetition_memory_operator(register, 501, rounds=1)
+    context = ContextDescriptor(
+        exec=ExecPolicy(
+            engine="gate.aer_simulator",
+            samples=512,
+            seed=1,
+            options={"trajectory_engine": "auto"},
+        )
+    )
+    bundle = package(register, [operator], context, name="qec_1001q")
+    backend = get_backend("gate.aer_simulator")
+    circuit, _ = backend.build_circuit(bundle)
+    transpile_cached(circuit, optimization_level=1)  # as GateBackend calls it
+
+    steps = {
+        "validate_ms": bundle.validate,
+        "lower_ms": lambda: backend.build_circuit(bundle),
+        "transpile_hit_ms": lambda: transpile_cached(circuit, optimization_level=1),
+    }
+    samples = {key: [] for key in steps}
+    for _ in range(5):  # interleaved, so a slow spell hits every step alike
+        for key, step in steps.items():
+            started = time.perf_counter()
+            step()
+            samples[key].append(1e3 * (time.perf_counter() - started))
+    medians = {key: statistics.median(values) for key, values in samples.items()}
+
+    benchmark(bundle.validate)
+    benchmark.extra_info.update({"qubits": 1001, "instructions": len(circuit), **medians})
+    assert medians["validate_ms"] <= medians["lower_ms"], medians

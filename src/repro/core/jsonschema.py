@@ -13,19 +13,26 @@ use:
 ``pattern``, ``anyOf``, ``oneOf``, ``allOf``, ``not`` and local ``$ref``
 references of the form ``#/definitions/<name>``.
 
-It is intentionally small, predictable, and fast enough to validate every
-descriptor on every packaging step (the overhead is measured by the
-``bench_ablation_overhead`` benchmark).
+Each schema compiles once, on first validation, into check closures that
+run only the keywords a node declares (``$ref`` targets compile on first
+use).  Errors and malformed-schema raises are those of a keyword-by-keyword
+walk; ``bench_ablation_overhead`` measures the cost.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import SchemaValidationError
 
 __all__ = ["validate", "is_valid", "iter_errors", "JSONSchemaValidator"]
+
+#: ``check(value, path, errors)`` appends every violation found at *value*.
+Check = Callable[[Any, str, List[SchemaValidationError]], None]
+
 
 _TYPE_CHECKS = {
     "object": lambda v: isinstance(v, Mapping),
@@ -36,13 +43,81 @@ _TYPE_CHECKS = {
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
 }
+_is_array, _is_string, _is_number = (_TYPE_CHECKS[k] for k in ("array", "string", "number"))
+
+# The primitive keywords in check order: (keyword, the value kind it applies
+# to or None for every value, fails(value, bound), message template over the
+# value v, the bound b, its type name t and its length n).  A ``type`` bound
+# is the pair (declared type, compiled test).
+_RULES = (
+    ("type", None, lambda v, b: not b[1](v), "expected type {b[0]!r}, got {t}"),
+    ("enum", None, lambda v, b: v not in b, "value {v!r} not in enum {b!r}"),
+    ("const", None, operator.ne, "value {v!r} != const {b!r}"),
+    ("minItems", _is_array, lambda v, b: len(v) < b, "array has {n} items, minimum is {b}"),
+    ("maxItems", _is_array, lambda v, b: len(v) > b, "array has {n} items, maximum is {b}"),
+    ("minLength", _is_string, lambda v, b: len(v) < b, "string shorter than minLength {b}"),
+    ("maxLength", _is_string, lambda v, b: len(v) > b, "string longer than maxLength {b}"),
+    ("pattern", _is_string, lambda v, b: not re.search(b, v),
+     "string does not match pattern {b!r}"),
+    ("minimum", _is_number, operator.lt, "value {v} below minimum {b}"),
+    ("maximum", _is_number, operator.gt, "value {v} above maximum {b}"),
+    ("exclusiveMinimum", _is_number, operator.le, "value {v} not above exclusiveMinimum {b}"),
+    ("exclusiveMaximum", _is_number, operator.ge, "value {v} not below exclusiveMaximum {b}"),
+)
 
 
-def _type_matches(value: Any, type_name: str) -> bool:
-    check = _TYPE_CHECKS.get(type_name)
-    if check is None:
-        raise SchemaValidationError(f"unknown schema type {type_name!r}")
-    return check(value)
+def _raise(error: Exception) -> Any:
+    raise error
+
+
+def _type_test(expected: Any) -> Callable[[Any], bool]:
+    names = [expected] if isinstance(expected, str) else list(expected)
+    tests = [_TYPE_CHECKS.get(name) or (
+        lambda v, name=name: _raise(SchemaValidationError(f"unknown schema type {name!r}"))
+    ) for name in names]
+    return tests[0] if len(tests) == 1 else (lambda v: any(test(v) for test in tests))
+
+
+_accept: Check = lambda value, path, errors: None  # noqa: E731
+
+
+def _rules(rules: list) -> Tuple[Optional[Check], Callable[[Any], bool]]:
+    """The check (``None`` when *rules* is empty) and the predicate of primitive rules."""
+    def check(value, path, errors):
+        for kind, fails, message, bound, kpath in rules:
+            if (kind is None or kind(value)) and fails(value, bound):
+                errors.append(SchemaValidationError(message.format(
+                    v=value, b=bound, t=type(value).__name__, n=kind is _is_array and len(value)
+                ), path, kpath))
+
+    def ok(value):
+        for kind, fails, _, bound, _ in rules:
+            if (kind is None or kind(value)) and fails(value, bound):
+                return False
+        return True
+    return (check if rules else None), ok
+
+
+# keyword -> (how passing subschemas count (``any`` stops at the first pass),
+# fails(count), message template over the count n).
+_COMBINATORS = {
+    "anyOf": (any, operator.not_, "value does not satisfy any subschema of anyOf"),
+    "oneOf": (sum, lambda n: n != 1, "value satisfies {n} subschemas of oneOf (need exactly 1)"),
+    "not": (any, bool, "value must not satisfy the 'not' subschema"),
+}
+
+
+def _combined(subs: List[Check], count, fails, message, kpath: str) -> Check:
+    def passes(sub, value, path):
+        found: List[SchemaValidationError] = []
+        sub(value, path, found)
+        return not found
+
+    def check(value, path, errors):
+        passed = count(passes(sub, value, path) for sub in subs)
+        if fails(passed):
+            errors.append(SchemaValidationError(message.format(n=passed), path, kpath))
+    return check
 
 
 class JSONSchemaValidator:
@@ -53,30 +128,39 @@ class JSONSchemaValidator:
     schema:
         The schema document.  ``definitions`` at the top level are resolvable
         through ``$ref`` references of the form ``#/definitions/<name>``.
+        It is compiled on the first validation and not re-read afterwards.
     """
 
     def __init__(self, schema: Mapping[str, Any]):
         if not isinstance(schema, Mapping):
             raise SchemaValidationError("schema must be a JSON object")
         self.schema = schema
-        self._definitions = schema.get("definitions", {})
+        self._check: Optional[Check] = None
+        self._refs: Dict[str, Check] = {}
 
     # -- public API ---------------------------------------------------------
     def validate(self, instance: Any) -> None:
         """Raise :class:`SchemaValidationError` on the first violation."""
-        errors = list(self.iter_errors(instance))
+        errors = self._errors(instance)
         if errors:
             raise errors[0]
 
     def is_valid(self, instance: Any) -> bool:
         """Return ``True`` when *instance* satisfies the schema."""
-        return not list(self.iter_errors(instance))
+        return not self._errors(instance)
 
     def iter_errors(self, instance: Any):
         """Yield every :class:`SchemaValidationError` found in *instance*."""
-        yield from self._validate(instance, self.schema, "$", "#")
+        yield from self._errors(instance)
 
     # -- internals ----------------------------------------------------------
+    def _errors(self, instance: Any) -> List[SchemaValidationError]:
+        if self._check is None:
+            self._check = self._compile(self.schema, "#")[0]
+        errors: List[SchemaValidationError] = []
+        self._check(instance, "$", errors)
+        return errors
+
     def _resolve_ref(self, ref: str) -> Mapping[str, Any]:
         if not ref.startswith("#/"):
             raise SchemaValidationError(f"only local $ref supported, got {ref!r}")
@@ -87,183 +171,121 @@ class JSONSchemaValidator:
             node = node[part]
         return node
 
-    def _validate(self, value: Any, schema: Any, path: str, spath: str):
+    def _compile(self, schema: Any, spath: str) -> Tuple[Check, Optional[Callable]]:
+        """Compile one node into ``(check, ok)``; ``ok`` exists for primitive nodes."""
         if schema is True or schema == {}:
-            return
+            return _accept, lambda v: True
         if schema is False:
-            yield SchemaValidationError("schema forbids any value", path, spath)
-            return
+            return (lambda value, path, errors: errors.append(
+                SchemaValidationError("schema forbids any value", path, spath)
+            )), lambda v: False
         if not isinstance(schema, Mapping):
-            raise SchemaValidationError(f"invalid schema node at {spath}")
-
+            return (lambda value, path, errors: _raise(
+                SchemaValidationError(f"invalid schema node at {spath}")
+            )), None
         if "$ref" in schema:
-            ref_schema = self._resolve_ref(schema["$ref"])
-            yield from self._validate(value, ref_schema, path, schema["$ref"])
-            return
+            ref = schema["$ref"]
 
-        yield from self._check_type(value, schema, path, spath)
-        yield from self._check_enum_const(value, schema, path, spath)
-        yield from self._check_combinators(value, schema, path, spath)
+            def follow(value, path, errors):
+                target = self._refs.get(ref)
+                if target is None:
+                    target = self._refs[ref] = self._compile(self._resolve_ref(ref), ref)[0]
+                target(value, path, errors)
+            return follow, None
 
-        if isinstance(value, Mapping):
-            yield from self._check_object(value, schema, path, spath)
-        if isinstance(value, (list, tuple)):
-            yield from self._check_array(value, schema, path, spath)
-        if isinstance(value, str):
-            yield from self._check_string(value, schema, path, spath)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            yield from self._check_number(value, schema, path, spath)
+        rules = [(kind, fails, message, (schema[key], _type_test(schema[key]))
+                  if key == "type" else schema[key], f"{spath}/{key}")
+                 for key, kind, fails, message in _RULES if key in schema]
+        combinators = self._combinators(schema, spath)
+        object_check = self._object_check(schema, spath)
+        items_check = self._items_check(schema, spath)
+        if not (combinators or object_check or items_check):
+            check, ok = _rules(rules)
+            return check or _accept, ok
+        # Kind-free rules (type, enum, const) come first in _RULES; the
+        # structural checks run between them and the kind-bound rules.
+        head = [rule for rule in rules if rule[0] is None]
+        parts = [_rules(head)[0], *combinators, object_check,
+                 _rules(rules[len(head):])[0], items_check]
+        parts = [part for part in parts if part is not None]
 
-    def _check_type(self, value, schema, path, spath):
-        if "type" not in schema:
-            return
-        expected = schema["type"]
-        names = [expected] if isinstance(expected, str) else list(expected)
-        if not any(_type_matches(value, name) for name in names):
-            yield SchemaValidationError(
-                f"expected type {expected!r}, got {type(value).__name__}",
-                path,
-                f"{spath}/type",
-            )
+        def check(value, path, errors):
+            for part in parts:
+                part(value, path, errors)
+        return check, None
 
-    def _check_enum_const(self, value, schema, path, spath):
-        if "enum" in schema and value not in schema["enum"]:
-            yield SchemaValidationError(
-                f"value {value!r} not in enum {schema['enum']!r}", path, f"{spath}/enum"
-            )
-        if "const" in schema and value != schema["const"]:
-            yield SchemaValidationError(
-                f"value {value!r} != const {schema['const']!r}", path, f"{spath}/const"
-            )
+    def _combinators(self, schema, spath) -> List[Check]:
+        checks = [
+            self._compile(sub, f"{spath}/allOf/{i}")[0]
+            for i, sub in enumerate(schema["allOf"] if "allOf" in schema else ())
+        ]
+        for key, (count, fails, message) in _COMBINATORS.items():
+            if key in schema:
+                kpath = f"{spath}/{key}"
+                subs = [self._compile(schema[key], kpath)[0]] if key == "not" else [
+                    self._compile(sub, f"{kpath}/{i}")[0] for i, sub in enumerate(schema[key])
+                ]
+                checks.append(_combined(subs, count, fails, message, kpath))
+        return checks
 
-    def _check_combinators(self, value, schema, path, spath):
-        if "allOf" in schema:
-            for i, sub in enumerate(schema["allOf"]):
-                yield from self._validate(value, sub, path, f"{spath}/allOf/{i}")
-        if "anyOf" in schema:
-            subs = schema["anyOf"]
-            if all(list(self._validate(value, sub, path, f"{spath}/anyOf/{i}"))
-                   for i, sub in enumerate(subs)):
-                yield SchemaValidationError(
-                    "value does not satisfy any subschema of anyOf", path, f"{spath}/anyOf"
-                )
-        if "oneOf" in schema:
-            subs = schema["oneOf"]
-            matches = sum(
-                not list(self._validate(value, sub, path, f"{spath}/oneOf/{i}"))
-                for i, sub in enumerate(subs)
-            )
-            if matches != 1:
-                yield SchemaValidationError(
-                    f"value satisfies {matches} subschemas of oneOf (need exactly 1)",
-                    path,
-                    f"{spath}/oneOf",
-                )
-        if "not" in schema:
-            if not list(self._validate(value, schema["not"], path, f"{spath}/not")):
-                yield SchemaValidationError(
-                    "value must not satisfy the 'not' subschema", path, f"{spath}/not"
-                )
-
-    def _check_object(self, value: Mapping, schema, path, spath):
+    def _object_check(self, schema, spath) -> Optional[Check]:
+        if not {"required", "properties", "additionalProperties"} & schema.keys():
+            return None
         properties = schema.get("properties", {})
-        for name in schema.get("required", []):
-            if name not in value:
-                yield SchemaValidationError(
-                    f"missing required property {name!r}", path, f"{spath}/required"
-                )
-        for name, sub in properties.items():
-            if name in value:
-                yield from self._validate(
-                    value[name], sub, f"{path}.{name}", f"{spath}/properties/{name}"
-                )
+        required = schema.get("required", [])
+        props = [
+            (name, f".{name}", self._compile(sub, f"{spath}/properties/{name}")[0])
+            for name, sub in properties.items()
+        ]
+        rpath, xpath = f"{spath}/required", f"{spath}/additionalProperties"
         additional = schema.get("additionalProperties", True)
-        if additional is False:
-            extra = [k for k in value if k not in properties]
-            if extra:
-                yield SchemaValidationError(
-                    f"additional properties not allowed: {sorted(extra)!r}",
-                    path,
-                    f"{spath}/additionalProperties",
-                )
-        elif isinstance(additional, Mapping):
-            for k, v in value.items():
-                if k not in properties:
-                    yield from self._validate(
-                        v, additional, f"{path}.{k}", f"{spath}/additionalProperties"
-                    )
+        extra = self._compile(additional, xpath)[0] if isinstance(additional, Mapping) else None
 
-    def _check_array(self, value: Sequence, schema, path, spath):
-        if "minItems" in schema and len(value) < schema["minItems"]:
-            yield SchemaValidationError(
-                f"array has {len(value)} items, minimum is {schema['minItems']}",
-                path,
-                f"{spath}/minItems",
-            )
-        if "maxItems" in schema and len(value) > schema["maxItems"]:
-            yield SchemaValidationError(
-                f"array has {len(value)} items, maximum is {schema['maxItems']}",
-                path,
-                f"{spath}/maxItems",
-            )
+        def check(value, path, errors):
+            if not (type(value) is dict or isinstance(value, Mapping)):
+                return
+            for name in required:
+                if name not in value:
+                    errors.append(SchemaValidationError(
+                        f"missing required property {name!r}", path, rpath
+                    ))
+            for name, suffix, sub in props:
+                if name in value:
+                    sub(value[name], path + suffix, errors)
+            if additional is False:
+                unknown = [k for k in value if k not in properties]
+                if unknown:
+                    errors.append(SchemaValidationError(
+                        f"additional properties not allowed: {sorted(unknown)!r}", path, xpath
+                    ))
+            elif extra is not None:
+                for k, v in value.items():
+                    if k not in properties:
+                        extra(v, f"{path}.{k}", errors)
+        return check
+
+    def _items_check(self, schema, spath) -> Optional[Check]:
         items = schema.get("items")
-        if items is not None:
-            if isinstance(items, Mapping) or items in (True, False):
-                for i, element in enumerate(value):
-                    yield from self._validate(
-                        element, items, f"{path}[{i}]", f"{spath}/items"
-                    )
-            else:  # positional tuple validation
-                for i, (element, sub) in enumerate(zip(value, items)):
-                    yield from self._validate(
-                        element, sub, f"{path}[{i}]", f"{spath}/items/{i}"
-                    )
+        if items is None:
+            return None
+        if not (isinstance(items, Mapping) or items in (True, False)):
+            # positional tuple validation
+            subs = [self._compile(sub, f"{spath}/items/{i}")[0] for i, sub in enumerate(items)]
 
-    def _check_string(self, value: str, schema, path, spath):
-        if "minLength" in schema and len(value) < schema["minLength"]:
-            yield SchemaValidationError(
-                f"string shorter than minLength {schema['minLength']}",
-                path,
-                f"{spath}/minLength",
-            )
-        if "maxLength" in schema and len(value) > schema["maxLength"]:
-            yield SchemaValidationError(
-                f"string longer than maxLength {schema['maxLength']}",
-                path,
-                f"{spath}/maxLength",
-            )
-        if "pattern" in schema and not re.search(schema["pattern"], value):
-            yield SchemaValidationError(
-                f"string does not match pattern {schema['pattern']!r}",
-                path,
-                f"{spath}/pattern",
-            )
+            def positional(value, path, errors):
+                if _is_array(value):
+                    for i, (element, sub) in enumerate(zip(value, subs)):
+                        sub(element, f"{path}[{i}]", errors)
+            return positional
+        sub, ok = self._compile(items, f"{spath}/items")
 
-    def _check_number(self, value, schema, path, spath):
-        if "minimum" in schema and value < schema["minimum"]:
-            yield SchemaValidationError(
-                f"value {value} below minimum {schema['minimum']}",
-                path,
-                f"{spath}/minimum",
-            )
-        if "maximum" in schema and value > schema["maximum"]:
-            yield SchemaValidationError(
-                f"value {value} above maximum {schema['maximum']}",
-                path,
-                f"{spath}/maximum",
-            )
-        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-            yield SchemaValidationError(
-                f"value {value} not above exclusiveMinimum {schema['exclusiveMinimum']}",
-                path,
-                f"{spath}/exclusiveMinimum",
-            )
-        if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
-            yield SchemaValidationError(
-                f"value {value} not below exclusiveMaximum {schema['exclusiveMaximum']}",
-                path,
-                f"{spath}/exclusiveMaximum",
-            )
+        def check(value, path, errors):
+            if not _is_array(value) or (ok is not None and all(map(ok, value))):
+                return
+            for i, element in enumerate(value):
+                if ok is None or not ok(element):
+                    sub(element, f"{path}[{i}]", errors)
+        return check
 
 
 def validate(instance: Any, schema: Mapping[str, Any]) -> None:

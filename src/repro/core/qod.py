@@ -312,7 +312,7 @@ class OperatorSequence:
         return OperatorSequence([op.inverse() for op in reversed(self._operators)])
 
     def validate(self, qdts: Mapping[str, QuantumDataType]) -> None:
-        """Validate every member and the sequence-level composition rules.
+        """Validate every member, then the sequence-level composition rules.
 
         Enforced rules (Section 4.4 "non-interference"):
 
@@ -322,9 +322,14 @@ class OperatorSequence:
         * measuring operators carry a result schema,
         * unitary templates marked in-place have identical domain/codomain.
         """
+        for op in self._operators:
+            op.validate(qdts)
+        self.check_non_interference()
+
+    def check_non_interference(self) -> None:
+        """Raise when an operator acts on a register after it was measured or reset."""
         measured: set[str] = set()
         for position, op in enumerate(self._operators):
-            op.validate(qdts)
             for reg in op.registers:
                 if reg in measured and not op.is_measurement:
                     raise CompatibilityError(

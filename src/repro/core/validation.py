@@ -142,7 +142,7 @@ def check_sequence(
     check_registers(qdts)
     for op in seq:
         check_operator(op, qdts)
-    seq.validate(qdts)
+    seq.check_non_interference()
 
 
 def check_context(
@@ -214,7 +214,7 @@ def verify(
             report.add_error(f"operators[{index}] ({op.name})", str(exc))
 
     try:
-        OperatorSequence(ops).validate(qdts)
+        OperatorSequence(ops).check_non_interference()
     except Exception as exc:  # noqa: BLE001
         report.add_error("sequence", str(exc))
 

@@ -10,9 +10,10 @@ Three properties matter at serving scale:
 
 * **Admission control** — a submission with no capable engine (or a job
   name already queued) fails synchronously with
-  :class:`~repro.core.errors.ServiceError`, before anything is enqueued,
-  so the queue never holds work that cannot run.  With ``max_pending``
-  set, admission is additionally **bounded**: submissions past the live
+  :class:`~repro.core.errors.ServiceError`, and one that fails bundle
+  validation raises its own typed error, before anything is enqueued, so
+  the queue never holds work that cannot run.  With ``max_pending`` set,
+  admission is additionally **bounded**: submissions past the live
   budget fail synchronously with
   :class:`~repro.core.errors.QueueFullError` — backpressure instead of an
   unbounded queue.
@@ -412,7 +413,7 @@ class JobService:
         context, when its name is already queued or running, or when the
         service is closed — and :class:`QueueFullError` (a
         :class:`ServiceError`) when ``max_pending`` live jobs are already
-        in flight.
+        in flight.  A bundle that fails validation raises its own error.
         """
         bundle = self._admit(bundle)
         engine, estimate = self._scheduler.choose_engine(bundle)
@@ -460,7 +461,7 @@ class JobService:
         return tickets
 
     def _admit(self, bundle: JobBundle) -> JobBundle:
-        """Pre-queue checks plus the service-wide exec-option merge."""
+        """Pre-queue checks, the service-wide exec-option merge, then validation."""
         if self._closed:
             raise ServiceError("job service is closed")
         if bundle.context is None:
@@ -486,6 +487,7 @@ class JobService:
                 f"bundle {bundle.name!r} has an invalid deadline_s {deadline!r}; "
                 "expected a positive number of seconds"
             )
+        bundle.validate()  # the merged bundle is the one that runs
         return bundle
 
     def _coalesce_key(

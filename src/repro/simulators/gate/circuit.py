@@ -22,6 +22,7 @@ from .gates import get_gate, has_gate, inverse_gate
 __all__ = ["Instruction", "Circuit"]
 
 _NON_GATE_OPS = ("measure", "reset", "barrier")
+_EMPTY: tuple = ()  # the default of ``append``'s params and clbits: nothing to convert
 
 
 @dataclass(frozen=True)
@@ -81,39 +82,30 @@ class Circuit:
         self.instructions: List[Instruction] = []
         self.metadata: Dict[str, Any] = {}
 
-    # -- validation helpers ------------------------------------------------------
-    def _check_qubits(self, qubits: Sequence[int]) -> Tuple[int, ...]:
-        qs = tuple(int(q) for q in qubits)
-        if len(set(qs)) != len(qs):
+    # -- generic appends -----------------------------------------------------------
+    def append(
+        self,
+        name: str,
+        qubits: Sequence[int],
+        params: Sequence[float] = _EMPTY,
+        clbits: Sequence[int] = _EMPTY,
+        label: Optional[str] = None,
+    ) -> "Circuit":
+        """Append an instruction by name, validating arity against the library."""
+        qs = tuple(map(int, qubits))
+        if len(qs) > 1 and len(set(qs)) != len(qs):
             raise SimulationError(f"duplicate qubits in {qs}")
         for q in qs:
             if not 0 <= q < self.num_qubits:
                 raise SimulationError(
                     f"qubit {q} out of range for a {self.num_qubits}-qubit circuit"
                 )
-        return qs
-
-    def _check_clbits(self, clbits: Sequence[int]) -> Tuple[int, ...]:
-        cs = tuple(int(c) for c in clbits)
+        cs = _EMPTY if clbits is _EMPTY else tuple(map(int, clbits))
         for c in cs:
             if not 0 <= c < self.num_clbits:
                 raise SimulationError(
                     f"clbit {c} out of range for a circuit with {self.num_clbits} clbits"
                 )
-        return cs
-
-    # -- generic appends -----------------------------------------------------------
-    def append(
-        self,
-        name: str,
-        qubits: Sequence[int],
-        params: Sequence[float] = (),
-        clbits: Sequence[int] = (),
-        label: Optional[str] = None,
-    ) -> "Circuit":
-        """Append an instruction by name, validating arity against the library."""
-        qs = self._check_qubits(qubits)
-        cs = self._check_clbits(clbits)
         if name not in _NON_GATE_OPS:
             definition = get_gate(name)
             if definition.num_qubits != len(qs):
@@ -124,9 +116,9 @@ class Circuit:
                 raise SimulationError(
                     f"gate {name!r} takes {definition.num_params} params, got {len(params)}"
                 )
-        self.instructions.append(
-            Instruction(name, qs, tuple(float(p) for p in params), cs, label)
-        )
+        self.instructions.append(Instruction(
+            name, qs, _EMPTY if params is _EMPTY else tuple(map(float, params)), cs, label
+        ))
         return self
 
     def __len__(self) -> int:

@@ -125,6 +125,15 @@ def _translate_and_optimize(
     return translated
 
 
+def _stamp(basis_gates, coupling_map, optimization_level) -> Dict[str, object]:
+    """The pass configuration a transpiled circuit's metadata records."""
+    return {
+        "basis_gates": list(basis_gates) if basis_gates else None,
+        "coupling_map": [list(e) for e in coupling_map] if coupling_map else None,
+        "optimization_level": optimization_level,
+    }
+
+
 def _finish_result(
     circuit: Circuit,
     translated: Circuit,
@@ -137,13 +146,7 @@ def _finish_result(
     optimization_level: int,
 ) -> TranspileResult:
     """Stamp metadata/metrics and assemble the :class:`TranspileResult`."""
-    translated.metadata.update(
-        {
-            "basis_gates": list(basis_gates) if basis_gates else None,
-            "coupling_map": [list(e) for e in coupling_map] if coupling_map else None,
-            "optimization_level": optimization_level,
-        }
-    )
+    translated.metadata.update(_stamp(basis_gates, coupling_map, optimization_level))
     metrics = {
         "original_depth": float(circuit.depth()),
         "original_twoq": float(circuit.num_twoq_gates()),

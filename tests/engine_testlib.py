@@ -4,17 +4,23 @@ Seeded random-circuit generators and distribution-distance metrics used by
 ``test_differential_engines.py`` and ``test_fusion_properties.py``, plus the
 batched stabilizer tableau and kernel that ``test_stabilizer_engine.py``
 holds the phase-only kernel against, and the per-outcome exact-path samplers
-that ``test_statevector.py`` holds the array counts builder against.  Not a
-test module itself (no ``test_`` prefix, so pytest does not collect it).
+that ``test_statevector.py`` holds the array counts builder against, the
+schema walker that ``test_jsonschema.py`` holds the compiled validator
+against, and the ``Circuit.append`` body that ``test_gates_circuit.py`` holds
+the leaner one against.  Not a test module itself (no ``test_`` prefix, so
+pytest does not collect it).
 """
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+import re
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.errors import SimulationError
+from repro.core.errors import SchemaValidationError, SimulationError
 from repro.results import Counts
 from repro.simulators.gate import Circuit, Statevector, index_to_bits
+from repro.simulators.gate.circuit import _NON_GATE_OPS, Instruction
+from repro.simulators.gate.gates import get_gate
 from repro.simulators.gate.fusion import (
     CliffordStep,
     MeasureStep,
@@ -620,3 +626,307 @@ def per_outcome_sample_exact(
         key = "".join(key_chars)
         data[key] = data.get(key, 0) + int(multiplicity)
     return Counts(data), False
+
+
+# -- the JSON Schema walker oracle ------------------------------------------------------
+#
+# ``repro.core.jsonschema.JSONSchemaValidator`` as it was before schemas were
+# compiled into check closures, kept verbatim (only renamed) as the oracle:
+# a generator walk that re-dispatches every keyword on every node.  The
+# compiled validator must report the same ``(message, path, schema_path)``
+# list, in the same order, and raise the same errors for malformed schemas.
+
+_WALKER_TYPE_CHECKS = {
+    "object": lambda v: isinstance(v, Mapping),
+    "array": lambda v: isinstance(v, (list, tuple)),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+}
+
+
+def _walker_type_matches(value: Any, type_name: str) -> bool:
+    check = _WALKER_TYPE_CHECKS.get(type_name)
+    if check is None:
+        raise SchemaValidationError(f"unknown schema type {type_name!r}")
+    return check(value)
+
+
+class WalkerJSONSchemaValidator:
+    """Validate JSON-like Python objects against a JSON Schema document.
+
+    Parameters
+    ----------
+    schema:
+        The schema document.  ``definitions`` at the top level are resolvable
+        through ``$ref`` references of the form ``#/definitions/<name>``.
+    """
+
+    def __init__(self, schema: Mapping[str, Any]):
+        if not isinstance(schema, Mapping):
+            raise SchemaValidationError("schema must be a JSON object")
+        self.schema = schema
+        self._definitions = schema.get("definitions", {})
+
+    # -- public API ---------------------------------------------------------
+    def validate(self, instance: Any) -> None:
+        """Raise :class:`SchemaValidationError` on the first violation."""
+        errors = list(self.iter_errors(instance))
+        if errors:
+            raise errors[0]
+
+    def is_valid(self, instance: Any) -> bool:
+        """Return ``True`` when *instance* satisfies the schema."""
+        return not list(self.iter_errors(instance))
+
+    def iter_errors(self, instance: Any):
+        """Yield every :class:`SchemaValidationError` found in *instance*."""
+        yield from self._validate(instance, self.schema, "$", "#")
+
+    # -- internals ----------------------------------------------------------
+    def _resolve_ref(self, ref: str) -> Mapping[str, Any]:
+        if not ref.startswith("#/"):
+            raise SchemaValidationError(f"only local $ref supported, got {ref!r}")
+        node: Any = self.schema
+        for part in ref[2:].split("/"):
+            if not isinstance(node, Mapping) or part not in node:
+                raise SchemaValidationError(f"unresolvable $ref {ref!r}")
+            node = node[part]
+        return node
+
+    def _validate(self, value: Any, schema: Any, path: str, spath: str):
+        if schema is True or schema == {}:
+            return
+        if schema is False:
+            yield SchemaValidationError("schema forbids any value", path, spath)
+            return
+        if not isinstance(schema, Mapping):
+            raise SchemaValidationError(f"invalid schema node at {spath}")
+
+        if "$ref" in schema:
+            ref_schema = self._resolve_ref(schema["$ref"])
+            yield from self._validate(value, ref_schema, path, schema["$ref"])
+            return
+
+        yield from self._check_type(value, schema, path, spath)
+        yield from self._check_enum_const(value, schema, path, spath)
+        yield from self._check_combinators(value, schema, path, spath)
+
+        if isinstance(value, Mapping):
+            yield from self._check_object(value, schema, path, spath)
+        if isinstance(value, (list, tuple)):
+            yield from self._check_array(value, schema, path, spath)
+        if isinstance(value, str):
+            yield from self._check_string(value, schema, path, spath)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield from self._check_number(value, schema, path, spath)
+
+    def _check_type(self, value, schema, path, spath):
+        if "type" not in schema:
+            return
+        expected = schema["type"]
+        names = [expected] if isinstance(expected, str) else list(expected)
+        if not any(_walker_type_matches(value, name) for name in names):
+            yield SchemaValidationError(
+                f"expected type {expected!r}, got {type(value).__name__}",
+                path,
+                f"{spath}/type",
+            )
+
+    def _check_enum_const(self, value, schema, path, spath):
+        if "enum" in schema and value not in schema["enum"]:
+            yield SchemaValidationError(
+                f"value {value!r} not in enum {schema['enum']!r}", path, f"{spath}/enum"
+            )
+        if "const" in schema and value != schema["const"]:
+            yield SchemaValidationError(
+                f"value {value!r} != const {schema['const']!r}", path, f"{spath}/const"
+            )
+
+    def _check_combinators(self, value, schema, path, spath):
+        if "allOf" in schema:
+            for i, sub in enumerate(schema["allOf"]):
+                yield from self._validate(value, sub, path, f"{spath}/allOf/{i}")
+        if "anyOf" in schema:
+            subs = schema["anyOf"]
+            if all(list(self._validate(value, sub, path, f"{spath}/anyOf/{i}"))
+                   for i, sub in enumerate(subs)):
+                yield SchemaValidationError(
+                    "value does not satisfy any subschema of anyOf", path, f"{spath}/anyOf"
+                )
+        if "oneOf" in schema:
+            subs = schema["oneOf"]
+            matches = sum(
+                not list(self._validate(value, sub, path, f"{spath}/oneOf/{i}"))
+                for i, sub in enumerate(subs)
+            )
+            if matches != 1:
+                yield SchemaValidationError(
+                    f"value satisfies {matches} subschemas of oneOf (need exactly 1)",
+                    path,
+                    f"{spath}/oneOf",
+                )
+        if "not" in schema:
+            if not list(self._validate(value, schema["not"], path, f"{spath}/not")):
+                yield SchemaValidationError(
+                    "value must not satisfy the 'not' subschema", path, f"{spath}/not"
+                )
+
+    def _check_object(self, value: Mapping, schema, path, spath):
+        properties = schema.get("properties", {})
+        for name in schema.get("required", []):
+            if name not in value:
+                yield SchemaValidationError(
+                    f"missing required property {name!r}", path, f"{spath}/required"
+                )
+        for name, sub in properties.items():
+            if name in value:
+                yield from self._validate(
+                    value[name], sub, f"{path}.{name}", f"{spath}/properties/{name}"
+                )
+        additional = schema.get("additionalProperties", True)
+        if additional is False:
+            extra = [k for k in value if k not in properties]
+            if extra:
+                yield SchemaValidationError(
+                    f"additional properties not allowed: {sorted(extra)!r}",
+                    path,
+                    f"{spath}/additionalProperties",
+                )
+        elif isinstance(additional, Mapping):
+            for k, v in value.items():
+                if k not in properties:
+                    yield from self._validate(
+                        v, additional, f"{path}.{k}", f"{spath}/additionalProperties"
+                    )
+
+    def _check_array(self, value: Sequence, schema, path, spath):
+        if "minItems" in schema and len(value) < schema["minItems"]:
+            yield SchemaValidationError(
+                f"array has {len(value)} items, minimum is {schema['minItems']}",
+                path,
+                f"{spath}/minItems",
+            )
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            yield SchemaValidationError(
+                f"array has {len(value)} items, maximum is {schema['maxItems']}",
+                path,
+                f"{spath}/maxItems",
+            )
+        items = schema.get("items")
+        if items is not None:
+            if isinstance(items, Mapping) or items in (True, False):
+                for i, element in enumerate(value):
+                    yield from self._validate(
+                        element, items, f"{path}[{i}]", f"{spath}/items"
+                    )
+            else:  # positional tuple validation
+                for i, (element, sub) in enumerate(zip(value, items)):
+                    yield from self._validate(
+                        element, sub, f"{path}[{i}]", f"{spath}/items/{i}"
+                    )
+
+    def _check_string(self, value: str, schema, path, spath):
+        if "minLength" in schema and len(value) < schema["minLength"]:
+            yield SchemaValidationError(
+                f"string shorter than minLength {schema['minLength']}",
+                path,
+                f"{spath}/minLength",
+            )
+        if "maxLength" in schema and len(value) > schema["maxLength"]:
+            yield SchemaValidationError(
+                f"string longer than maxLength {schema['maxLength']}",
+                path,
+                f"{spath}/maxLength",
+            )
+        if "pattern" in schema and not re.search(schema["pattern"], value):
+            yield SchemaValidationError(
+                f"string does not match pattern {schema['pattern']!r}",
+                path,
+                f"{spath}/pattern",
+            )
+
+    def _check_number(self, value, schema, path, spath):
+        if "minimum" in schema and value < schema["minimum"]:
+            yield SchemaValidationError(
+                f"value {value} below minimum {schema['minimum']}",
+                path,
+                f"{spath}/minimum",
+            )
+        if "maximum" in schema and value > schema["maximum"]:
+            yield SchemaValidationError(
+                f"value {value} above maximum {schema['maximum']}",
+                path,
+                f"{spath}/maximum",
+            )
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            yield SchemaValidationError(
+                f"value {value} not above exclusiveMinimum {schema['exclusiveMinimum']}",
+                path,
+                f"{spath}/exclusiveMinimum",
+            )
+        if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
+            yield SchemaValidationError(
+                f"value {value} not below exclusiveMaximum {schema['exclusiveMaximum']}",
+                path,
+                f"{spath}/exclusiveMaximum",
+            )
+
+
+# -- the Circuit.append oracle --------------------------------------------------------
+#
+# ``Circuit.append`` and its two check helpers as they were before the leaner
+# body, kept verbatim (only lifted to module functions) as the oracle: every
+# fault must raise the same error, in the same order, and every accepted call
+# must append the same instruction.
+
+
+def _old_check_qubits(self, qubits: Sequence[int]) -> Tuple[int, ...]:
+    qs = tuple(int(q) for q in qubits)
+    if len(set(qs)) != len(qs):
+        raise SimulationError(f"duplicate qubits in {qs}")
+    for q in qs:
+        if not 0 <= q < self.num_qubits:
+            raise SimulationError(
+                f"qubit {q} out of range for a {self.num_qubits}-qubit circuit"
+            )
+    return qs
+
+
+def _old_check_clbits(self, clbits: Sequence[int]) -> Tuple[int, ...]:
+    cs = tuple(int(c) for c in clbits)
+    for c in cs:
+        if not 0 <= c < self.num_clbits:
+            raise SimulationError(
+                f"clbit {c} out of range for a circuit with {self.num_clbits} clbits"
+            )
+    return cs
+
+
+def old_circuit_append(
+    self: Circuit,
+    name: str,
+    qubits: Sequence[int],
+    params: Sequence[float] = (),
+    clbits: Sequence[int] = (),
+    label: Optional[str] = None,
+) -> Circuit:
+    """Append an instruction by name, validating arity against the library."""
+    qs = _old_check_qubits(self, qubits)
+    cs = _old_check_clbits(self, clbits)
+    if name not in _NON_GATE_OPS:
+        definition = get_gate(name)
+        if definition.num_qubits != len(qs):
+            raise SimulationError(
+                f"gate {name!r} acts on {definition.num_qubits} qubits, got {len(qs)}"
+            )
+        if definition.num_params != len(params):
+            raise SimulationError(
+                f"gate {name!r} takes {definition.num_params} params, got {len(params)}"
+            )
+    self.instructions.append(
+        Instruction(name, qs, tuple(float(p) for p in params), cs, label)
+    )
+    return self

@@ -148,6 +148,54 @@ def test_circuit_validation_errors():
         Circuit(0)
 
 
+def _append_outcome(append, call):
+    circuit = Circuit(3, 2)
+    try:
+        append(circuit, *call)
+    except Exception as exc:  # noqa: BLE001 - the outcome under comparison
+        return type(exc), str(exc)
+    return circuit.instructions
+
+
+def test_append_raises_like_the_old_body_in_the_same_order():
+    from engine_testlib import old_circuit_append
+
+    calls = [
+        ("h", [0]),
+        ("cx", (np.int64(2), 1.0)),
+        ("rz", [1], [np.float32(0.25)], (), "lbl"),
+        ("u", [2], (0.1, 0.2, 0.3)),
+        ("measure", [1], (), [np.int64(1)]),
+        ("barrier", [0, 1, 2]),
+        ("barrier", []),
+        ("reset", [0]),
+        # duplicate qubits, alone and before range, clbit and arity faults
+        ("cx", [1, 1]),
+        ("cx", [5, 5]),
+        ("barrier", [0, 0], (), [9]),
+        # out-of-range qubits and clbits, qubits checked first
+        ("h", [3]),
+        ("h", [-1]),
+        ("measure", [7], (), [7]),
+        ("measure", [0], (), [2]),
+        ("measure", [0], (), [-1]),
+        ("cx", [0], (), [4]),
+        # arity before parameter count, both after the wire checks
+        ("cx", [0]),
+        ("cx", [0, 1, 2], [0.5]),
+        ("rx", [0], []),
+        ("rx", [0], [0.1, 0.2]),
+        ("u", [0], (0.1,)),
+        ("h", [0], [0.1]),
+        ("warp_drive", [0]),
+        ("rx", [0], ["not a number"]),
+        ("h", ["x"]),
+    ]
+    for call in calls:
+        expected = _append_outcome(old_circuit_append, call)
+        assert _append_outcome(Circuit.append, call) == expected, call
+
+
 def test_non_terminal_measurement_detected():
     circuit = Circuit(1, 1)
     circuit.measure(0, 0)

@@ -30,6 +30,7 @@ from repro.simulators.gate import (
     transpile,
     transpile_cached,
 )
+from repro.simulators.gate.circuit import Instruction
 from repro.simulators.gate.fusion import GateStep, compile_parametric_template
 from repro.simulators.gate.transpiler import (
     clear_transpile_cache,
@@ -306,6 +307,127 @@ def test_transpile_cache_eviction():
         assert transpile_cache_info()["entries"] == 2
     finally:
         set_transpile_cache_size(DEFAULT_COMPILE_CACHE_SIZE)
+
+
+def assert_results_identical(cached, fresh):
+    """Circuit, name, metadata, metrics, layouts and swap count all agree."""
+    assert_circuits_identical(cached.circuit, fresh.circuit)
+    assert cached.circuit.name == fresh.circuit.name
+    assert cached.circuit.metadata == fresh.circuit.metadata
+    assert cached.metrics == fresh.metrics
+    assert cached.initial_layout.to_dict() == fresh.initial_layout.to_dict()
+    assert cached.final_layout.to_dict() == fresh.final_layout.to_dict()
+    assert cached.num_swaps_inserted == fresh.num_swaps_inserted
+    assert (cached.basis_gates, cached.coupling_map) == (fresh.basis_gates, fresh.coupling_map)
+
+
+@pytest.mark.parametrize("optimization_level", [0, 1, 2])
+def test_repeated_input_returns_the_stored_result_equal_to_a_fresh_transpile(
+    optimization_level,
+):
+    clear_transpile_cache()
+    rng = np.random.default_rng(18)
+    base = random_unitary_circuit(rng, 6, 20)
+    base.measure_all()
+    config = dict(basis_gates=BASIS, coupling_map=RING, optimization_level=optimization_level)
+    for repeat in range(4):
+        # Same structure and parameters, a caller-specific name and metadata.
+        circuit = base.copy(name=f"job{repeat}")
+        circuit.metadata = {"caller": repeat, "basis_gates": "overridden"}
+        cached = transpile_cached(circuit, **config)
+        assert_results_identical(cached, transpile(circuit, **config))
+        assert cached.circuit.name == f"job{repeat}"
+        assert cached.circuit.metadata["caller"] == repeat
+    info = transpile_cache_info()
+    assert (info["misses"], info["hits"], info["fallbacks"]) == (1, 3, 0)
+
+
+def test_mutating_a_returned_result_leaves_the_next_hit_unchanged():
+    clear_transpile_cache()
+    circuit = qaoa_like_circuit(5, 0.3, 0.5)
+    config = dict(basis_gates=BASIS, coupling_map=RING, optimization_level=1)
+    first = transpile_cached(circuit, **config)
+    for result in (first, transpile_cached(circuit, **config)):
+        result.circuit.instructions.clear()
+        result.circuit.metadata["basis_gates"].append("ccx")
+        result.circuit.metadata["touched"] = True
+        result.metrics["depth"] = -1.0
+        result.initial_layout.swap_physical(0, 1)
+    again = transpile_cached(circuit, **config)
+    assert_results_identical(again, transpile(circuit, **config))
+    assert "touched" not in again.circuit.metadata
+
+
+def test_changed_angle_rebinds_instead_of_returning_the_stored_result():
+    clear_transpile_cache()
+    config = dict(basis_gates=BASIS, coupling_map=RING, optimization_level=2)
+    transpile_cached(qaoa_like_circuit(6, 0.3, 0.5), **config)
+    for gamma in (0.3, 0.31, 0.31, 0.3):
+        circuit = qaoa_like_circuit(6, gamma, 0.5)
+        assert_results_identical(transpile_cached(circuit, **config), transpile(circuit, **config))
+    # Labels ride through the passes, so they are compared like parameters.
+    labelled = qaoa_like_circuit(6, 0.3, 0.5)
+    labelled.instructions[0] = Instruction("h", (0,), label="first")
+    assert_results_identical(transpile_cached(labelled, **config), transpile(labelled, **config))
+    info = transpile_cache_info()
+    assert (info["misses"], info["hits"], info["fallbacks"]) == (1, 5, 0)
+
+
+def test_stored_result_hit_runs_no_pass(monkeypatch):
+    from repro.simulators.gate.transpiler import passes
+
+    clear_transpile_cache()
+    circuit = qaoa_like_circuit(5, 0.3, 0.5)
+    config = dict(basis_gates=BASIS, coupling_map=RING, optimization_level=2)
+    transpile_cached(circuit, **config)
+    calls = []
+    real_optimize = passes.optimize_circuit
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_optimize(*args, **kwargs)
+
+    monkeypatch.setattr(passes, "optimize_circuit", counting)
+    for _ in range(3):
+        transpile_cached(circuit, **config)
+    assert calls == []
+    transpile_cached(qaoa_like_circuit(5, 0.4, 0.5), **config)  # a re-bind still optimises
+    assert len(calls) == 2
+    info = transpile_cache_info()
+    assert (info["misses"], info["hits"], info["fallbacks"]) == (1, 4, 0)
+
+
+def test_concurrent_hits_never_mix_a_stored_result_with_other_parameters():
+    # Lanes share the cache: each thread alternates angle sets on one
+    # structure, so stored results are replaced while others read them.
+    import sys
+    import threading
+
+    clear_transpile_cache()
+    config = dict(basis_gates=BASIS, coupling_map=RING, optimization_level=1)
+    circuits = [qaoa_like_circuit(5, 0.1 * k, 0.2) for k in range(3)]
+    expected = [transpile(circuit, **config).circuit.instructions for circuit in circuits]
+    mismatches = []
+
+    def worker(offset):
+        for i in range(60):
+            k = (i + offset) % 3
+            if transpile_cached(circuits[k], **config).circuit.instructions != expected[k]:
+                mismatches.append(k)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    assert transpile_cache_info()["hits"] + transpile_cache_info()["misses"] == 240
 
 
 def test_transpiled_noisy_counts_identical_cold_vs_warm_end_to_end():

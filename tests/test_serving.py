@@ -3,8 +3,9 @@
 The headline contract is coalescing: N structurally identical submissions
 form one execution group, pay one fusion/template compile, and still stream
 N independent results.  The rest covers admission control (no context, no
-capable engine, duplicate live names), the service-wide exec-option merge,
-mixed batches, and QEC bundles riding the same queue.
+capable engine, duplicate live names, a bundle that fails validation), the
+service-wide exec-option merge, mixed batches, and QEC bundles riding the
+same queue.
 """
 
 import gc
@@ -156,6 +157,40 @@ def test_admission_requires_capable_engine():
         with pytest.raises(ServiceError):
             service.submit(bundle)
         assert service.stats()["submitted"] == 0
+
+
+def _measured_then_prepared(name):
+    # Packaged unchecked: operator #2 acts on "p" after it was measured.
+    from repro.oplib import prep_uniform
+
+    reg = phase_register("p", 3)
+    return package(
+        reg,
+        [prep_uniform(reg), measurement(reg), prep_uniform(reg)],
+        ContextDescriptor(exec=ExecPolicy(engine="gate.aer_simulator", samples=64, seed=1)),
+        name=name,
+        validate=False,
+    )
+
+
+def test_admission_validates_like_runtime_submit():
+    from repro.backends import runtime
+    from repro.core import CompatibilityError, JobBundle
+
+    bundle = _measured_then_prepared("interfering")
+    with pytest.raises(CompatibilityError, match="after it has been measured"):
+        runtime.submit(bundle)
+    # A document round trip is only schema-checked; admission still catches it.
+    reloaded = JobBundle.from_dict(bundle.to_dict())
+    with JobService(lanes=1) as service:
+        for candidate in (bundle, reloaded):
+            with pytest.raises(CompatibilityError, match="after it has been measured"):
+                service.submit(candidate)
+        # submit_many is all-or-nothing: the valid bundle is not enqueued either.
+        with pytest.raises(CompatibilityError):
+            service.submit_many([qft_bundle("fine"), _measured_then_prepared("bad")])
+        assert service.stats()["submitted"] == 0
+        assert service.submit(qft_bundle("fine")).result(timeout=60).counts.shots == 256
 
 
 def test_submit_after_close_rejected():

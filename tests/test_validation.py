@@ -104,3 +104,36 @@ def test_report_raise_if_failed(ising_vars):
 def test_register_table_key_mismatch(ising_vars):
     report = verify({"wrong_key": ising_vars}, [prep_uniform(ising_vars)])
     assert not report.ok
+
+
+def test_verify_reports_each_error_once_and_always_checks_non_interference(ising_vars):
+    # An operator's own fault is reported once, under its index; the
+    # non-interference rule is still checked after it and reported under
+    # ``sequence``.
+    mixer = QuantumOperatorDescriptor(
+        name="mixer", rep_kind="MIXER_RX", domain_qdt=ising_vars.id, params={}
+    )
+    ops = [mixer, measurement(ising_vars), prep_uniform(ising_vars)]
+    report = verify({ising_vars.id: ising_vars}, ops)
+    beta = [issue for issue in report.errors if "beta" in issue.message]
+    after = [issue for issue in report.errors if "after it has been measured" in issue.message]
+    assert [issue.location for issue in beta] == ["operators[0] (mixer)"]
+    assert [issue.location for issue in after] == ["sequence"]
+    assert "operator #2" in after[0].message
+    assert len(report.errors) == 2
+
+
+def test_sequence_validate_checks_members_then_the_rule(ising_vars):
+    from repro.core import DescriptorError, OperatorSequence
+
+    qdts = {ising_vars.id: ising_vars}
+    mixer = QuantumOperatorDescriptor(
+        name="mixer", rep_kind="MIXER_RX", domain_qdt=ising_vars.id, params={}
+    )
+    # Every member is checked before the rule: the member's fault wins.
+    with pytest.raises(DescriptorError, match="beta"):
+        OperatorSequence([measurement(ising_vars), prep_uniform(ising_vars), mixer]).validate(qdts)
+    with pytest.raises(CompatibilityError, match="after it has been measured"):
+        OperatorSequence([measurement(ising_vars), prep_uniform(ising_vars)]).validate(qdts)
+    # The rule alone needs no register table.
+    OperatorSequence([prep_uniform(ising_vars), measurement(ising_vars)]).check_non_interference()
