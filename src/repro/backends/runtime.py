@@ -8,18 +8,17 @@ bundle digest so results remain traceable to their submission artifact.
 :func:`submit_merged` is the group analogue for the serving layer's merged
 execution fast path: a whole coalesced group of merge-eligible bundles runs
 as one backend invocation (one compile, one dispatch, one batched
-evolution), with each returned result stamped the same way ``submit`` would
-— the shared wall time is the group's, since the jobs genuinely executed
-together.
+evolution).  Both run one submission body, so each merged result is
+stamped exactly as ``submit`` stamps — the shared wall time is the group's,
+since the jobs genuinely executed together.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..core.bundle import JobBundle
-from ..core.context import ContextDescriptor
 from ..core.errors import ContextError
 from .base import Backend, ExecutionResult
 from .registry import get_backend
@@ -50,26 +49,13 @@ def submit(
         lowers once for its coalescing key and reuses the artifact here).
         Ignored for backends whose ``run`` takes only the bundle.
     """
-    if bundle.context is None:
-        raise ContextError(
-            "bundle has no execution context; attach a ContextDescriptor before submitting"
-        )
-    if validate:
-        bundle.validate()
-    selected = backend or get_backend(bundle.context.exec.engine)
-    selected.check_capabilities(bundle)
 
-    # Submission-level wall time is user-facing runtime telemetry, not a
-    # kernel: the one sanctioned clock read outside benchmarks.
-    started = time.perf_counter()  # lint: allow(TIME001)
-    if lowered is not None and hasattr(selected, "merge_key"):
-        result = selected.run(bundle, lowered)
-    else:
-        result = selected.run(bundle)
-    elapsed = time.perf_counter() - started  # lint: allow(TIME001)
-    result.metadata.setdefault("wall_time_s", elapsed)
-    result.metadata.setdefault("engine_requested", bundle.context.exec.engine)
-    return result
+    def run(selected: Backend) -> List[ExecutionResult]:
+        if lowered is not None and hasattr(selected, "merge_key"):
+            return [selected.run(bundle, lowered)]
+        return [selected.run(bundle)]
+
+    return _submit([bundle], backend, validate, run)[0]
 
 
 def submit_merged(
@@ -89,6 +75,26 @@ def submit_merged(
     """
     if not bundles:
         return []
+    return _submit(
+        bundles,
+        backend,
+        validate,
+        lambda selected: selected.run_merged(bundles, lowered),
+    )
+
+
+def _submit(
+    bundles: Sequence[JobBundle],
+    backend: Optional[Backend],
+    validate: bool,
+    run: Callable[[Backend], List[ExecutionResult]],
+) -> List[ExecutionResult]:
+    """The one submission body: check, resolve the backend, time *run*, stamp.
+
+    ``run(selected)`` makes the one backend call, returning a result per
+    bundle; every result gets that call's wall time (a merged group's is
+    genuinely shared) and its own bundle's requested engine.
+    """
     for bundle in bundles:
         if bundle.context is None:
             raise ContextError(
@@ -101,10 +107,10 @@ def submit_merged(
     for bundle in bundles:
         selected.check_capabilities(bundle)
 
-    # The merged group's wall time is genuinely shared: one compile, one
-    # dispatch, one batched evolution — stamped on every member's result.
+    # Submission-level wall time is user-facing runtime telemetry, not a
+    # kernel: the one sanctioned clock read outside benchmarks.
     started = time.perf_counter()  # lint: allow(TIME001)
-    results = selected.run_merged(bundles, lowered)
+    results = run(selected)
     elapsed = time.perf_counter() - started  # lint: allow(TIME001)
     for bundle, result in zip(bundles, results):
         result.metadata.setdefault("wall_time_s", elapsed)

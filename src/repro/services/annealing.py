@@ -65,17 +65,21 @@ class Embedding:
 
     @property
     def num_logical(self) -> int:
+        """Number of logical variables (one chain each)."""
         return len(self.chains)
 
     @property
     def num_physical(self) -> int:
+        """Number of physical qubits over all chains."""
         return sum(len(chain) for chain in self.chains.values())
 
     @property
     def max_chain_length(self) -> int:
+        """Length of the longest chain (``0`` for an empty embedding)."""
         return max((len(chain) for chain in self.chains.values()), default=0)
 
     def physical_qubits(self) -> List[int]:
+        """Every physical qubit the embedding uses, sorted."""
         return sorted(q for chain in self.chains.values() for q in chain)
 
     def validate(self, problem_graph: nx.Graph, target_graph: nx.Graph) -> None:

@@ -82,10 +82,12 @@ class CommunicationPlan:
     estimated_fidelity: float = 1.0
 
     def carriers_on(self, qpu: int) -> List[int]:
+        """The carriers assigned to QPU *qpu*, sorted."""
         return sorted(c for c, q in self.assignment.items() if q == qpu)
 
     @property
     def is_distributed(self) -> bool:
+        """Whether the plan spans several QPUs and cuts at least one edge."""
         return self.num_qpus > 1 and bool(self.cut_edges)
 
 

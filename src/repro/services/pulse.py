@@ -73,6 +73,7 @@ class PulseInstruction:
 
     @property
     def stop_ns(self) -> float:
+        """End time of the envelope in nanoseconds."""
         return self.start_ns + self.duration_ns
 
 
@@ -94,9 +95,11 @@ class PulseSchedule:
         return int(round(self.duration_ns / self.dt_ns)) if self.dt_ns > 0 else 0
 
     def on_channel(self, channel: str) -> List[PulseInstruction]:
+        """The instructions scheduled on *channel*, in schedule order."""
         return [inst for inst in self.instructions if inst.channel == channel]
 
     def channels(self) -> List[str]:
+        """Every channel the schedule drives, sorted."""
         return sorted({inst.channel for inst in self.instructions})
 
 

@@ -32,6 +32,7 @@ class EnginePerformanceModel:
 
     @property
     def family(self) -> str:
+        """Engine family: the name's prefix before the first dot."""
         return self.engine.split(".", 1)[0]
 
 
@@ -55,6 +56,7 @@ class ScheduledJob:
 
     @property
     def end_s(self) -> float:
+        """Predicted finish time: start plus estimated runtime."""
         return self.start_s + self.estimated_runtime_s
 
 
@@ -66,12 +68,15 @@ class Schedule:
 
     @property
     def makespan_s(self) -> float:
+        """Predicted finish time of the last job (``0.0`` when empty)."""
         return max((job.end_s for job in self.jobs), default=0.0)
 
     def on_engine(self, engine: str) -> List[ScheduledJob]:
+        """The jobs placed on *engine*, in schedule order."""
         return [job for job in self.jobs if job.engine == engine]
 
     def engine_of(self, bundle_name: str) -> str:
+        """The engine *bundle_name* is placed on; raises if it is absent."""
         for job in self.jobs:
             if job.bundle_name == bundle_name:
                 return job.engine

@@ -30,11 +30,12 @@ Three properties matter at serving scale:
   **one** backend invocation on the batch axis instead of back-to-back:
   one transpile, one compile, one tensor evolution over all shots, counts
   split back per ticket.  The segmented chunk plan keeps every member's
-  seeded counts bit-identical to a standalone run, and failure isolation
-  guarantees one member's deadline or crash never poisons the rest — the
-  survivors fall back to the ordinary solo attempt loop.  The lowering
-  artifact computed for the coalescing key is cached on the ticket and
-  reused at execution time, so no job is lowered twice.
+  seeded counts bit-identical to a standalone run.  A solo job is a merged
+  group of one: every group, whatever its size, goes through the one
+  attempt loop, whose failure isolation guarantees one member's deadline
+  or crash never poisons the rest — the survivors re-run as groups of
+  one.  The lowering artifact computed for the coalescing key is cached
+  on the ticket and reused at execution time, so no job is lowered twice.
 * **Streaming** — :meth:`JobService.as_completed` yields tickets in
   completion order; each :class:`JobTicket` is also a future-like handle
   (``done()`` / ``result()`` / ``exception()`` / ``cancel()``) for point
@@ -60,7 +61,8 @@ table stakes, built on the transient/permanent error taxonomy of
   schedule replays exactly from ``(policy seed, job id, attempt)``.
 * **Degradation** — repeated worker-pool breakage
   (:func:`~repro.core.errors.is_pool_breakage`, counting both in-run
-  recovered crashes and unrecovered ones) flips the service to forcing
+  recovered crashes and unrecovered ones, an exhausted recovery with
+  every rebuild it spent) flips the service to forcing
   ``trajectory_executor="thread"`` on subsequent executions: slower but
   immune to process death.  The flip is recorded in each result's
   ``metadata["serving"]["executor_fallback"]`` and in the stats surface.
@@ -82,7 +84,8 @@ from __future__ import annotations
 import threading
 from collections import deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,14 +107,14 @@ from .scheduler import CostAwareScheduler
 __all__ = ["JobTicket", "JobService", "RetryPolicy", "ServiceStats"]
 
 
-def _call_with_deadline(fn, deadline: float, message: str):
+def _call_with_deadline(fn, deadline: float):
     """Return ``fn()``, or raise :class:`DeadlineExceededError` after *deadline* s.
 
-    The one deadline seam of the service, shared by solo attempts and merged
-    groups.  ``fn`` runs on a daemon thread; on expiry the caller gets
-    ``DeadlineExceededError(message)`` and its lane back, while the
-    abandoned attempt finishes on the detached thread (a daemon, so it never
-    blocks interpreter exit).  An exception raised by ``fn`` re-raises here.
+    The one deadline seam of the service's attempt loop.  ``fn`` runs on a
+    daemon thread; on expiry the caller gets a
+    :class:`DeadlineExceededError` and its lane back, while the abandoned
+    attempt finishes on the detached thread (a daemon, so it never blocks
+    interpreter exit).  An exception raised by ``fn`` re-raises here.
     """
     box: Dict[str, Any] = {}
     finished = threading.Event()
@@ -126,7 +129,7 @@ def _call_with_deadline(fn, deadline: float, message: str):
 
     threading.Thread(target=run, name="serving-deadline", daemon=True).start()
     if not finished.wait(deadline):
-        raise DeadlineExceededError(message)
+        raise DeadlineExceededError(f"attempt abandoned after {deadline}s")
     if "error" in box:
         raise box["error"]
     return box["value"]
@@ -227,6 +230,7 @@ class JobTicket:
     coalesce_key: Any = field(repr=False, default=None)
     _bundle: Optional[JobBundle] = field(repr=False, default=None)
     _lowered: Optional[tuple] = field(repr=False, default=None)
+    _deadline_s: Optional[float] = field(repr=False, default=None)
     _future: Future = field(repr=False, default_factory=Future)
     _service: Optional["JobService"] = field(repr=False, default=None)
     _cancel_noted: bool = field(repr=False, default=False)
@@ -289,7 +293,9 @@ class JobService:
         with counts split back per ticket (bit-identical to standalone
         execution by the segmented chunk-plan contract).  ``False`` keeps
         groups back-to-back: one backend call per member.  Individual jobs
-        opt out with a falsy ``coalesce_merge`` exec option.
+        opt out with a falsy ``coalesce_merge`` exec option.  Either way
+        every job runs through one attempt loop: a job that does not merge
+        is a group of one.
     exec_options:
         Extra ``context.exec.options`` entries merged into every submitted
         bundle (submission wins on conflicts is **not** the rule — the
@@ -303,7 +309,7 @@ class JobService:
     max_pending:
         Optional bound on **live** jobs (queued or running, not yet
         settled).  Admission past the bound fails synchronously with
-        :class:`~repro.core.errors.QueueFullError`; ``submit_many`` is
+        :class:`~repro.core.errors.QueueFullError`; a batch is
         all-or-nothing against the bound.  ``None`` (default) leaves the
         queue unbounded.
     default_deadline_s:
@@ -312,10 +318,12 @@ class JobService:
         deadline fails with
         :class:`~repro.core.errors.DeadlineExceededError` and frees its
         lane; the abandoned attempt finishes on a detached daemon thread.
+        The deadline is resolved once, at admission.
     fallback_after:
         Pool-breakage budget of the degradation ladder (default ``3``):
         once the cumulative count of worker-pool breakages — in-run
-        recovered crashes plus unrecovered ones — reaches this value, the
+        recovered crashes plus unrecovered ones, an exhausted recovery
+        counting every rebuild it spent — reaches this value, the
         service forces ``trajectory_executor="thread"`` on every subsequent
         execution (recorded in result metadata and
         ``stats()["executor_fallback"]``).
@@ -375,22 +383,7 @@ class JobService:
         self._by_name: Dict[str, JobTicket] = {}
         self._events: "deque[JobTicket]" = deque()
         self._stats_lock = threading.Lock()
-        self._stats: Dict[str, int] = {
-            "submitted": 0,
-            "completed": 0,
-            "failed": 0,
-            "groups": 0,
-            "coalesced": 0,
-            "merged_groups": 0,
-            "merged_jobs": 0,
-            "retries": 0,
-            "crashes_recovered": 0,
-            "deadline_kills": 0,
-            "cancelled": 0,
-            "rejected": 0,
-            "pool_breakages": 0,
-            "executor_fallback": 0,
-        }
+        self._stats: Dict[str, int] = {f.name: 0 for f in fields(ServiceStats)}
         self._live = 0
         self._job_counter = 0
         self._closed = False
@@ -406,7 +399,7 @@ class JobService:
 
     # -- submission ------------------------------------------------------------------
     def submit(self, bundle: JobBundle) -> JobTicket:
-        """Admit one bundle: place it, enqueue it, return its ticket.
+        """Admit one bundle: a batch of one through :meth:`submit_many`.
 
         Raises :class:`ServiceError` synchronously when no registered
         engine can execute the bundle, when the bundle has no execution
@@ -415,9 +408,7 @@ class JobService:
         :class:`ServiceError`) when ``max_pending`` live jobs are already
         in flight.  A bundle that fails validation raises its own error.
         """
-        bundle = self._admit(bundle)
-        engine, estimate = self._scheduler.choose_engine(bundle)
-        return self._enqueue(bundle, engine, estimate)
+        return self.submit_many([bundle])[0]
 
     def submit_many(self, bundles: Sequence[JobBundle]) -> List[JobTicket]:
         """Admit a batch atomically through the fleet scheduler.
@@ -425,18 +416,24 @@ class JobService:
         The whole batch is placed with
         :meth:`CostAwareScheduler.schedule` (which rejects duplicate bundle
         names) and enqueued under one lock, so a coalescable batch reaches
-        the dispatcher as one unit.  Against ``max_pending`` the batch is
-        all-or-nothing: if it does not fit, nothing is enqueued and
-        :class:`QueueFullError` is raised.  Tickets return in input order.
+        the dispatcher as one unit.  The batch is all-or-nothing: if it
+        does not fit under ``max_pending`` (:class:`QueueFullError`) or any
+        of its names is already queued or running (:class:`ServiceError`),
+        nothing is enqueued.  Tickets return in input order.
         """
+        if not bundles:
+            return []
         admitted = [self._admit(bundle) for bundle in bundles]
-        schedule = self._scheduler.schedule(admitted)
+        schedule = self._scheduler.schedule([bundle for bundle, _ in admitted])
         placed = {job.bundle_name: job for job in schedule.jobs}
         keys = [
             self._coalesce_key(bundle, placed[bundle.name].engine)
-            for bundle in admitted
+            for bundle, _ in admitted
         ]
         with self._wake:
+            # Every check runs before the first ticket exists.
+            if self._closed:
+                raise ServiceError("job service is closed")
             if (
                 self._max_pending is not None
                 and self._live + len(admitted) > self._max_pending
@@ -447,21 +444,45 @@ class JobService:
                     f"batch of {len(admitted)} does not fit: {self._live} live "
                     f"jobs against max_pending={self._max_pending}"
                 )
-            tickets = [
-                self._enqueue_locked(
-                    bundle,
-                    placed[bundle.name].engine,
-                    placed[bundle.name].estimated_runtime_s,
-                    key,
-                    lowered,
+            for bundle, _ in admitted:
+                active = self._by_name.get(bundle.name)
+                if active is not None and not active.done():
+                    raise ServiceError(
+                        f"job name {bundle.name!r} is already queued or running; "
+                        "results are looked up by name, so names must be unique "
+                        "among live jobs"
+                    )
+            tickets = []
+            for (bundle, deadline), (key, lowered) in zip(admitted, keys):
+                self._job_counter += 1
+                ticket = JobTicket(
+                    job_id=self._job_counter,
+                    name=bundle.name,
+                    engine=placed[bundle.name].engine,
+                    estimated_runtime_s=placed[bundle.name].estimated_runtime_s,
+                    coalesce_key=key,
+                    _bundle=bundle,
+                    _lowered=lowered,
+                    _deadline_s=deadline,
+                    _service=self,
                 )
-                for bundle, (key, lowered) in zip(admitted, keys)
-            ]
+                self._by_name[bundle.name] = ticket
+                self._all[ticket.job_id] = ticket
+                tickets.append(ticket)
+            self._pending.extend(tickets)
+            self._live += len(tickets)
+            with self._stats_lock:
+                self._stats["submitted"] += len(tickets)
             self._wake.notify_all()
         return tickets
 
-    def _admit(self, bundle: JobBundle) -> JobBundle:
-        """Pre-queue checks, the service-wide exec-option merge, then validation."""
+    def _admit(self, bundle: JobBundle) -> Tuple[JobBundle, Optional[float]]:
+        """Pre-queue checks, the service-wide exec-option merge, then validation.
+
+        Returns the bundle that runs and its deadline in seconds (its
+        ``deadline_s`` option, else the service default, else ``None``),
+        resolved once here for the ticket.
+        """
         if self._closed:
             raise ServiceError("job service is closed")
         if bundle.context is None:
@@ -488,7 +509,7 @@ class JobService:
                 "expected a positive number of seconds"
             )
         bundle.validate()  # the merged bundle is the one that runs
-        return bundle
+        return bundle, None if deadline is None else float(deadline)
 
     def _coalesce_key(
         self, bundle: JobBundle, engine: str
@@ -510,57 +531,6 @@ class JobService:
                 lowered = builder(bundle)
                 return (engine, structure_key(lowered[0])), lowered
         return object(), None  # key never equal to another: a group of one
-
-    def _enqueue(self, bundle: JobBundle, engine: str, estimate: float) -> JobTicket:
-        key, lowered = self._coalesce_key(bundle, engine)
-        with self._wake:
-            ticket = self._enqueue_locked(bundle, engine, estimate, key, lowered)
-            self._wake.notify_all()
-        return ticket
-
-    def _enqueue_locked(
-        self,
-        bundle: JobBundle,
-        engine: str,
-        estimate: float,
-        key: Any,
-        lowered: Optional[tuple] = None,
-    ) -> JobTicket:
-        """Queue one placed bundle; caller holds ``self._wake``."""
-        if self._closed:
-            raise ServiceError("job service is closed")
-        if self._max_pending is not None and self._live >= self._max_pending:
-            with self._stats_lock:
-                self._stats["rejected"] += 1
-            raise QueueFullError(
-                f"job {bundle.name!r} rejected: {self._live} live jobs against "
-                f"max_pending={self._max_pending}; back off and resubmit"
-            )
-        active = self._by_name.get(bundle.name)
-        if active is not None and not active.done():
-            raise ServiceError(
-                f"job name {bundle.name!r} is already queued or running; "
-                "results are looked up by name, so names must be unique "
-                "among live jobs"
-            )
-        self._job_counter += 1
-        ticket = JobTicket(
-            job_id=self._job_counter,
-            name=bundle.name,
-            engine=engine,
-            estimated_runtime_s=estimate,
-            coalesce_key=key,
-            _bundle=bundle,
-            _lowered=lowered,
-            _service=self,
-        )
-        self._by_name[bundle.name] = ticket
-        self._all[ticket.job_id] = ticket
-        self._pending.append(ticket)
-        self._live += 1
-        with self._stats_lock:
-            self._stats["submitted"] += 1
-        return ticket
 
     # -- dispatch --------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
@@ -596,14 +566,8 @@ class JobService:
                 if ticket._future.set_running_or_notify_cancel()
                 # Cancelled before start; cancel() already settled the ticket.
             ]
-            if not live:
-                continue
-            if len(live) == 1:
-                ticket = live[0]
-                self._run_job(ticket, len(tickets), positions[id(ticket)])
-                self._settle(ticket)
-            else:
-                self._run_merged_group(live, len(tickets), positions)
+            if live:
+                self._run_attempts(live, len(tickets), positions)
 
     def _merge_subgroups(self, tickets: List[JobTicket]) -> List[List[JobTicket]]:
         """Partition a coalesced group into merge-eligible runs, order kept.
@@ -643,178 +607,120 @@ class JobService:
         except Exception:  # noqa: BLE001 - an unkeyable job simply runs solo
             return None
 
-    def _run_merged_group(
-        self,
-        tickets: List[JobTicket],
-        group_size: int,
-        positions: Dict[int, int],
+    def _run_attempts(
+        self, tickets: List[JobTicket], group_size: int, positions: Dict[int, int]
     ) -> None:
-        """One merged execution for a subgroup, with solo-fallback isolation.
+        """The one attempt loop: run *tickets* as one backend call until settled.
 
-        The whole subgroup runs as a single backend invocation
-        (:func:`~repro.backends.runtime.submit_merged`).  Failure isolation:
-        a deadline expiry fails only the members whose own deadline is
-        spent, and any other failure sends **every** member back through the
-        ordinary standalone attempt loop (deadline, retries, degradation) —
-        one bad job never poisons the rest of the group.
+        A solo job is a group of one; a larger group is one merged run on
+        the batch axis.  Each attempt reads the degradation flag and runs
+        under the tightest member deadline.  Failure isolation: a deadline
+        expiry fails only the members whose own deadline is spent, and any
+        other failure of a merged group re-runs every member as a group of
+        one — one bad job never poisons the rest.  Only a group of one
+        retries (transient failures, under the :class:`RetryPolicy`), so a
+        merged attempt spends no retry budget.
         """
-        with self._stats_lock:
-            degraded = bool(self._stats["executor_fallback"])
-        bundles = [
-            self._degrade_bundle(ticket._bundle) if degraded else ticket._bundle
-            for ticket in tickets
-        ]
-        deadlines = [
-            bundle.context.exec.options.get("deadline_s", self._default_deadline_s)
-            for bundle in bundles
-        ]
-        limits = [float(d) for d in deadlines if d is not None]
-        effective = min(limits) if limits else None
-        lowered = [ticket._lowered for ticket in tickets]
-        backend = get_backend(tickets[0].engine)
-        try:
-            if effective is None:
-                results = runtime_submit_merged(
-                    bundles, backend=backend, validate=False, lowered=lowered
-                )
-            else:
-                results = _call_with_deadline(
-                    lambda: runtime_submit_merged(
-                        bundles, backend=backend, validate=False, lowered=lowered
-                    ),
-                    effective,
-                    f"merged group of {len(bundles)} exceeded its tightest "
-                    f"{effective}s deadline; the attempt was abandoned",
-                )
-        except DeadlineExceededError:
-            survivors: List[JobTicket] = []
-            for ticket, deadline in zip(tickets, deadlines):
-                if deadline is not None and float(deadline) <= effective:
-                    # This member's own deadline is the one that expired.
+        policy = self._retry_policy
+        max_attempts = policy.max_attempts if policy is not None else 1
+        attempt = 0
+        while True:
+            with self._stats_lock:
+                degraded = bool(self._stats["executor_fallback"])
+            bundles = [
+                self._degrade_bundle(ticket._bundle) if degraded else ticket._bundle
+                for ticket in tickets
+            ]
+            limit = min(
+                (t._deadline_s for t in tickets if t._deadline_s is not None),
+                default=None,
+            )
+            call = partial(self._backend_call, tickets, bundles)
+            try:
+                results = call() if limit is None else _call_with_deadline(call, limit)
+            except DeadlineExceededError:
+                survivors = []
+                for ticket in tickets:
+                    deadline = ticket._deadline_s
+                    if len(tickets) > 1 and (deadline is None or deadline > limit):
+                        survivors.append(ticket)  # its own deadline is not spent
+                        continue
                     with self._stats_lock:
                         self._stats["deadline_kills"] += 1
                         self._stats["failed"] += 1
                     ticket._future.set_exception(
                         DeadlineExceededError(
                             f"job {ticket.name!r} exceeded its {deadline}s "
-                            "deadline during a merged group run; the attempt "
-                            "was abandoned and its lane freed"
+                            "deadline; the attempt was abandoned and its lane freed"
                         )
                     )
                     self._settle(ticket)
-                else:
-                    survivors.append(ticket)
-            for ticket in survivors:
-                self._run_job(ticket, group_size, positions[id(ticket)])
-                self._settle(ticket)
-            return
-        except BaseException as exc:  # noqa: BLE001 - every member re-runs solo
-            if is_pool_breakage(exc):
-                self._note_pool_breakage()
-            for ticket in tickets:
-                self._run_job(ticket, group_size, positions[id(ticket)])
-                self._settle(ticket)
-            return
-        recovery = results[0].metadata.get("executor_recovery") or {}
-        rebuilds = int(recovery.get("pool_rebuilds") or 0)
-        if rebuilds:
-            # One shared run: its rebuilds count once, not per member.
-            self._note_pool_breakage(count=rebuilds, recovered=True)
-        with self._stats_lock:
-            self._stats["merged_groups"] += 1
-            self._stats["merged_jobs"] += len(tickets)
-            self._stats["completed"] += len(tickets)
-        for ticket, result in zip(tickets, results):
-            result.metadata["serving"] = {
-                "job_id": ticket.job_id,
-                "engine": ticket.engine,
-                "group_size": group_size,
-                "group_position": positions[id(ticket)],
-                "attempts": 1,
-                "executor_fallback": degraded,
-                "merged": True,
-            }
-            ticket._future.set_result(result)
-            self._settle(ticket)
-
-    def _run_job(self, ticket: JobTicket, group_size: int, position: int) -> None:
-        """One job's attempt loop: deadline, transient retry, degradation."""
-        policy = self._retry_policy
-        max_attempts = policy.max_attempts if policy is not None else 1
-        attempt = 0
-        while True:
-            try:
-                result, degraded = self._execute_attempt(ticket)
-            except DeadlineExceededError as exc:
-                # Permanent by classification: the deadline is already spent.
-                with self._stats_lock:
-                    self._stats["deadline_kills"] += 1
-                    self._stats["failed"] += 1
-                ticket._future.set_exception(exc)
+                for ticket in survivors:
+                    self._run_attempts([ticket], group_size, positions)
                 return
-            except BaseException as exc:  # noqa: BLE001 - routed to the ticket
+            except BaseException as exc:  # noqa: BLE001 - routed to the tickets
                 if is_pool_breakage(exc):
-                    self._note_pool_breakage()
-                if not (attempt + 1 < max_attempts and is_transient_error(exc)):
-                    with self._stats_lock:
-                        self._stats["failed"] += 1
-                    ticket._future.set_exception(exc)
+                    # An exhausted in-run recovery carries the rebuilds it spent.
+                    self._note_pool_breakage(count=max(getattr(exc, "rebuilds", 0), 1))
+                if len(tickets) > 1:
+                    for ticket in tickets:
+                        self._run_attempts([ticket], group_size, positions)
                     return
+                if attempt + 1 < max_attempts and is_transient_error(exc):
+                    with self._stats_lock:
+                        self._stats["retries"] += 1
+                    delay = policy.delay_s(tickets[0].job_id, attempt)
+                    if delay > 0:
+                        # Interruptible backoff: close() sets the stop event.
+                        self._stop_event.wait(delay)
+                    attempt += 1
+                    continue
                 with self._stats_lock:
-                    self._stats["retries"] += 1
-                delay = policy.delay_s(ticket.job_id, attempt)
-                if delay > 0:
-                    # Interruptible backoff: close() sets the stop event.
-                    self._stop_event.wait(delay)
-                attempt += 1
-                continue
-            recovery = result.metadata.get("executor_recovery") or {}
+                    self._stats["failed"] += 1
+                tickets[0]._future.set_exception(exc)
+                self._settle(tickets[0])
+                return
+            recovery = results[0].metadata.get("executor_recovery") or {}
             rebuilds = int(recovery.get("pool_rebuilds") or 0)
             if rebuilds:
-                # Recovered in-run crashes still count toward degradation.
+                # One backend call: its recovered crashes count once, not per member.
                 self._note_pool_breakage(count=rebuilds, recovered=True)
-            result.metadata["serving"] = {
-                "job_id": ticket.job_id,
-                "engine": ticket.engine,
-                "group_size": group_size,
-                "group_position": position,
-                "attempts": attempt + 1,
-                "executor_fallback": degraded,
-                "merged": False,
-            }
+            merged = len(tickets) > 1
             with self._stats_lock:
-                self._stats["completed"] += 1
-            ticket._future.set_result(result)
+                self._stats["completed"] += len(tickets)
+                if merged:
+                    self._stats["merged_groups"] += 1
+                    self._stats["merged_jobs"] += len(tickets)
+            for ticket, result in zip(tickets, results):
+                result.metadata["serving"] = {
+                    "job_id": ticket.job_id,
+                    "engine": ticket.engine,
+                    "group_size": group_size,
+                    "group_position": positions[id(ticket)],
+                    "attempts": attempt + 1,
+                    "executor_fallback": degraded,
+                    "merged": merged,
+                }
+                ticket._future.set_result(result)
+                self._settle(ticket)
             return
 
-    def _execute_attempt(self, ticket: JobTicket) -> Tuple[ExecutionResult, bool]:
-        """Run one execution attempt, honouring degradation and the deadline."""
-        bundle = ticket._bundle
-        with self._stats_lock:
-            degraded = bool(self._stats["executor_fallback"])
-        if degraded:
-            bundle = self._degrade_bundle(bundle)
-        deadline = bundle.context.exec.options.get(
-            "deadline_s", self._default_deadline_s
+    @staticmethod
+    def _backend_call(
+        tickets: List[JobTicket], bundles: List[JobBundle]
+    ) -> List[ExecutionResult]:
+        """One backend call: ``submit`` for one ticket, ``submit_merged`` for more."""
+        backend = get_backend(tickets[0].engine)
+        lowered = [ticket._lowered for ticket in tickets]
+        if len(tickets) == 1:
+            return [
+                runtime_submit(
+                    bundles[0], backend=backend, validate=False, lowered=lowered[0]
+                )
+            ]
+        return runtime_submit_merged(
+            bundles, backend=backend, validate=False, lowered=lowered
         )
-
-        def attempt() -> ExecutionResult:
-            return runtime_submit(
-                bundle,
-                backend=get_backend(ticket.engine),
-                validate=False,
-                lowered=ticket._lowered,
-            )
-
-        if deadline is None:
-            return attempt(), degraded
-        result = _call_with_deadline(
-            attempt,
-            float(deadline),
-            f"job {ticket.name!r} exceeded its {deadline}s deadline; "
-            "the attempt was abandoned and its lane freed",
-        )
-        return result, degraded
 
     def _degrade_bundle(self, bundle: JobBundle) -> JobBundle:
         """Force the thread executor on a bundle after pool-breakage fallback."""

@@ -3,8 +3,9 @@
 The container has no ``pydocstyle``, so ``tools/lint_docstrings.py``
 implements the equivalent subset (missing module/class/function docstrings,
 empty or unterminated summary lines) over the public API surface of
-``src/repro/simulators/gate`` and ``src/repro/backends``.  Running it from
-pytest keeps the tier-1 verify command the only gate a PR needs.
+``src/repro/simulators/gate``, ``src/repro/backends`` and
+``src/repro/services``.  Running it from pytest keeps the tier-1 verify
+command the only gate a PR needs.
 """
 
 import importlib.util

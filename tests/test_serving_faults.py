@@ -19,6 +19,7 @@ from repro.core.errors import (
     DeadlineExceededError,
     QueueFullError,
     TransientExecutionError,
+    WorkerCrashError,
 )
 from repro.oplib import measurement, qft_operator
 from repro.services import JobService, RetryPolicy, ServiceStats
@@ -163,6 +164,16 @@ def test_deadline_kills_overrunning_job(gated_submit):
     assert stats["retries"] == 0
 
 
+def test_deadline_message_names_the_job_and_its_deadline(gated_submit):
+    started, release = gated_submit
+    with JobService() as service:
+        ticket = service.submit(qft_bundle("late", options={"deadline_s": 1}))
+        exc = ticket.exception(timeout=60)
+        release.set()
+    assert isinstance(exc, DeadlineExceededError)
+    assert "job 'late' exceeded its 1.0s deadline" in str(exc)
+
+
 def test_deadline_from_bundle_options_and_fast_jobs_pass():
     bundle = qft_bundle("quick", options={"deadline_s": 60})
     with JobService() as service:
@@ -210,6 +221,20 @@ def test_submit_many_is_all_or_nothing_against_the_bound(gated_submit):
         assert stats["submitted"] == 1  # nothing from the batch was enqueued
         assert stats["rejected"] == 3
         release.set()
+
+
+def test_submit_many_is_all_or_nothing_against_live_names(gated_submit):
+    started, release = gated_submit
+    with JobService(lanes=1) as service:
+        service.submit(qft_bundle("a"))
+        assert started.wait(timeout=60)  # "a" is live on the single lane
+        with pytest.raises(ServiceError, match="'a' is already queued or running"):
+            service.submit_many([qft_bundle("b"), qft_bundle("a")])
+        submitted = service.stats()["submitted"]
+        release.set()
+        drained = [ticket.name for ticket in service.drain()]
+    assert submitted == 1  # "b" was not enqueued either
+    assert drained == ["a"]
 
 
 # -- cancellation and close(drain=False) --------------------------------------------
@@ -326,6 +351,33 @@ def test_recovered_crashes_count_toward_stats(monkeypatch):
     assert stats["crashes_recovered"] == 2
     assert stats["pool_breakages"] == 2
     assert stats["executor_fallback"] == 1  # budget spent by recovered crashes
+
+
+def test_exhausted_crash_recovery_counts_every_rebuild(monkeypatch):
+    real_submit = serving_module.runtime_submit
+    executors = []
+
+    def exhausted_submit(bundle, **kwargs):
+        executors.append(bundle.context.exec.options.get("trajectory_executor"))
+        if len(executors) == 1:
+            # What the process executor raises after its third pool rebuild.
+            raise WorkerCrashError("worker pool broke 3 times in one run", rebuilds=3)
+        return real_submit(bundle, **kwargs)
+
+    monkeypatch.setattr(serving_module, "runtime_submit", exhausted_submit)
+    with JobService(
+        retry_policy=RetryPolicy(max_attempts=2, backoff_s=0.001),
+        fallback_after=3,
+        exec_options={"trajectory_executor": "process"},
+    ) as service:
+        result = service.submit(qft_bundle("exhausted")).result(timeout=60)
+        stats = service.stats()
+    # Three breakages in one run spend the whole budget: the retry degrades.
+    assert executors == ["process", "thread"]
+    assert stats["pool_breakages"] == 3
+    assert stats["crashes_recovered"] == 0
+    assert stats["retries"] == 1
+    assert result.metadata["serving"]["executor_fallback"] is True
 
 
 # -- end to end: injected crash through the serving stack ---------------------------

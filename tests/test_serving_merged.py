@@ -8,7 +8,10 @@ a member's deadline expiry, and whole-group failures all isolate to the
 affected ticket while the rest of the group still completes (merged when
 ``>= 2`` members remain live, solo otherwise).  Also covered: the cached
 lowering artifact means no job is lowered again at execution time, a merged
-group transpiles once, and a barrier keeps jobs out of one merge.
+group transpiles once, and a barrier keeps jobs out of one merge.  A solo
+job is a group of one in the same attempt loop: a merged transient failure
+re-runs members alone without spending retries, a shared run's recovered
+crash counts once, and solo and merged results carry the same serving keys.
 """
 
 import threading
@@ -18,14 +21,14 @@ import pytest
 
 from repro.backends import gate_backend, runtime
 from repro.core import ContextDescriptor, ExecPolicy, package, phase_register
-from repro.core.errors import DeadlineExceededError
+from repro.core.errors import DeadlineExceededError, TransientExecutionError
 from repro.oplib import build_operator, measurement, qft_operator
 from repro.oplib.stateprep import prep_uniform
 from repro.problems import MaxCutProblem
-from repro.services import JobService
+from repro.services import CostAwareScheduler, JobService, RetryPolicy
 from repro.services import serving as serving_module
 from repro.simulators.gate.transpiler import transpile
-from repro.workflows import build_qaoa_bundle
+from repro.workflows import build_anneal_bundle, build_qaoa_bundle
 from repro.workflows.maxcut import default_gate_context
 
 
@@ -327,3 +330,86 @@ def test_merged_failure_falls_back_to_solo_for_every_member(monkeypatch):
     with JobService(lanes=1, coalesce_merge=False) as solo_service:
         solo, _ = counts_by_name(solo_service, group("f", 3))
     assert merged == solo
+
+
+# -- one attempt loop: a solo job is a group of one ---------------------------------
+
+SERVING_KEYS = {
+    "job_id", "engine", "group_size", "group_position", "attempts",
+    "executor_fallback", "merged",
+}
+
+
+def test_merged_transient_failure_reruns_alone_without_spending_retries(monkeypatch):
+    attempts = []
+
+    def flaky_merged(bundles, **kwargs):
+        attempts.append(len(bundles))
+        raise TransientExecutionError("merged run flaked")
+
+    monkeypatch.setattr(serving_module, "runtime_submit_merged", flaky_merged)
+    policy = RetryPolicy(max_attempts=3, backoff_s=0.001, jitter=0.0)
+    with JobService(lanes=1, retry_policy=policy) as service:
+        merged, tickets = counts_by_name(service, group("r", 3))
+        stats = service.stats()
+    assert attempts == [3]  # the merged attempt is not retried as a group
+    for ticket in tickets:
+        serving = ticket.result().metadata["serving"]
+        assert serving["attempts"] == 1
+        assert serving["merged"] is False
+    assert stats["retries"] == 0
+    with JobService(lanes=1, retry_policy=policy, coalesce_merge=False) as solo_service:
+        solo, _ = counts_by_name(solo_service, group("r", 3))
+        solo_stats = solo_service.stats()
+    assert merged == solo
+    assert stats == solo_stats
+
+
+def test_merged_recovered_crash_counts_once(monkeypatch):
+    real_merged = serving_module.runtime_submit_merged
+
+    def recovered_merged(bundles, **kwargs):
+        results = real_merged(bundles, **kwargs)
+        for result in results:  # one shared run, stamped on every member
+            result.metadata["executor_recovery"] = {
+                "pool_rebuilds": 1,
+                "groups_redispatched": 1,
+            }
+        return results
+
+    monkeypatch.setattr(serving_module, "runtime_submit_merged", recovered_merged)
+    with JobService(lanes=1) as service:
+        counts_by_name(service, group("k", 3))
+        stats = service.stats()
+    assert stats["merged_groups"] == 1
+    assert stats["crashes_recovered"] == 1
+    assert stats["pool_breakages"] == 1
+
+
+def test_group_of_one_and_merged_member_carry_the_same_serving_keys():
+    bundles = group("s", 2)
+    bundles.append(
+        qft_bundle("s2", seed=3, samples=256, options={"coalesce_merge": False})
+    )
+    with JobService(lanes=1) as service:
+        _, tickets = counts_by_name(service, bundles)
+    merged = tickets[0].result().metadata["serving"]
+    alone = tickets[2].result().metadata["serving"]
+    assert set(merged) == set(alone) == SERVING_KEYS
+    assert (merged["merged"], alone["merged"]) == (True, False)
+    assert (merged["group_size"], alone["group_size"]) == (3, 3)
+    assert (merged["group_position"], alone["group_position"]) == (0, 2)
+
+
+def test_submit_places_like_a_batch_of_one():
+    bundles = [
+        qft_bundle("gate"),
+        build_anneal_bundle(MaxCutProblem.cycle(4), name="anneal"),
+    ]
+    with JobService(lanes=1) as single, JobService(lanes=1) as batch:
+        for bundle in bundles:
+            alone = single.submit(bundle)
+            (member,) = batch.submit_many([bundle])
+            chosen = CostAwareScheduler().choose_engine(bundle)
+            assert (alone.engine, alone.estimated_runtime_s) == chosen
+            assert (member.engine, member.estimated_runtime_s) == chosen

@@ -3,8 +3,9 @@
 
 The container this project builds in has no ``pydocstyle``, so the verify
 path uses this AST-based checker instead.  Scope: the public API surface of
-``src/repro/simulators/gate`` and ``src/repro/backends`` (including
-subpackages).  Enforced rules, numbered after their pydocstyle analogues:
+``src/repro/simulators/gate``, ``src/repro/backends`` and
+``src/repro/services`` (including subpackages).  Enforced rules, numbered
+after their pydocstyle analogues:
 
 * ``DOC100`` — every module has a docstring;
 * ``DOC101`` — every public class has a docstring;
@@ -30,6 +31,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SCOPES = (
     REPO_ROOT / "src" / "repro" / "simulators" / "gate",
     REPO_ROOT / "src" / "repro" / "backends",
+    REPO_ROOT / "src" / "repro" / "services",
 )
 SUMMARY_TERMINATORS = (".", ":", "?", "!")
 
