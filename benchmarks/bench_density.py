@@ -2,9 +2,9 @@
 crossover record.
 
 Times the same noisy workload through the exact density-matrix engine and the
-batched (and, at small widths, per-shot reference) trajectory engines across
-circuit widths, and writes ``BENCH_density.json`` at the repository root.  The
-interesting quantity is the **crossover width**: the density engine costs
+batched trajectory engine (and, at small widths, the tests' per-shot
+reference oracle) across circuit widths, and writes ``BENCH_density.json``
+at the repository root.  The interesting quantity is the **crossover width**: the density engine costs
 ``O(4^n)`` per gate but is shot-free, while a trajectory engine costs
 ``O(shots x 2^n)`` — so below the crossover the oracle is the *cheaper* way to
 get a distribution, and above it sampling wins.  The record keeps that
@@ -20,6 +20,7 @@ Run standalone (``python benchmarks/bench_density.py``) or via pytest
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -32,6 +33,10 @@ from repro.simulators.gate import (
     StatevectorSimulator,
     transpile,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from engine_testlib import reference_trajectories  # noqa: E402  (needs the tests/ path above)
 
 SHOTS = 1024
 QUBIT_SIZES = (2, 4, 6, 8)
@@ -101,9 +106,9 @@ def run_suite(qubit_sizes=QUBIT_SIZES, shots=SHOTS, seed=1):
             "tvd_batched_vs_exact": round(tvd, 4),
         }
         if num_qubits <= REFERENCE_MAX_QUBITS:
-            reference = StatevectorSimulator(noise_model=noise, trajectory_engine="reference")
             reference_s, _ = time_call(
-                lambda: reference.run(circuit, shots=shots, seed=seed), repeats
+                lambda: reference_trajectories(circuit, noise, shots=shots, seed=seed),
+                repeats,
             )
             row["per_shot_reference_s"] = round(reference_s, 4)
             row["density_vs_reference"] = round(density_s / reference_s, 2)

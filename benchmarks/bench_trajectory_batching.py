@@ -1,7 +1,8 @@
 """Trajectory engine benchmark: per-shot reference vs batched (serial and
 parallel), with JSON record.
 
-Times the same noisy workload through both trajectory engines at 8–12 qubits
+Times the same noisy workload through the batched engine and the tests'
+per-shot reference oracle (``tests/engine_testlib.py``) at 8–12 qubits
 x 1024 shots — the batched engine both with one worker and with a
 ``trajectory_workers=4`` thread pool over its shot chunks — and writes the
 wall-clock numbers to ``BENCH_trajectory.json`` at the repository root, so
@@ -23,10 +24,16 @@ pytest (``pytest benchmarks/bench_trajectory_batching.py``).
 
 import json
 import os
+import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from repro.simulators.gate import Circuit, NoiseModel, StatevectorSimulator, transpile
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from engine_testlib import reference_trajectories  # noqa: E402  (needs the tests/ path above)
 
 SHOTS = 1024
 QUBIT_SIZES = (8, 10, 12)
@@ -52,16 +59,22 @@ def layered_workload(num_qubits: int, layers: int = 3) -> Circuit:
 
 
 def time_engine(engine: str, circuit: Circuit, shots: int, seed: int, repeats: int, workers: int = 1):
-    """Best-of-*repeats* wall clock for one engine configuration."""
-    simulator = StatevectorSimulator(
-        noise_model=NoiseModel(**NOISE),
-        trajectory_engine=engine,
-        trajectory_workers=workers,
-    )
+    """Best-of-*repeats* wall clock for one engine configuration.
+
+    *engine* is ``"batched"`` or ``"reference"`` (the per-shot oracle).
+    """
+    noise = NoiseModel(**NOISE)
+    if engine == "reference":
+        run = partial(reference_trajectories, circuit, noise, shots=shots, seed=seed)
+    else:
+        simulator = StatevectorSimulator(
+            noise_model=noise, trajectory_engine=engine, trajectory_workers=workers
+        )
+        run = partial(simulator.run, circuit, shots=shots, seed=seed)
     best, counts, metadata = float("inf"), None, None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = simulator.run(circuit, shots=shots, seed=seed)
+        result = run()
         best = min(best, time.perf_counter() - start)
         counts, metadata = result.counts, result.metadata
     return best, counts, metadata

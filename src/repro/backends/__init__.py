@@ -5,12 +5,7 @@ from .base import Backend, ExecutionResult
 from .exact_backend import ExactBackend
 from .gate_backend import GateBackend
 from .lowering import GATE_LOWERING_RULES, QubitAllocation, lower_operator, register_gate_lowering
-from .registry import (
-    get_backend,
-    list_engines,
-    register_backend,
-    resolve_trajectory_engine,
-)
+from .registry import get_backend, list_engines, register_backend
 from .runtime import submit
 
 __all__ = [
@@ -23,7 +18,6 @@ __all__ = [
     "get_backend",
     "list_engines",
     "register_backend",
-    "resolve_trajectory_engine",
     "submit",
     "GATE_LOWERING_RULES",
     "QubitAllocation",

@@ -120,9 +120,8 @@ class GateBackend(Backend):
         ``max_batch_memory`` (int bytes or ``None``, default 16 MiB)
             Byte budget for the batched engine's per-chunk working set;
             ``None`` disables chunking.
-        ``trajectory_engine`` (``"batched"`` | ``"reference"`` |
-            ``"density"`` | ``"stabilizer"`` | ``"auto"``, default
-            ``"batched"``)
+        ``trajectory_engine`` (``"batched"`` | ``"density"`` |
+            ``"stabilizer"`` | ``"auto"``, default ``"batched"``)
             Which engine executes noisy / mid-circuit-measuring circuits.
             ``"density"`` routes the whole run through the exact
             density-matrix oracle (closed-form probabilities, noise as CPTP
@@ -134,10 +133,10 @@ class GateBackend(Backend):
             of qubits for QEC cycles), but a non-Clifford gate raises the
             typed :class:`~repro.core.errors.UnsupportedGateError`
             (re-raised as-is, never wrapped in a
-            :class:`~repro.core.errors.BackendError`).  ``"auto"`` resolves
-            against the *transpiled* circuit via
-            :func:`~repro.backends.registry.resolve_trajectory_engine`:
-            stabilizer when every gate is Clifford, batched otherwise.
+            :class:`~repro.core.errors.BackendError`).  ``"auto"`` is
+            passed to the simulator, which resolves it against the
+            *transpiled* circuit: stabilizer when every gate is Clifford,
+            batched otherwise.
         ``trajectory_dtype`` (``"complex64"`` | ``"complex128"``, default
             ``"complex64"``)
             State dtype of the batched engine.
@@ -162,17 +161,6 @@ class GateBackend(Backend):
             ``"auto"`` resolves via
             :func:`~repro.backends.registry.resolve_trajectory_executor`:
             ``"process"`` on multi-core hosts, ``"thread"`` on one core.
-        ``pin_blas_threads`` (bool, default ``True``)
-            Cap the host BLAS/OpenMP pools at ``cores // workers`` threads
-            while the ``trajectory_workers`` pool is active, preventing the
-            ``workers x cores`` oversubscription that would otherwise erase
-            the parallel speedup.  Best-effort without ``threadpoolctl``
-            (see :mod:`~repro.simulators.gate.threads`).
-        ``compile_cache_size`` (int ``>= 1`` or ``None``, default ``None``)
-            Bound on the process-global compile caches (fusion templates,
-            bound trajectory programs, transpile templates; see
-            :func:`~repro.simulators.gate.fusion.set_compile_cache_size`).
-            ``None`` keeps the current bound (256 by default).
         ``fault_plan`` (mapping or ``None``, default ``None``)
             Deterministic fault-injection schedule for the chunk executors
             (:class:`~repro.simulators.gate.faults.FaultPlan` dict spec:
@@ -203,7 +191,7 @@ class GateBackend(Backend):
             bundle, lowered
         )
         try:
-            simulator = self._make_simulator(exec_policy, transpiled.circuit)
+            simulator = self._make_simulator(exec_policy)
             simulation = simulator.run(
                 transpiled.circuit,
                 shots=exec_policy.samples,
@@ -211,8 +199,8 @@ class GateBackend(Backend):
             )
         except UnsupportedGateError:
             # Typed engine-selection signal (non-Clifford gate under the
-            # stabilizer engine): callers and the registry's auto-selection
-            # branch on this type, so it must surface unwrapped.
+            # stabilizer engine): callers branch on this type, so it must
+            # surface unwrapped.
             raise
         except Exception as exc:  # noqa: BLE001 - surface as backend failure
             raise BackendError(f"gate backend simulation failed: {exc}") from exc
@@ -284,8 +272,8 @@ class GateBackend(Backend):
         solo run.  Each returned :class:`ExecutionResult` carries its own
         bundle's schemas and digest, the usual metadata, and
         ``metadata["merged"]`` describing the group.  That value is ``None``
-        for a group of one, and for jobs the density or reference engine
-        ran: those engines have no batch axis and run the jobs one by one.
+        for a group of one, and for jobs the density engine ran: it has no
+        batch axis and runs the jobs one by one.
         """
         if not bundles:
             return []
@@ -301,7 +289,7 @@ class GateBackend(Backend):
             for _, exec_policy, _, _, _ in prepared
         ]
         try:
-            simulator = self._make_simulator(exec_first, transpiled_first.circuit)
+            simulator = self._make_simulator(exec_first)
             simulations = simulator.run_merged(transpiled_first.circuit, specs)
         except UnsupportedGateError:
             raise
@@ -340,15 +328,9 @@ class GateBackend(Backend):
             )
         return context, exec_policy, circuit, allocation, transpiled
 
-    def _make_simulator(self, exec_policy: ExecPolicy, transpiled_circuit: Circuit) -> StatevectorSimulator:
+    def _make_simulator(self, exec_policy: ExecPolicy) -> StatevectorSimulator:
         """Build the configured simulator for one run (knobs documented on :meth:`run`)."""
         noise_model = NoiseModel.from_dict(exec_policy.options.get("noise"))
-        max_batch_memory = exec_policy.options.get("max_batch_memory", DEFAULT_MAX_BATCH_MEMORY)
-        trajectory_engine = str(exec_policy.options.get("trajectory_engine", "batched"))
-        if trajectory_engine == "auto":
-            from .registry import resolve_trajectory_engine  # local: import cycle
-
-            trajectory_engine = resolve_trajectory_engine(transpiled_circuit)
         trajectory_executor = str(
             exec_policy.options.get("trajectory_executor", "thread")
         )
@@ -358,8 +340,12 @@ class GateBackend(Backend):
             trajectory_executor = resolve_trajectory_executor()
         return StatevectorSimulator(
             noise_model=noise_model,
-            max_batch_memory=None if max_batch_memory is None else int(max_batch_memory),
-            trajectory_engine=trajectory_engine,
+            # Passed through unconverted: the simulator enforces the
+            # positive-int-or-None contract.
+            max_batch_memory=exec_policy.options.get(
+                "max_batch_memory", DEFAULT_MAX_BATCH_MEMORY
+            ),
+            trajectory_engine=str(exec_policy.options.get("trajectory_engine", "batched")),
             trajectory_executor=trajectory_executor,
             trajectory_dtype=str(exec_policy.options.get("trajectory_dtype", "complex64")),
             # Passed through unconverted: the simulator enforces the
@@ -368,12 +354,6 @@ class GateBackend(Backend):
             density_sampling=str(
                 exec_policy.options.get("density_sampling", "multinomial")
             ),
-            pin_blas_threads=bool(
-                exec_policy.options.get("pin_blas_threads", True)
-            ),
-            # Passed through unconverted: the simulator enforces the
-            # positive-int-or-None contract.
-            compile_cache_size=exec_policy.options.get("compile_cache_size"),
             # Passed through unconverted: the simulator coerces dict
             # specs through FaultPlan.coerce and enforces the contract.
             fault_plan=exec_policy.options.get("fault_plan"),

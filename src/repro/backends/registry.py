@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..core.errors import BackendError
-from ..simulators.gate.circuit import Circuit
 from .anneal_backend import AnnealBackend
 from .base import Backend
 from .exact_backend import ExactBackend
@@ -23,7 +22,6 @@ __all__ = [
     "get_backend",
     "list_engines",
     "resolve_engine_family",
-    "resolve_trajectory_engine",
     "resolve_trajectory_executor",
 ]
 
@@ -63,25 +61,6 @@ def list_engines() -> List[str]:
 def resolve_engine_family(engine: str) -> str:
     """Engine family prefix (``gate``, ``anneal``, ``exact``, ...)."""
     return engine.split(".", 1)[0]
-
-
-def resolve_trajectory_engine(circuit: Circuit, requested: str = "auto") -> str:
-    """Resolve the ``trajectory_engine`` knob against a concrete circuit.
-
-    ``"auto"`` selects the wide-register stabilizer tableau engine when every
-    gate of *circuit* is Clifford (so the circuit is guaranteed to compile —
-    no :class:`~repro.core.errors.UnsupportedGateError` can fire) and falls
-    back to the batched amplitude engine otherwise.  Any other value is
-    passed through unchanged: an *explicit* ``"stabilizer"`` request on a
-    non-Clifford circuit is a caller error and surfaces as the typed
-    :class:`~repro.core.errors.UnsupportedGateError` at compile time rather
-    than being silently rerouted.
-    """
-    if requested != "auto":
-        return requested
-    from ..simulators.gate.fusion import is_clifford_circuit
-
-    return "stabilizer" if is_clifford_circuit(circuit) else "batched"
 
 
 def resolve_trajectory_executor(requested: str = "auto") -> str:

@@ -7,8 +7,8 @@ qubit ``i`` on axis ``i`` (the same axis convention as the single-shot
 on the **trailing** axis.  Every operation (gate application, projective
 measurement, reset, stochastic Pauli/unitary noise) advances *all*
 trajectories simultaneously with vectorized NumPy, so the per-shot Python
-interpreter cost of the reference trajectory loop is paid once per
-instruction instead of once per instruction per shot.
+interpreter cost of a trajectory loop is paid once per instruction instead
+of once per instruction per shot.
 
 Why batch-last?  Any axis prefix of the tensor reshapes for free into
 ``(A, 2, B)`` with the shot dimension folded into the *contiguous* tail
@@ -27,11 +27,13 @@ number of struck shots, which is small at the NISQ rates the engine serves.
 Precision: the tensor dtype is a constructor knob.  ``complex64`` halves the
 memory traffic of this bandwidth-bound engine and is ample for sampling
 workloads (the default trajectory engine uses it); ``complex128`` (the class
-default) matches the single-shot reference exactly.
+default) matches the single-shot
+:class:`~repro.simulators.gate.statevector.Statevector` to float64 rounding.
 
-The RNG consumption pattern differs from the per-shot reference engine
-(vector draws instead of scalar draws), so for a given seed the two engines
-produce *distribution-equivalent*, not bit-identical, samples.
+The RNG consumption pattern differs from a per-shot loop (vector draws
+instead of scalar draws; the tests keep one as the reference), so for a
+given seed the two produce *distribution-equivalent*, not bit-identical,
+samples.
 
 Threading: an instance owns its tensor and scratch buffer and is **confined
 to one thread at a time** — the simulator's ``trajectory_workers`` pool

@@ -1,7 +1,7 @@
 """Exact density-matrix simulation: the trajectory stack's cross-validation oracle.
 
-The trajectory engines (:mod:`~repro.simulators.gate.batched` and the per-shot
-reference loop) *sample* noisy circuits; this module *solves* them.  A
+The trajectory engines (:mod:`~repro.simulators.gate.batched` and the
+stabilizer tableau) *sample* noisy circuits; this module *solves* them.  A
 :class:`DensityMatrix` evolves the full mixed state ``rho`` through the same
 compiled :class:`~repro.simulators.gate.fusion.TrajectoryProgram` the batched
 engine executes — every fused unitary block is applied as the superoperator

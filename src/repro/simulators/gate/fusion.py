@@ -18,8 +18,8 @@ sampled distribution:
   qubit pair (in either order; SWAP-conjugated when reversed) collapse into
   one 4x4 product, so an ``rzz–cx`` cost-layer pair or a routed
   ``cx–cx–cx`` SWAP chain costs one traversal instead of two or three.
-* **noise pushing** — with a depolarizing model active, the reference engine
-  inserts an independent Pauli-error opportunity after *every* gate.  Fusion
+* **noise pushing** — with a depolarizing model active, the per-shot channel
+  places an independent Pauli-error opportunity after *every* gate.  Fusion
   preserves that channel exactly: an error ``P`` striking after sub-gate
   ``u_i`` of a fused block is algebraically pushed past the rest of the
   block, ``P -> R P R^dagger`` with ``R`` the product of the sub-gates
@@ -881,8 +881,8 @@ def is_clifford_circuit(circuit: Circuit) -> bool:
 
     True exactly when :func:`compile_stabilizer_program` would succeed:
     every effective (barrier-free) instruction is a measure, a reset, or a
-    parameter-free gate in :data:`CLIFFORD_GATES`.  Used by the backend
-    registry's ``trajectory_engine="auto"`` resolution.
+    parameter-free gate in :data:`CLIFFORD_GATES`.  Used by the simulator's
+    ``trajectory_engine="auto"`` resolution.
     """
     for inst in circuit.instructions:
         if inst.name in ("barrier", "measure", "reset"):
@@ -996,8 +996,7 @@ def _phase_program(program: StabilizerProgram) -> Tuple[object, ...]:
 # -- template + program caches -------------------------------------------------------
 
 #: Default bound on each compile cache (templates and bound programs alike);
-#: override per run with the ``compile_cache_size`` exec-policy knob /
-#: :func:`set_compile_cache_size`.
+#: change it with :func:`set_compile_cache_size`.
 DEFAULT_COMPILE_CACHE_SIZE = DEFAULT_CACHE_SIZE
 
 _TEMPLATE_CACHE = BoundedLRU(DEFAULT_COMPILE_CACHE_SIZE)
@@ -1105,12 +1104,11 @@ def compile_stabilizer_program_cached(
 
 
 def set_compile_cache_size(maxsize: int) -> None:
-    """Bound the template and program LRUs (and the transpile cache) at *maxsize*.
+    """Bound the template, program and stabilizer LRUs (and the transpile cache) at *maxsize*.
 
-    Entries beyond the new bound are evicted oldest-first immediately.  The
-    exec-policy knob ``compile_cache_size`` routes here through
-    :class:`~repro.simulators.gate.statevector.StatevectorSimulator`; the
-    default is :data:`DEFAULT_COMPILE_CACHE_SIZE`.
+    Entries beyond the new bound are evicted oldest-first immediately.  This
+    is the one way to bound the compile caches, which are process-global;
+    the default is :data:`DEFAULT_COMPILE_CACHE_SIZE`.
     """
     if not isinstance(maxsize, int) or isinstance(maxsize, bool) or maxsize < 1:
         raise ValueError(f"compile cache size must be a positive int, got {maxsize!r}")
@@ -1177,7 +1175,7 @@ def compile_trajectory_program(
     noise_model:
         Optional :class:`~repro.simulators.gate.noise.NoiseModel`.  With
         nonzero rates, every gate step carries the per-shot error events of
-        the reference engine's channel, conjugated through fused blocks so
+        the per-gate depolarizing channel, conjugated through fused blocks so
         fusion never changes the sampled distribution.  Default ``None``
         (also the effective value for a noiseless model).
 

@@ -15,8 +15,8 @@ from typing import Any, Dict, Optional
 
 __all__ = ["BoundedLRU", "DEFAULT_CACHE_SIZE"]
 
-#: Default entry bound shared by every compile-side cache; reconfigure per
-#: run through the ``compile_cache_size`` exec-policy knob.
+#: Default entry bound shared by every compile-side cache; reconfigure with
+#: :func:`~repro.simulators.gate.fusion.set_compile_cache_size`.
 DEFAULT_CACHE_SIZE = 256
 
 #: Absence sentinel: distinguishes "key not stored" from a stored value that

@@ -41,12 +41,6 @@ simulator picks one path per group:
   executors and any grouping.  An engine contributes only its compiler, its
   bytes per shot and its kernel; planning, execution, reassembly and result
   metadata are shared.
-* **reference trajectories** — a per-shot Python loop over the *same*
-  compiled program, with scalar RNG draws; kept as the executable
-  specification of per-trajectory semantics that the batched engine's
-  vectorised execution is tested against (``trajectory_engine="reference"``;
-  the compiler itself is validated against the density oracle and the
-  unfused specification in the fusion property tests).
 
 ``trajectory_engine="density"`` routes the whole run through the exact
 :class:`~repro.simulators.gate.density.DensityMatrixSimulator` oracle, which
@@ -55,8 +49,8 @@ instead of sampling trajectories at all.  ``trajectory_engine="stabilizer"``
 lifts the width cap for Clifford circuits (hundreds of qubits for QEC
 cycles) and raises :class:`~repro.core.errors.UnsupportedGateError` on
 non-Clifford gates; ``trajectory_engine="auto"`` picks the stabilizer engine
-for Clifford circuits and the batched engine otherwise.  The density and
-reference engines have no batch axis, so they run a group job by job.
+for Clifford circuits and the batched engine otherwise.  The density engine
+has no batch axis, so it runs a group job by job.
 
 State layout
 ------------
@@ -77,7 +71,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -400,11 +393,7 @@ class StatevectorSimulator:
         ``"batched"`` (default) compiles the circuit once (1q-run fusion,
         noise pushing, terminal-measurement batching — see
         :mod:`~repro.simulators.gate.fusion`) and advances all shots of a
-        chunk simultaneously; ``"reference"`` executes the same compiled
-        program one shot at a time with scalar RNG draws, the executable
-        specification of per-trajectory semantics.  Both sample the same
-        distributions, but their RNG consumption patterns differ, so
-        per-seed counts are only identical within one engine.
+        chunk simultaneously.
         ``"density"`` routes **every** run through the exact
         :class:`~repro.simulators.gate.density.DensityMatrixSimulator`
         oracle: outcome probabilities are computed in closed form (noise as
@@ -433,25 +422,7 @@ class StatevectorSimulator:
         engine's state tensor.  The engine is memory-bandwidth bound, and
         single precision halves the traffic; ~1e-7 amplitude rounding is
         far below the sampling noise of any realistic shot count.  The
-        reference engine and the exact path always use ``complex128``.
-    pin_blas_threads:
-        Cap the host BLAS/OpenMP pools at ``max(1, cores // workers)``
-        threads while the ``trajectory_workers`` thread pool is active
-        (default ``True``), keeping total runnable threads at about the
-        core count.  Without the cap, every worker's GEMMs spawn a full
-        BLAS team and the resulting ``workers x cores`` oversubscription
-        routinely makes the parallel configuration *slower* than serial.  Uses ``threadpoolctl``
-        when available, else the ``*_NUM_THREADS`` environment-variable
-        guard of :mod:`~repro.simulators.gate.threads` (best-effort).  Has
-        no effect on single-worker runs, and never changes sampled counts —
-        it only controls intra-GEMM parallelism.
-    compile_cache_size:
-        Optional bound on the module-level compile caches (fusion templates,
-        bound trajectory programs, transpile templates; default
-        :data:`~repro.simulators.gate.fusion.DEFAULT_COMPILE_CACHE_SIZE`
-        entries each).  The caches are process-global, so the most recent
-        configuration wins; ``None`` (default) leaves the current bound
-        untouched.
+        exact path always uses ``complex128``.
     trajectory_workers:
         Number of workers that execute shot chunks (``int >= 1``, or
         ``"auto"`` for the host CPU count; default ``1``).  The batched and
@@ -461,8 +432,12 @@ class StatevectorSimulator:
         kernels release the GIL, and every chunk draws from its own
         :class:`numpy.random.SeedSequence`-spawned stream, so seeded counts
         are **bit-identical for every worker count** and chunk decomposition
-        never depends on this knob.  The reference and density engines and
-        the exact path ignore this option.
+        never depends on this knob.  The density engine and the exact path
+        ignore this option.  With more than one worker, the host BLAS/OpenMP
+        pools are capped at ``max(1, cores // workers)`` threads while the
+        chunks run (:func:`~repro.simulators.gate.threads.limit_blas_threads`),
+        so the workers do not oversubscribe the cores; the cap never
+        changes sampled counts.
         Interacts with ``max_batch_memory``: there must be at least as many
         chunks as workers for full utilisation (shrink the byte budget or
         raise the shot count if ``num_batches`` in the result metadata is
@@ -481,7 +456,7 @@ class StatevectorSimulator:
         path, and chunk ``i`` always consumes
         the ``i``-th ``SeedSequence``-spawned stream — so seeded counts are
         **bit-identical** across both executors and every worker count.
-        The reference, density and exact paths ignore this option.
+        The density and exact paths ignore this option.
     fault_plan:
         Deterministic fault-injection schedule
         (:class:`~repro.simulators.gate.faults.FaultPlan`, a JSON-safe dict
@@ -518,21 +493,13 @@ class StatevectorSimulator:
         trajectory_dtype: str = "complex64",
         trajectory_workers: Union[int, str] = 1,
         density_sampling: str = "multinomial",
-        pin_blas_threads: bool = True,
-        compile_cache_size: Optional[int] = None,
         fault_plan=None,
         verify_compiled: bool = False,
     ):
-        if trajectory_engine not in (
-            "batched",
-            "reference",
-            "density",
-            "stabilizer",
-            "auto",
-        ):
+        if trajectory_engine not in ("batched", "density", "stabilizer", "auto"):
             raise SimulationError(
                 f"unknown trajectory engine {trajectory_engine!r}; expected "
-                "'batched', 'reference', 'density', 'stabilizer' or 'auto'"
+                "'batched', 'density', 'stabilizer' or 'auto'"
             )
         if trajectory_executor not in ("thread", "process"):
             raise SimulationError(
@@ -549,8 +516,14 @@ class StatevectorSimulator:
                 f"unknown trajectory dtype {trajectory_dtype!r}; "
                 "expected 'complex64' or 'complex128'"
             )
-        if max_batch_memory is not None and max_batch_memory <= 0:
-            raise SimulationError("max_batch_memory must be positive (or None)")
+        if max_batch_memory is not None and (
+            not isinstance(max_batch_memory, int)
+            or isinstance(max_batch_memory, bool)
+            or max_batch_memory <= 0
+        ):
+            raise SimulationError(
+                f"max_batch_memory must be a positive int (or None), got {max_batch_memory!r}"
+            )
         if trajectory_workers == "auto":
             trajectory_workers = os.cpu_count() or 1
         if not isinstance(trajectory_workers, int) or isinstance(trajectory_workers, bool):
@@ -560,27 +533,10 @@ class StatevectorSimulator:
             )
         if trajectory_workers < 1:
             raise SimulationError("trajectory_workers must be >= 1")
-        if not isinstance(pin_blas_threads, bool):
-            raise SimulationError(
-                f"pin_blas_threads must be a bool, got {pin_blas_threads!r}"
-            )
         if not isinstance(verify_compiled, bool):
             raise SimulationError(
                 f"verify_compiled must be a bool, got {verify_compiled!r}"
             )
-        if compile_cache_size is not None:
-            from .fusion import set_compile_cache_size  # local: import cycle
-
-            if isinstance(compile_cache_size, bool) or not isinstance(
-                compile_cache_size, int
-            ):
-                raise SimulationError(
-                    f"compile_cache_size must be a positive int or None, "
-                    f"got {compile_cache_size!r}"
-                )
-            if compile_cache_size < 1:
-                raise SimulationError("compile_cache_size must be >= 1 (or None)")
-            set_compile_cache_size(compile_cache_size)
         from .faults import FaultPlan  # local: keeps the import graph flat
 
         fault_plan = FaultPlan.coerce(fault_plan)
@@ -591,8 +547,6 @@ class StatevectorSimulator:
         self.trajectory_dtype = trajectory_dtype
         self.trajectory_workers = trajectory_workers
         self.density_sampling = density_sampling
-        self.pin_blas_threads = pin_blas_threads
-        self.compile_cache_size = compile_cache_size
         self.fault_plan = fault_plan
         self.verify_compiled = verify_compiled
 
@@ -662,8 +616,8 @@ class StatevectorSimulator:
         **bit-identical** to ``run(circuit, shots=..., seed=...)`` alone, and
         its metadata equals the solo run's plus, for groups of two or more,
         ``metadata["merged"] = {"group_size", "position", "merged_chunks"}``.
-        The density and reference engines have no batch axis to merge on, so
-        they run the jobs one by one.
+        The density engine has no batch axis to merge on, so it runs the jobs
+        one by one.
         """
         return self._run_group(circuit, specs, keep_state=False)
 
@@ -700,8 +654,6 @@ class StatevectorSimulator:
             or any(inst.name == "reset" for inst in circuit.instructions)
         ):
             results = self._run_exact(circuit, specs, keep_state)
-        elif engine == "reference":
-            results = [self._run_reference(circuit, s, sd, keep_state) for s, sd in specs]
         else:
             results = self._run_chunked(_AmplitudeEngine(self), circuit, specs, keep_state)
         if self.verify_compiled:
@@ -847,12 +799,8 @@ class StatevectorSimulator:
         workers = min(self.trajectory_workers, len(plan))
         # Cap BLAS at cores-per-worker: without the cap every worker's GEMMs
         # spawn a full OpenMP team and the workers x cores oversubscription
-        # erases the parallel speedup.  Knob: ``pin_blas_threads``.
-        blas_threads = (
-            max(1, (os.cpu_count() or 1) // workers)
-            if self.pin_blas_threads and workers > 1
-            else None
-        )
+        # erases the parallel speedup.
+        blas_threads = max(1, (os.cpu_count() or 1) // workers) if workers > 1 else None
         state_chunk = len(plan) - 1 if keep_state else None
         recovery = None
         if self.trajectory_executor == "process":
@@ -879,9 +827,9 @@ class StatevectorSimulator:
             else:
                 from .threads import limit_blas_threads
 
-                guard = limit_blas_threads(blas_threads) if blas_threads else nullcontext()
-                with guard, ThreadPoolExecutor(max_workers=workers) as pool:
-                    outputs = list(pool.map(run_one, range(len(plan))))
+                with limit_blas_threads(blas_threads):
+                    with ThreadPoolExecutor(max_workers=workers) as pool:
+                        outputs = list(pool.map(run_one, range(len(plan))))
         rows = [row for chunk_rows, _ in outputs for row in chunk_rows]
         return rows, outputs[-1][1], recovery
 
@@ -963,90 +911,6 @@ class StatevectorSimulator:
             shifts[clbit] = n - 1 - qubit
         return state._sample_bits(shots, rng, shifts), False
 
-    # -- reference trajectories ------------------------------------------------------
-    def _run_reference(
-        self, circuit: Circuit, shots: int, seed: Optional[int], keep_state: bool
-    ) -> SimulationResult:
-        """Per-shot reference implementation (scalar executable specification).
-
-        Executes the *same* compiled :class:`TrajectoryProgram` as the
-        batched engine — compiled through the shared structure-keyed cache,
-        noise model included — but one shot at a time with scalar RNG draws:
-        one uniform per error opportunity, one projective collapse per
-        mid-circuit measurement, one joint draw for the terminal block.
-        Kept for differentially testing the batched engine's *vectorised
-        execution* (the compiler itself is validated against the density
-        oracle and the unfused specification in the fusion property tests);
-        every production caller goes through the batched engine.
-        """
-        from .fusion import (  # local: import cycle
-            GateStep,
-            MeasureStep,
-            ResetStep,
-            compile_trajectory_program_cached,
-        )
-
-        rng = np.random.default_rng(seed)
-        metadata: Dict[str, object] = {
-            "method": "trajectories",
-            "statevector_kind": "final_trajectory",
-            "trajectory_engine": "reference",
-            "implicit_measurement": False,
-        }
-        n = circuit.num_qubits
-        final_state = Statevector(n)
-        samples: List[str] = []
-        if shots:
-            noise = _active_noise(self.noise_model)
-            program = compile_trajectory_program_cached(circuit, noise)
-            if self.verify_compiled:
-                _verify_trajectory_artifacts(circuit, program)
-            implicit = program.terminal is not None and program.terminal.implicit
-            if implicit:
-                metadata["statevector_kind"] = "pre_measurement"
-            metadata["implicit_measurement"] = implicit
-            metadata["compiled_steps"] = len(program.steps)
-        for _ in range(shots):
-            state = Statevector(n)
-            clbits = ["0"] * program.bits_width
-            for step in program.steps:
-                if isinstance(step, GateStep):
-                    state.apply_matrix(step.matrix, step.qubits, plan=step.plan)
-                    for event in step.noise:
-                        if rng.random() < event.rate:
-                            drawn = int(rng.integers(0, len(event.operators)))
-                            matrix, plan = event.operators[drawn]
-                            state.apply_matrix(matrix, event.qubits, plan=plan)
-                elif isinstance(step, MeasureStep):
-                    outcome = state.measure_qubit(step.qubit, rng)
-                    if noise is not None:
-                        outcome = noise.apply_readout_error(outcome, rng)
-                    clbits[step.clbit] = str(outcome)
-                elif isinstance(step, ResetStep):
-                    state.reset_qubit(step.qubit, rng)
-            if program.terminal is not None:
-                probs = state.probabilities()
-                index = int(rng.choice(len(probs), p=probs / probs.sum()))
-                for qubit, clbit in program.terminal.pairs:
-                    bit = (index >> (n - 1 - qubit)) & 1
-                    if noise is not None and not implicit:
-                        bit = noise.apply_readout_error(bit, rng)
-                    clbits[clbit] = str(bit)
-                if not implicit:
-                    # Collapse onto the sampled outcome for the documented
-                    # "final_trajectory" statevector contract; the implicit
-                    # sample never collapses (pre-measurement contract).
-                    _collapse_terminal(state, program.terminal.pairs, index)
-            samples.append("".join(clbits))
-            final_state = state
-        return SimulationResult(
-            counts=Counts.from_samples(samples),
-            statevector=final_state if keep_state else None,
-            shots=shots,
-            seed=seed,
-            metadata=metadata,
-        )
-
 
 def _active_noise(noise_model: Optional[NoiseModel]) -> Optional[NoiseModel]:
     """The model the compilers and kernels see: ``None`` when noiseless."""
@@ -1087,8 +951,8 @@ def _collapse_terminal(
 ) -> None:
     """Project *state* onto the sampled outcomes of the terminal measures.
 
-    Keeps the ``"final_trajectory"`` statevector contract aligned with the
-    reference engine, which collapses each measured qubit in turn.
+    Equals collapsing each measured qubit in turn, which is what the
+    ``"final_trajectory"`` statevector contract describes.
     """
     n = state.num_qubits
     for qubit, _ in pairs:

@@ -68,8 +68,7 @@ __all__ = [
 ]
 
 #: Default bound on the routing-template LRU; kept in lockstep with the
-#: fusion compile caches by ``fusion.set_compile_cache_size`` (the
-#: ``compile_cache_size`` exec-policy knob).
+#: fusion compile caches by ``fusion.set_compile_cache_size``.
 DEFAULT_TRANSPILE_CACHE_SIZE = DEFAULT_CACHE_SIZE
 
 _LABEL_PREFIX = "__transpile_cache:"

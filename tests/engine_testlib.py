@@ -2,9 +2,12 @@
 
 Seeded random-circuit generators and distribution-distance metrics used by
 ``test_differential_engines.py`` and ``test_fusion_properties.py``, plus the
-batched stabilizer tableau and kernel that ``test_stabilizer_engine.py``
-holds the phase-only kernel against, and the per-outcome exact-path samplers
-that ``test_statevector.py`` holds the array counts builder against, the
+per-shot trajectory loop that the differential, batched-trajectory, dtype
+and noisy-fastpath tests (and two benchmark scripts) hold the batched engine
+against, the batched stabilizer tableau and kernel that
+``test_stabilizer_engine.py`` holds the phase-only kernel against, and the
+per-outcome exact-path samplers that ``test_statevector.py`` holds the array
+counts builder against, the
 schema walker that ``test_jsonschema.py`` holds the compiled validator
 against, and the ``Circuit.append`` body that ``test_gates_circuit.py`` holds
 the leaner one against.  Not a test module itself (no ``test_`` prefix, so
@@ -18,16 +21,25 @@ import numpy as np
 
 from repro.core.errors import SchemaValidationError, SimulationError
 from repro.results import Counts
-from repro.simulators.gate import Circuit, Statevector, index_to_bits
+from repro.simulators.gate import (
+    Circuit,
+    NoiseModel,
+    SimulationResult,
+    Statevector,
+    compile_trajectory_program_cached,
+    index_to_bits,
+)
 from repro.simulators.gate.circuit import _NON_GATE_OPS, Instruction
 from repro.simulators.gate.gates import get_gate
 from repro.simulators.gate.fusion import (
     CliffordStep,
+    GateStep,
     MeasureStep,
     PauliChannelStep,
     ResetStep,
 )
 from repro.simulators.gate.noise import as_segments
+from repro.simulators.gate.statevector import _collapse_terminal
 
 ONEQ_GATES = (
     ("h", 0),
@@ -626,6 +638,92 @@ def per_outcome_sample_exact(
         key = "".join(key_chars)
         data[key] = data.get(key, 0) + int(multiplicity)
     return Counts(data), False
+
+
+# -- the per-shot trajectory oracle ------------------------------------------------------
+#
+# The simulator's former ``trajectory_engine="reference"`` loop, kept verbatim
+# (only lifted to a module function) as the oracle of per-trajectory
+# semantics: it executes the *same* compiled program as the batched engine,
+# one shot at a time with scalar draws.  Unlike the simulator it has no
+# exact-path shortcut, so every circuit runs shot by shot.
+
+
+def reference_trajectories(
+    circuit: Circuit,
+    noise_model: Optional[NoiseModel] = None,
+    *,
+    shots: int,
+    seed: Optional[int] = None,
+    keep_state: bool = False,
+) -> SimulationResult:
+    """Sample *shots* trajectories of *circuit* one at a time.
+
+    Compiles through the shared structure-keyed cache, noise model included,
+    then draws one uniform per error opportunity, one projective collapse per
+    mid-circuit measurement and one joint draw for the terminal block, all
+    from ``default_rng(seed)``.  With *keep_state* the result carries the last
+    shot's state: collapsed onto its terminal outcome, or pre-measurement
+    when the measurement is implicit.
+    """
+    rng = np.random.default_rng(seed)
+    metadata: Dict[str, object] = {
+        "method": "trajectories",
+        "statevector_kind": "final_trajectory",
+        "trajectory_engine": "reference",
+        "implicit_measurement": False,
+    }
+    n = circuit.num_qubits
+    final_state = Statevector(n)
+    samples = []
+    if shots:
+        noise = None if noise_model is None or noise_model.is_noiseless else noise_model
+        program = compile_trajectory_program_cached(circuit, noise)
+        implicit = program.terminal is not None and program.terminal.implicit
+        if implicit:
+            metadata["statevector_kind"] = "pre_measurement"
+        metadata["implicit_measurement"] = implicit
+        metadata["compiled_steps"] = len(program.steps)
+    for _ in range(shots):
+        state = Statevector(n)
+        clbits = ["0"] * program.bits_width
+        for step in program.steps:
+            if isinstance(step, GateStep):
+                state.apply_matrix(step.matrix, step.qubits, plan=step.plan)
+                for event in step.noise:
+                    if rng.random() < event.rate:
+                        drawn = int(rng.integers(0, len(event.operators)))
+                        matrix, plan = event.operators[drawn]
+                        state.apply_matrix(matrix, event.qubits, plan=plan)
+            elif isinstance(step, MeasureStep):
+                outcome = state.measure_qubit(step.qubit, rng)
+                if noise is not None:
+                    outcome = noise.apply_readout_error(outcome, rng)
+                clbits[step.clbit] = str(outcome)
+            elif isinstance(step, ResetStep):
+                state.reset_qubit(step.qubit, rng)
+        if program.terminal is not None:
+            probs = state.probabilities()
+            index = int(rng.choice(len(probs), p=probs / probs.sum()))
+            for qubit, clbit in program.terminal.pairs:
+                bit = (index >> (n - 1 - qubit)) & 1
+                if noise is not None and not implicit:
+                    bit = noise.apply_readout_error(bit, rng)
+                clbits[clbit] = str(bit)
+            if not implicit:
+                # Collapse onto the sampled outcome for the documented
+                # "final_trajectory" statevector contract; the implicit
+                # sample never collapses (pre-measurement contract).
+                _collapse_terminal(state, program.terminal.pairs, index)
+        samples.append("".join(clbits))
+        final_state = state
+    return SimulationResult(
+        counts=Counts.from_samples(samples),
+        statevector=final_state if keep_state else None,
+        shots=shots,
+        seed=seed,
+        metadata=metadata,
+    )
 
 
 # -- the JSON Schema walker oracle ------------------------------------------------------

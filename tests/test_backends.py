@@ -305,21 +305,6 @@ def test_exact_backend_ground_states(cycle4):
 
 # -- trajectory-engine selection (stabilizer / auto) --------------------------------
 
-def test_resolve_trajectory_engine_classification():
-    from repro.backends import resolve_trajectory_engine
-    from repro.simulators.gate import Circuit
-
-    clifford = Circuit(2, 2)
-    clifford.h(0).cx(0, 1).measure_all()
-    assert resolve_trajectory_engine(clifford) == "stabilizer"
-    non_clifford = Circuit(1, 1)
-    non_clifford.t(0)
-    assert resolve_trajectory_engine(non_clifford) == "batched"
-    # Explicit requests pass through untouched, even when they will fail.
-    assert resolve_trajectory_engine(non_clifford, "stabilizer") == "stabilizer"
-    assert resolve_trajectory_engine(clifford, "density") == "density"
-
-
 def test_gate_backend_auto_selects_stabilizer_for_clifford_bundle(ising_vars):
     result = run_gate(
         ising_vars,

@@ -1,6 +1,7 @@
 """Property tests for the batched trajectory engine.
 
-The batched engine must be *observably equivalent* to the per-shot reference:
+The batched engine must be *observably equivalent* to the per-shot reference
+(``engine_testlib.reference_trajectories``):
 identical states on unitary circuits (exact linear algebra), and
 distribution-equivalent samples on measuring/noisy circuits (the RNG streams
 differ, so equivalence is statistical — checked with a two-sample chi-square
@@ -27,6 +28,8 @@ from repro.simulators.gate.fusion import (
     compile_trajectory_program,
 )
 from repro.simulators.gate.gates import cached_gate_plan, gate_matrix
+
+from engine_testlib import reference_trajectories
 
 
 def chi_square_equivalent(counts_a, counts_b, significance_z=3.3):
@@ -142,9 +145,7 @@ def run_both_engines(circuit, noise_model, shots, seed):
     batched = StatevectorSimulator(noise_model=noise_model).run(
         circuit, shots=shots, seed=seed
     )
-    reference = StatevectorSimulator(
-        noise_model=noise_model, trajectory_engine="reference"
-    ).run(circuit, shots=shots, seed=seed)
+    reference = reference_trajectories(circuit, noise_model, shots=shots, seed=seed)
     assert batched.metadata["method"] == "trajectories"
     assert batched.metadata["trajectory_engine"] == "batched"
     assert reference.metadata["trajectory_engine"] == "reference"
@@ -238,6 +239,10 @@ def test_max_batch_memory_chunks_shots():
 def test_invalid_engine_options_rejected():
     with pytest.raises(SimulationError):
         StatevectorSimulator(trajectory_engine="warp")
+    # Not an engine: the per-shot loop is the tests' oracle
+    # (engine_testlib.reference_trajectories).
+    with pytest.raises(SimulationError, match="'batched', 'density', 'stabilizer' or 'auto'"):
+        StatevectorSimulator(trajectory_engine="reference")
     with pytest.raises(SimulationError):
         StatevectorSimulator(trajectory_dtype="float16")
     with pytest.raises(SimulationError):
@@ -288,9 +293,7 @@ def test_terminal_peel_respects_clbit_last_write_wins():
     program = compile_trajectory_program(circuit)
     assert program.terminal is None  # neither measure is peelable
     batched = StatevectorSimulator().run(circuit, shots=1000, seed=3).counts
-    reference = StatevectorSimulator(trajectory_engine="reference").run(
-        circuit, shots=1000, seed=3
-    ).counts
+    reference = reference_trajectories(circuit, shots=1000, seed=3).counts
     assert dict(batched) == {"0": 1000}
     assert dict(reference) == {"0": 1000}
 
@@ -304,6 +307,24 @@ def test_implicit_statevector_is_pre_measurement():
     assert result.metadata["statevector_kind"] == "pre_measurement"
     probs = result.statevector.probability_dict()
     assert abs(probs.get("0", 0.0) - 0.5) < 1e-3  # superposition, not collapsed
+
+
+@pytest.mark.parametrize("budget", [4096.5, True, "16MiB"])
+def test_max_batch_memory_must_be_a_positive_int(budget):
+    with pytest.raises(SimulationError, match="max_batch_memory"):
+        StatevectorSimulator(max_batch_memory=budget)
+
+
+def test_backend_passes_max_batch_memory_through_unconverted():
+    from repro.backends import GateBackend
+    from repro.core.errors import BackendError
+    from repro.problems import MaxCutProblem
+    from repro.workflows import build_qaoa_bundle
+
+    bundle = build_qaoa_bundle(MaxCutProblem.cycle(4))
+    bundle.context.exec.options["max_batch_memory"] = True
+    with pytest.raises(BackendError, match="max_batch_memory"):
+        GateBackend().run(bundle)
 
 
 def test_backend_options_reach_the_simulator():

@@ -1,11 +1,13 @@
 """Differential validation of the trajectory engines against the density oracle.
 
-Random circuits x noise levels x seeds: the batched and reference trajectory
-engines' empirical histograms must match the density-matrix engine's exact
-outcome distribution within total-variation tolerance, and each engine must be
-bit-exactly reproducible under a fixed seed.  The quick lane runs a curated
-subset on every pytest invocation; the full sweep is marked ``slow``
-(deselect with ``-m "not slow"``).
+Random circuits x noise levels x seeds: the empirical histograms of the
+batched trajectory engine and of the per-shot reference oracle
+(``engine_testlib.reference_trajectories``, engine name ``"reference"`` below)
+must match the density-matrix engine's exact outcome distribution within
+total-variation tolerance, and each engine must be bit-exactly reproducible
+under a fixed seed.  The quick lane runs a curated subset on every pytest
+invocation; the full sweep is marked ``slow`` (deselect with
+``-m "not slow"``).
 
 Tolerance note: for a distribution over k outcomes sampled N times the
 expected TVD scales like ``sqrt(k / (2 pi N))``; every bound below sits at
@@ -29,6 +31,7 @@ from engine_testlib import (
     random_clifford_circuit,
     random_mixed_circuit,
     random_unitary_circuit,
+    reference_trajectories,
     total_variation_distance,
 )
 
@@ -40,6 +43,8 @@ def exact_distribution(circuit, noise=None):
 
 
 def engine_counts(circuit, noise, engine, shots=SHOTS, seed=7, **kwargs):
+    if engine == "reference":
+        return reference_trajectories(circuit, noise, shots=shots, seed=seed).counts
     simulator = StatevectorSimulator(noise_model=noise, trajectory_engine=engine, **kwargs)
     return simulator.run(circuit, shots=shots, seed=seed).counts
 

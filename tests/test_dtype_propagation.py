@@ -21,6 +21,8 @@ from repro.simulators.gate import (
 from repro.simulators.gate.fusion import GateStep, compile_trajectory_program
 from repro.simulators.gate.gates import ALL_GATE_NAMES, gate_matrix, get_gate
 
+from engine_testlib import reference_trajectories
+
 
 def noisy_workload(num_qubits=3):
     circuit = Circuit(num_qubits, num_qubits)
@@ -110,19 +112,26 @@ def test_end_to_end_dtype_metadata_and_statevector(dtype_name):
 
 def test_complex128_batched_matches_reference_collapse_precision():
     # With complex128 the batched engine should track the per-shot reference
-    # to float64 rounding (not float32): run a deterministic noiseless circuit
-    # with mid-circuit measurement and compare the surviving state.
+    # to float64 rounding (not float32): run a noiseless circuit whose
+    # measurements are both mid-circuit (x(0) and ry on q1 touch the measured
+    # qubits again), so the batched run takes the trajectory path and
+    # collapses, and compare the surviving superposition amplitude by
+    # amplitude.  complex64 misses this bound by about four orders.
     circuit = Circuit(2, 2)
     circuit.h(0)
     circuit.cx(0, 1)
     circuit.measure(0, 0)
+    circuit.x(0)
     circuit.h(1)
     circuit.measure(1, 1)
+    circuit.ry(0.7, 1)
     batched = StatevectorSimulator(trajectory_dtype="complex128")
-    reference = StatevectorSimulator(trajectory_engine="reference")
-    for seed in (1, 2, 3):
+    compared = 0
+    for seed in range(1, 17):
         b = batched.run(circuit, shots=1, seed=seed, return_statevector=True)
-        r = reference.run(circuit, shots=1, seed=seed, return_statevector=True)
+        r = reference_trajectories(circuit, shots=1, seed=seed, keep_state=True)
+        assert b.metadata["method"] == "trajectories"
         if dict(b.counts) == dict(r.counts):
-            overlap = abs(np.vdot(b.statevector.data, r.statevector.data))
-            assert overlap == pytest.approx(1.0, abs=1e-12)
+            assert np.max(np.abs(b.statevector.data - r.statevector.data)) < 1e-12
+            compared += 1
+    assert compared >= 1

@@ -223,3 +223,17 @@ def test_src_repro_lints_clean_with_bounded_pragmas():
 def test_readme_documents_every_gate_backend_knob():
     violations, _ = lint_invariants.lint([lint_invariants.GATE_BACKEND])
     assert [rule for _, _, rule, _ in violations if rule == "KNOB001"] == []
+
+
+def test_stale_readme_knob_row_is_knob001(tmp_path):
+    # The reverse direction: a table row no module under src/repro reads.
+    readme = lint_invariants.README.read_text(encoding="utf-8")
+    header = "| --- | --- | --- | --- |\n"
+    stale = "| `stale_knob` | `bool` | `True` | Read by nothing. |\n"
+    heading = readme.index(lint_invariants.KNOB_TABLE_HEADING)
+    cut = readme.index(header, heading) + len(header)
+    (tmp_path / "README.md").write_text(readme[:cut] + stale + readme[cut:], encoding="utf-8")
+    violations = lint_invariants.check_readme_knobs(readme_path=tmp_path / "README.md")
+    assert [(rule, message) for _, _, rule, message in violations] == [
+        ("KNOB001", "knob table row 'stale_knob' names a knob no module under src/repro reads")
+    ]

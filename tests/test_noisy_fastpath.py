@@ -16,7 +16,6 @@ Covers three layers:
 import numpy as np
 import pytest
 
-from repro.core.errors import SimulationError
 from repro.simulators.gate import (
     DEFAULT_COMPILE_CACHE_SIZE,
     Circuit,
@@ -38,7 +37,11 @@ from repro.simulators.gate.transpiler import (
     transpile_cache_info,
 )
 
-from engine_testlib import random_mixed_circuit, random_unitary_circuit
+from engine_testlib import (
+    random_mixed_circuit,
+    random_unitary_circuit,
+    reference_trajectories,
+)
 
 NOISE = NoiseModel(oneq_error=0.05, twoq_error=0.12, readout_error=0.02)
 
@@ -191,13 +194,14 @@ def test_shrinking_the_cache_evicts_immediately():
 
 
 def test_compile_cache_size_knob_on_simulator():
-    StatevectorSimulator(compile_cache_size=7)
+    # set_compile_cache_size is the one way to bound the compile caches.
+    set_compile_cache_size(7)
     assert compile_cache_info()["template"]["maxsize"] == 7
     assert transpile_cache_info()["maxsize"] == 7
-    with pytest.raises(SimulationError):
-        StatevectorSimulator(compile_cache_size=0)
-    with pytest.raises(SimulationError):
-        StatevectorSimulator(compile_cache_size="many")
+    with pytest.raises(ValueError):
+        set_compile_cache_size(0)
+    with pytest.raises(ValueError):
+        set_compile_cache_size("many")
 
 
 def test_gate_registration_invalidates_compile_caches():
@@ -216,15 +220,14 @@ def test_gate_registration_invalidates_compile_caches():
         _GATES.pop(name, None)
 
 
-# -- the reference engine on compiled programs --------------------------------------
+# -- the per-shot reference oracle on compiled programs -----------------------------
 
 
 def test_reference_engine_reports_compiled_steps_and_stays_deterministic():
     rng = np.random.default_rng(3)
     circuit = random_mixed_circuit(rng, 3, 10)
-    simulator = StatevectorSimulator(noise_model=NOISE, trajectory_engine="reference")
-    first = simulator.run(circuit, shots=128, seed=7)
-    second = simulator.run(circuit, shots=128, seed=7)
+    first = reference_trajectories(circuit, NOISE, shots=128, seed=7)
+    second = reference_trajectories(circuit, NOISE, shots=128, seed=7)
     assert dict(first.counts) == dict(second.counts)
     assert first.metadata["compiled_steps"] >= 1
     # The warm rerun was served by the program cache.

@@ -13,6 +13,10 @@ Two contracts from this PR:
   rounding of the fused matrix products).
 """
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -26,6 +30,7 @@ from repro.simulators.gate import (
     transpile,
 )
 from repro.simulators.gate.fusion import GateStep, compile_trajectory_program
+from repro.simulators.gate.threads import THREAD_ENV_VARS, limit_blas_threads
 
 
 def noisy_circuit():
@@ -243,41 +248,78 @@ def test_limit_blas_threads_rejects_nonpositive_limit():
             pass  # pragma: no cover
 
 
-def test_pin_blas_threads_knob_validated_and_counts_unchanged():
-    with pytest.raises(SimulationError):
-        StatevectorSimulator(pin_blas_threads="yes")
-    circuit, noise = noisy_circuit()
-    runs = {}
-    for pin in (True, False):
-        simulator = StatevectorSimulator(
-            noise_model=noise,
-            max_batch_memory=128 * 32,
-            trajectory_workers=2,
-            pin_blas_threads=pin,
-        )
-        runs[pin] = dict(simulator.run(circuit, shots=600, seed=5).counts)
-    # The guard only caps intra-GEMM parallelism; sampling is untouched.
-    assert runs[True] == runs[False]
+def thread_env():
+    return {var: os.environ.get(var) for var in THREAD_ENV_VARS}
 
 
-def test_backend_wires_pin_blas_threads():
-    from repro.backends.gate_backend import GateBackend
-    from repro.core.context import ContextDescriptor, ExecPolicy
-    from repro.problems import MaxCutProblem
-    from repro.workflows import build_qaoa_bundle
+@pytest.fixture
+def env_fallback(monkeypatch):
+    """Force the ``*_NUM_THREADS`` fallback from a known host state; returns it."""
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    monkeypatch.setenv("OMP_NUM_THREADS", "8")
+    for var in THREAD_ENV_VARS[1:]:
+        monkeypatch.delenv(var, raising=False)
+    return thread_env()
 
-    problem = MaxCutProblem.cycle(4)
-    context = ContextDescriptor(
-        exec=ExecPolicy(
-            engine="gate.aer_simulator",
-            samples=64,
-            seed=2,
-            options={"pin_blas_threads": False, "trajectory_workers": 2},
-        )
-    )
-    bundle = build_qaoa_bundle(problem, context=context)
-    result = GateBackend().run(bundle)
-    assert result.counts.shots == 64
+
+def test_overlapping_blas_guards_keep_the_pin_until_the_last_exit(env_fallback):
+    # Two service lanes each running a multi-worker job overlap their
+    # guards: enter A, enter B, exit A, exit B.  The pin must hold (at the
+    # smallest active limit) until B exits, and only then come back exactly.
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def lane_a():
+        with limit_blas_threads(1):
+            a_in.set()
+            b_in.wait(10)
+            seen["both"] = thread_env()
+        a_out.set()
+
+    def lane_b():
+        a_in.wait(10)
+        with limit_blas_threads(2):
+            b_in.set()
+            a_out.wait(10)
+            seen["b_alone"] = thread_env()
+
+    lanes = [threading.Thread(target=lane_a), threading.Thread(target=lane_b)]
+    for lane in lanes:
+        lane.start()
+    for lane in lanes:
+        lane.join(timeout=30)
+        assert not lane.is_alive()
+    assert seen["both"] == {var: "1" for var in THREAD_ENV_VARS}
+    assert seen["b_alone"] == {var: "2" for var in THREAD_ENV_VARS}
+    assert thread_env() == env_fallback
+
+
+def test_blas_guard_stress_never_unpins_an_active_holder(env_fallback):
+    # More lanes than cores, a short switch interval: while a lane is inside
+    # its guard every variable stays pinned at or below that lane's limit,
+    # and the host's settings come back once every lane is out.
+    errors = []
+
+    def lane(limit):
+        for _ in range(200):
+            with limit_blas_threads(limit):
+                for var, value in thread_env().items():
+                    if value is None or int(value) > limit:
+                        errors.append((limit, var, value))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        lanes = [threading.Thread(target=lane, args=(1 + i % 3,)) for i in range(6)]
+        for thread in lanes:
+            thread.start()
+        for thread in lanes:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert thread_env() == env_fallback
 
 
 # -- process-pool executor equivalence (PR 8) ---------------------------------------

@@ -23,9 +23,11 @@ driver runs it next to the IR verifier).  Rules:
 * ``TIME001`` — no wall-clock reads (``time.time``/``perf_counter``/
   ``monotonic``, ``datetime.now``/``utcnow``) in library code; timing belongs
   to benchmarks and the runtime submission layer.
-* ``KNOB001`` — every exec-policy knob read by ``backends/gate_backend.py``
-  (``exec_policy.options.get("<knob>")``) must have a backticked row in the
-  README's knob table.
+* ``KNOB001`` — the README's "Simulator exec-policy knobs" table and the code
+  agree in both directions: every exec-policy knob read by
+  ``backends/gate_backend.py`` (``exec_policy.options.get("<knob>")``) has a
+  backticked row in the table, and every row of the table names a knob that
+  some module under ``src/repro`` reads with ``options.get("<knob>", ...)``.
 
 A violating line can carry an explicit ``# lint: allow(RULE)`` pragma (comma
 separated for several rules); the violation is then suppressed **and
@@ -57,7 +59,8 @@ LINT_RULES = {
     "CACHE002": "no module-level dict caches in simulators/gate (use BoundedLRU)",
     "DTYPE001": "no hardcoded complex128/dtype=complex outside dtype plumbing",
     "TIME001": "no wall-clock reads in library code",
-    "KNOB001": "every gate_backend exec-policy knob has a README table row",
+    "KNOB001": "every gate_backend exec-policy knob has a README table row, "
+    "and every README knob row is read by src/repro",
 }
 
 #: ``np.random`` attributes that are seeded-RNG plumbing, not global draws.
@@ -302,34 +305,84 @@ def _check_dtypes(tree: ast.Module, path: Path) -> Iterator[Violation]:
                 )
 
 
-def check_readme_knobs(
-    backend_path: Path = GATE_BACKEND, readme_path: Path = README
-) -> List[Violation]:
-    """KNOB001: every ``options.get("<knob>")`` in the backend has a README row."""
-    violations: List[Violation] = []
-    if not backend_path.exists() or not readme_path.exists():
-        return violations
-    tree = ast.parse(backend_path.read_text(encoding="utf-8"), filename=str(backend_path))
-    readme = readme_path.read_text(encoding="utf-8")
+#: Heading of the README section whose table lists the exec-policy knobs.
+KNOB_TABLE_HEADING = "## Simulator exec-policy knobs"
+
+
+def _option_reads(path: Path) -> Iterator[Tuple[str, int]]:
+    """``(knob, lineno)`` of every ``options.get("<knob>", ...)`` call in *path*.
+
+    The receiver is an attribute named ``options`` (``exec_policy.options``)
+    or a local named ``options``.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         if node.func.attr != "get":
             continue
         owner = node.func.value
-        if not (isinstance(owner, ast.Attribute) and owner.attr == "options"):
+        if not (
+            (isinstance(owner, ast.Attribute) and owner.attr == "options")
+            or (isinstance(owner, ast.Name) and owner.id == "options")
+        ):
             continue
-        if not (node.args and isinstance(node.args[0], ast.Constant)):
-            continue
-        knob = node.args[0].value
-        if isinstance(knob, str) and f"`{knob}`" not in readme:
+        knob = node.args[0].value if node.args and isinstance(node.args[0], ast.Constant) else None
+        if isinstance(knob, str):
+            yield knob, node.lineno
+
+
+def _knob_table_rows(readme: str) -> Iterator[Tuple[str, int]]:
+    """``(knob, lineno)`` of every row of the README's knob table."""
+    lines = readme.splitlines()
+    if KNOB_TABLE_HEADING not in lines:
+        return
+    start = lines.index(KNOB_TABLE_HEADING) + 1
+    in_table = False
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        if line.startswith("|"):
+            in_table = True
+            match = re.match(r"\|\s*`([^`]+)`\s*\|", line)
+            if match:
+                yield match.group(1), lineno
+        elif in_table:
+            return
+
+
+def check_readme_knobs(
+    backend_path: Path = GATE_BACKEND, readme_path: Path = README
+) -> List[Violation]:
+    """KNOB001, both directions, between the code and the README's knob table.
+
+    Every ``options.get("<knob>")`` in the backend has a backticked README
+    row, and every row of the knob table names a knob that some module under
+    ``src/repro`` reads.
+    """
+    violations: List[Violation] = []
+    if not backend_path.exists() or not readme_path.exists():
+        return violations
+    readme = readme_path.read_text(encoding="utf-8")
+    for knob, lineno in _option_reads(backend_path):
+        if f"`{knob}`" not in readme:
             violations.append(
                 (
                     backend_path,
-                    node.lineno,
+                    lineno,
                     "KNOB001",
                     f"exec-policy knob {knob!r} has no backticked row in "
                     f"{readme_path.name}'s knob table",
+                )
+            )
+    read = {knob for path in SRC_ROOT.rglob("*.py") for knob, _ in _option_reads(path)}
+    for knob, lineno in _knob_table_rows(readme):
+        if knob not in read:
+            violations.append(
+                (
+                    readme_path,
+                    lineno,
+                    "KNOB001",
+                    f"knob table row {knob!r} names a knob no module under "
+                    f"{_relative(SRC_ROOT)} reads",
                 )
             )
     return violations
