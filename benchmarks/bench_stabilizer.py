@@ -61,8 +61,9 @@ SURFACE_DISTANCES = (5, 9, 13)
 
 #: Largest allowed wall-clock ratio of the 1001-qubit to the 501-qubit
 #: repetition row.  Sparse phase writes keep it near 2.3; dense ``(2n, batch)``
-#: phase XORs on every gate and noise event read 4.6.  A ratio of two rows of
-#: one run, so host speed cancels.
+#: phase XORs on every gate and noise event read 4.6.  Sampling the compiled
+#: affine map, the rows time the compile almost alone: 2.3-2.9.  A ratio of
+#: two rows of one run, so host speed cancels.
 WIDTH_RATIO_BOUND = 3.5
 
 #: Byte budget that splits the 1024-shot 1001-qubit round into six chunks
@@ -71,8 +72,9 @@ SMALL_CHUNK_MEMORY = 600_000
 
 #: Largest allowed wall-clock ratio of that round in six chunks to the same
 #: round in one chunk, both warm.  Replaying the tableau in every chunk read
-#: 6.3; with the structure compiled once it reads 2.5-2.7.  Two timings of
-#: one run, so host speed cancels.
+#: 6.3; with the structure compiled once it reads 2.5-2.7, and sampling the
+#: compiled affine map 1.0-1.07.  Two timings of one run, so host speed
+#: cancels.
 SMALL_CHUNK_RATIO_BOUND = 4.0
 
 

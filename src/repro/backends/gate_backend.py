@@ -128,8 +128,9 @@ class GateBackend(Backend):
             maps; capped at
             :data:`~repro.simulators.gate.density.MAX_DENSITY_QUBITS`
             qubits).  ``"stabilizer"`` runs the whole circuit on the
-            Clifford tableau engine: one tableau pass per compile, then a
-            phase-only kernel on per-shot signs.  No width cap (hundreds
+            Clifford tableau engine: one tableau pass per compile, folded
+            into an affine map over GF(2) that each chunk samples per
+            fired error.  No width cap (hundreds
             of qubits for QEC cycles), but a non-Clifford gate raises the
             typed :class:`~repro.core.errors.UnsupportedGateError`
             (re-raised as-is, never wrapped in a

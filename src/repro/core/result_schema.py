@@ -68,6 +68,8 @@ class ResultSchema:
     bit_significance: BitOrder = BitOrder.LSB_0
     clbit_order: List[str] = field(default_factory=list)
     metadata: Dict[str, Any] = field(default_factory=dict)
+    # The parsed references and the clbit_order they were parsed from.
+    _parsed: Tuple[List[str], List[ClbitRef]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.datatype = MeasurementSemantics(self.datatype)
@@ -75,9 +77,9 @@ class ResultSchema:
         if self.basis not in ("Z", "X", "Y"):
             raise DescriptorError(f"unsupported measurement basis {self.basis!r}")
         self.clbit_order = [str(ref) for ref in self.clbit_order]
-        # Validate references eagerly so errors surface at construction time.
-        for ref in self.clbit_order:
-            ClbitRef.parse(ref)
+        # Parse eagerly so errors surface at construction time, and keep the
+        # result for references().
+        self._parsed = (list(self.clbit_order), [ClbitRef.parse(ref) for ref in self.clbit_order])
 
     # -- construction helpers ------------------------------------------------
     @classmethod
@@ -103,8 +105,17 @@ class ResultSchema:
         return len(self.clbit_order)
 
     def references(self) -> List[ClbitRef]:
-        """Parsed clbit references in classical-bit order."""
-        return [ClbitRef.parse(ref) for ref in self.clbit_order]
+        """Parsed clbit references in classical-bit order.
+
+        Parsed once, at construction; ``clbit_order`` is a public, mutable
+        list, so a changed order (in place or rebound) is parsed again.
+        """
+        order, refs = self._parsed
+        if self.clbit_order != order:
+            order = list(self.clbit_order)
+            refs = [ClbitRef.parse(ref) for ref in order]
+            self._parsed = (order, refs)
+        return list(refs)
 
     def registers(self) -> List[str]:
         """Distinct register ids referenced, in first-appearance order."""

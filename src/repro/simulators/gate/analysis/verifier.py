@@ -29,10 +29,12 @@ checkable:
   steps on a probe tableau preserves the binary symplectic commutation
   structure (checked after every step at verifier widths, once at the end
   for very wide programs);
-* ``IR011`` — stabilizer phase program well-formed: row indices in
-  ``[0, 2n)``, random-measurement pivots in the stabilizer half and not among
-  their targets, constant bits 0 or 1, and one op group per noise qubit,
-  measurement, reset and terminal pair, in source order.
+* ``IR011`` — stabilizer phase program and outcome map well-formed: row
+  indices in ``[0, 2n)``, deterministic reads and random-measurement pivots
+  in the stabilizer half, pivots not among their targets, constant bits 0 or
+  1, one op group per noise qubit, measurement, reset and terminal pair, in
+  source order; and the affine map's event layout following those ops, its
+  output indices in ``[0, bits_width)`` and its constant row bits.
 
 Failures are :class:`~.diagnostics.IRDiagnostic` values with step provenance,
 never bare asserts; see :mod:`~.diagnostics`.
@@ -86,7 +88,7 @@ IR_RULES = {
     "IR008": "structural cache key invariant under parameter substitution",
     "IR009": "stabilizer program well-formed (primitives, operands, Pauli-channel rates)",
     "IR010": "tableau symplectic invariant preserved by the compiled Clifford steps",
-    "IR011": "stabilizer phase program well-formed (row indices, pivots, constants, op groups)",
+    "IR011": "stabilizer phase program and outcome map well-formed (rows, pivots, layout)",
 }
 
 #: Operand count of every tableau primitive (the IR009 arity table).
@@ -369,6 +371,8 @@ def _check_phase_program(report: VerificationReport, program: StabilizerProgram)
             report.add("IR011", location, f"row index outside [0, {2 * n})")
         if noise:
             continue
+        if op.pivot is None and op.rows.size and op.rows.min() < n:
+            report.add("IR011", location, "deterministic measurement reads a destabilizer row")
         if op.pivot is not None and not (n <= op.pivot < 2 * n and op.pivot not in op.rows):
             report.add(
                 "IR011",
@@ -393,6 +397,49 @@ def _check_phase_program(report: VerificationReport, program: StabilizerProgram)
             f"{len(groups)} op groups do not follow the {len(expected)} noise "
             f"qubits, measurements, resets and terminal pairs of the source, in order",
         )
+    _check_outcome_map(report, program)
+
+
+def _check_outcome_map(report: VerificationReport, program: StabilizerProgram) -> None:
+    """IR011 on the affine map the stabilizer kernel samples.
+
+    Its event layout must follow the phase program (three events per noise
+    op, with that op's rate; one per random-branch measurement; one readout
+    flip per clbit-writing measurement unless the terminal is implicit), its
+    columns must be well formed with output indices in ``[0, bits_width)``,
+    and its constant row must hold ``bits_width`` bits.
+    """
+    fields = ("noise_rates", "event_offsets", "event_outputs", "outcome_constant")
+    if any(getattr(program, name) is None for name in fields):
+        report.add("IR011", "outcome map", "no outcome map: compile the program first")
+        return
+    phases = [op for op in program.phases if isinstance(op, (PauliFlips, MeasureFlips))]
+    rates = [op.rate for op in phases if isinstance(op, PauliFlips)]
+    measures = [op for op in phases if isinstance(op, MeasureFlips)]
+    random = sum(op.pivot is not None for op in measures)
+    implicit = program.terminal is not None and program.terminal.implicit
+    readout = 0 if implicit else sum(op.clbit >= 0 for op in measures)
+    if not np.array_equal(program.noise_rates, rates):
+        report.add("IR011", "noise_rates", f"noise rates do not follow the {len(rates)} noise ops")
+    if (program.num_random, program.num_readout) != (random, readout):
+        report.add(
+            "IR011",
+            "outcome map",
+            f"{program.num_random} random and {program.num_readout} readout events for "
+            f"{random} random-branch and {readout} clbit-writing measurements",
+        )
+    offsets, outputs = program.event_offsets, program.event_outputs
+    events = 3 * len(rates) + random + readout
+    if offsets.shape != (events + 1,):
+        report.add("IR011", "event_offsets", f"{offsets.size - 1} columns for {events} events")
+    elif offsets[0] != 0 or offsets[-1] != outputs.size or np.any(np.diff(offsets) < 0):
+        report.add("IR011", "event_offsets", "column offsets are not a partition of event_outputs")
+    width = program.bits_width
+    if outputs.size and (outputs.min() < 0 or outputs.max() >= width):
+        report.add("IR011", "event_outputs", f"output index outside [0, {width})")
+    constant = program.outcome_constant
+    if constant.shape != (width,) or np.any((constant != 0) & (constant != 1)):
+        report.add("IR011", "outcome_constant", f"constant row is not {width} bits of 0 or 1")
 
 
 def verify_stabilizer_program(program: StabilizerProgram) -> VerificationReport:
@@ -408,10 +455,13 @@ def verify_stabilizer_program(program: StabilizerProgram) -> VerificationReport:
     cover every qubit in order, as for trajectory programs).
 
     Run only when the structural pass is clean: IR011 checks the phase
-    program the kernel executes (row indices in ``[0, 2n)``, random
-    pivots in the stabilizer half ``[n, 2n)`` and not among their rowsum
+    program (row indices in ``[0, 2n)``, deterministic reads and random
+    pivots in the stabilizer half ``[n, 2n)``, pivots not among their rowsum
     targets, constant bits 0 or 1, one op group per noise qubit,
-    measurement, reset and terminal pair, in source order).  IR010 executes
+    measurement, reset and terminal pair, in source order) and the affine
+    map the kernel samples (its event count and rates against that layout,
+    output indices in ``[0, bits_width)``, a constant row of
+    ``bits_width`` bits).  IR010 executes
     the Clifford steps on a probe
     :class:`~repro.simulators.gate.stabilizer.StabilizerTableau` and checks
     the binary symplectic Gram invariant after every step (once at the end

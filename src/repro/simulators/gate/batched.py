@@ -271,22 +271,6 @@ class BatchedStatevector:
         """
         return np.abs(self._tensor) ** 2
 
-    def expectation_z_columns(
-        self, qubit: int, probs: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Per-trajectory ``<Z>`` on *qubit* as a float64 ``(batch,)`` array.
-
-        Pass a precomputed :meth:`probabilities_columns` tensor as *probs*
-        to share one traversal across many observable terms.
-        """
-        if not 0 <= qubit < self.num_qubits:
-            raise SimulationError(f"qubit {qubit} out of range")
-        if probs is None:
-            probs = self.probabilities_columns()
-        axes = tuple(a for a in range(self.num_qubits) if a != qubit)
-        marginal = self._marginal_columns(probs, axes)
-        return marginal[0] - marginal[1]
-
     def expectation_zz_columns(
         self, qubit_a: int, qubit_b: int, probs: Optional[np.ndarray] = None
     ) -> np.ndarray:

@@ -267,11 +267,19 @@ class StabilizerProgram:
     :class:`MeasureStep` and :class:`ResetStep`; trailing measurements are
     peeled into the same :class:`TerminalSample` contract (implicit terminal
     measurement included) as :class:`TrajectoryProgram`, so the engines share
-    one result-semantics contract.  ``phases``, what the run kernel
-    executes, holds one ``PauliFlips`` per noise qubit and one
-    ``MeasureFlips`` per measurement, reset and terminal pair, in source
-    order (:mod:`~repro.simulators.gate.stabilizer`).  Immutable after
-    compilation (phase index arrays are read-only) and safe to execute from
+    one result-semantics contract.  ``phases`` holds one ``PauliFlips`` per
+    noise qubit and one ``MeasureFlips`` per measurement, reset and terminal
+    pair, in source order (:mod:`~repro.simulators.gate.stabilizer`).
+
+    The run kernel samples the affine map the phase program folds into,
+    ``bits = outcome_constant XOR M e``, over events numbered in this
+    layout: the X, Y and Z of each noise op, in phase order (``noise_rates``
+    holds each op's rate); then one per random-branch measurement
+    (``num_random``); then one readout flip per clbit-writing measurement,
+    an implicit terminal excluded (``num_readout``).  ``M`` is stored by
+    column: event ``e`` flips the bits
+    ``event_outputs[event_offsets[e]:event_offsets[e + 1]]``.  Immutable
+    after compilation (index arrays are read-only) and safe to execute from
     many shot chunks concurrently.
     """
 
@@ -280,6 +288,12 @@ class StabilizerProgram:
     steps: List[object] = field(default_factory=list)
     terminal: Optional[TerminalSample] = None
     phases: Optional[Tuple[object, ...]] = None
+    noise_rates: Optional[np.ndarray] = None
+    num_random: int = 0
+    num_readout: int = 0
+    event_offsets: Optional[np.ndarray] = None
+    event_outputs: Optional[np.ndarray] = None
+    outcome_constant: Optional[np.ndarray] = None
 
     @property
     def bits_width(self) -> int:
@@ -915,7 +929,9 @@ def compile_stabilizer_program(
     contract (implicit terminal measurement over every qubit for
     measurement-free circuits), identical to the trajectory compiler.
     Finally the steps run once on a batch-free tableau to record the
-    program's ``phases``, so no run or chunk replays the Clifford structure.
+    program's ``phases``, which fold into the affine map the run kernel
+    samples, so no run or chunk replays the Clifford structure or the
+    phase program.
     """
     if noise_model is not None and noise_model.is_noiseless:
         noise_model = None
@@ -950,6 +966,7 @@ def compile_stabilizer_program(
     program = StabilizerProgram(circuit.num_qubits, circuit.num_clbits, steps)
     program.terminal = terminal
     program.phases = _phase_program(program)
+    _fold_outcome_map(program)
     hook = _STABILIZER_HOOK
     if hook is not None:
         hook(program, circuit)
@@ -991,6 +1008,76 @@ def _phase_program(program: StabilizerProgram) -> Tuple[object, ...]:
     for qubit, clbit in program.terminal.pairs if program.terminal else ():
         measure(qubit, clbit)
     return tuple(phases)
+
+
+def _fold_outcome_map(program: StabilizerProgram) -> None:
+    """Fold *program*'s phase program into the affine map the kernel samples.
+
+    One symbolic pass: each stabilizer sign row holds the set of events its
+    sign depends on, and each phase op updates those sets as the per-op
+    kernel would update the signs.  The constant bit is the member ``-1``,
+    an event that always fires, so a reset whose outcome has a constant
+    flips rows by that constant through the same XOR.  Destabilizer signs
+    are written but never read (deterministic measurements read stabilizer
+    rows, random ones their stabilizer pivot), so they are not tracked.  A
+    clbit takes its last write.  Stored sparse, by column: the build never
+    forms a dense outputs x events matrix.
+    """
+    n = program.num_qubits
+    noise = [op.rate for op in program.phases if type(op) is PauliFlips]
+    measures = [op for op in program.phases if type(op) is MeasureFlips]
+    readout = not (program.terminal is not None and program.terminal.implicit)
+    program.noise_rates = _read_only(np.array(noise, dtype=np.float64))
+    program.num_random = sum(op.pivot is not None for op in measures)
+    program.num_readout = sum(op.clbit >= 0 for op in measures) if readout else 0
+    signs = [set() for _ in range(n)]  # stabilizer row n + i
+    written: Dict[int, set] = {}
+    event = 0
+    fresh = 3 * len(noise)
+    flip = fresh + program.num_random
+    for op in program.phases:
+        if type(op) is PauliFlips:
+            for rows in op.rows:
+                for row in rows.tolist():
+                    if row >= n:
+                        signs[row - n].add(event)
+                event += 1
+            continue
+        if op.pivot is None:
+            events = {-1} if op.constant else set()
+            for row in op.rows.tolist():
+                events ^= signs[row - n]
+        else:
+            pivot = op.pivot - n
+            for row in op.rows.tolist():
+                if row >= n:
+                    signs[row - n] ^= signs[pivot]
+            events, signs[pivot] = {fresh}, {fresh}
+            fresh += 1
+        if op.clbit < 0:
+            for row in op.flips.tolist():
+                if row >= n:
+                    signs[row - n] ^= events
+            continue
+        if readout:
+            events.add(flip)
+            flip += 1
+        written[op.clbit] = events
+    constant = np.zeros(program.bits_width, dtype=np.uint8)
+    for clbit, events in written.items():
+        if -1 in events:
+            events.remove(-1)
+            constant[clbit] = 1
+    sizes = [len(events) for events in written.values()]
+    columns = np.fromiter(
+        (e for events in written.values() for e in events), dtype=np.intp, count=sum(sizes)
+    )
+    outputs = np.repeat(np.fromiter(written, dtype=np.intp, count=len(written)), sizes)
+    offsets = np.zeros(flip + 1, dtype=np.intp)
+    np.cumsum(np.bincount(columns, minlength=flip), out=offsets[1:])
+    program.event_offsets = _read_only(offsets)
+    program.event_outputs = _read_only(outputs[np.argsort(columns, kind="stable")])
+    program.outcome_constant = _read_only(constant)
 
 
 # -- template + program caches -------------------------------------------------------

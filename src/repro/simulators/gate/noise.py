@@ -13,19 +13,12 @@ are modelled, both applied stochastically per trajectory:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ...core.errors import SimulationError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .circuit import Instruction
-    from .statevector import Statevector
-
 __all__ = ["NoiseModel", "as_segments"]
-
-_PAULIS = ("x", "y", "z")
 
 
 def as_segments(draws, batch_size: int):
@@ -60,27 +53,6 @@ class NoiseModel:
     def is_noiseless(self) -> bool:
         """True when every rate is zero."""
         return self.oneq_error == 0.0 and self.twoq_error == 0.0 and self.readout_error == 0.0
-
-    def apply_gate_noise(
-        self, state: "Statevector", instruction: "Instruction", rng: np.random.Generator
-    ) -> None:
-        """Apply per-qubit depolarizing noise after *instruction* (in place).
-
-        The unfused per-instruction form of the channel.  The engines no
-        longer call this — every trajectory engine executes compiled
-        programs whose :class:`~repro.simulators.gate.fusion.NoiseEvent`
-        streams encode the same channel — but it remains the executable
-        definition the fusion property tests compare those streams against.
-        """
-        if instruction.name in ("barrier", "measure", "reset"):
-            return
-        rate = self.oneq_error if instruction.num_qubits == 1 else self.twoq_error
-        if rate <= 0.0:
-            return
-        for qubit in instruction.qubits:
-            if rng.random() < rate:
-                pauli = _PAULIS[rng.integers(0, 3)]
-                state.apply_gate(pauli, [qubit])
 
     def apply_readout_error(self, outcome: int, rng: np.random.Generator) -> int:
         """Flip a classical readout with probability ``readout_error``."""

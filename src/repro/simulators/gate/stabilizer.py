@@ -8,32 +8,38 @@ instead of ``2^n`` amplitudes: binary matrices ``x`` and ``z`` of shape
 qubit (rows ``0..n-1`` are destabilizers, rows ``n..2n-1`` stabilizers), and a
 sign vector records each generator's sign.
 
-Compile once, run phases only
------------------------------
+Compile once, sample one affine map
+-----------------------------------
 Conjugating the generators by a Pauli error never changes their ``x``/``z``
 bits — only their signs.  Gate updates, rowsum ``i``-exponents, each
 measurement's random-or-deterministic branch and the rows a Pauli flips
 depend **only** on the bits, so every trajectory shares them.  The compile
 (:func:`~repro.simulators.gate.fusion.compile_stabilizer_program`) therefore
 runs the program once on a :class:`StabilizerTableau` and records a *phase
-program* of :class:`PauliFlips` and :class:`MeasureFlips` ops, and the run
-kernel :func:`execute_stabilizer_program_segments` holds only a
-``(2n, batch)`` ``uint8`` sign matrix ``R``.  Row ``i``'s true sign on shot
-``s`` is ``R[i, s] XOR c[i]``, with ``c`` the compile-time tableau's sign
-vector and ``R`` starting at zero:
+program* of :class:`PauliFlips` and :class:`MeasureFlips` ops.  Row ``i``'s
+true sign on a shot is ``R[i] XOR c[i]``, with ``c`` the compile-time
+tableau's sign vector and ``R`` a per-shot sign column starting at zero:
 
 * gate phase rules change ``c`` only, so gates cost nothing at run time;
-* a Pauli error flips its anticommuting rows on the shots it struck;
+* a Pauli error flips its anticommuting rows of ``R``;
 * a deterministic measurement reads the XOR of named rows of ``R`` and a
   constant bit; a random one applies its rowsum to ``R`` and writes one
-  fresh random bit per shot into the pivot row;
-* a reset then flips the rows of its conditional X on the shots that read 1.
+  fresh random bit into the pivot row;
+* a reset then flips the rows of its conditional X when it read 1;
+* a readout error flips a recorded outcome.
 
-Run-time cost is the noise draws, plus rows hit x shots struck, plus a small
-row XOR per deterministic measurement; memory is ``(2n + width)`` bytes per
-shot.  Sampling is exact (the full tableau algorithm, not an approximate
-Pauli-frame propagation), and every random draw is the one, at the size and
-in the order, a per-shot tableau run makes.
+Every op is affine over GF(2), so the whole phase program is one map from
+the events that fire on a shot (a Pauli kind of a noise op, a random
+measurement's bit, a readout flip) to its outcome bits: ``bits = c XOR M e``,
+the error-to-outcome map Stim samples from (Gidney, *Quantum* 5, 497
+(2021)).  The compile folds the phase program into ``M``, stored by column,
+and its constant row; the run kernel :func:`execute_stabilizer_program_segments`
+draws the fired events and XORs their columns into per-shot rows.  Run-time
+cost is the draws plus the nonzeros of the fired columns — per fired event,
+not per op.  Sampling is exact (``M`` comes from the full tableau algorithm,
+not an approximate Pauli-frame propagation) and has the per-op phase
+program's distribution; the draws themselves are the kernel's own (see its
+docstring), not those of a per-shot tableau run.
 
 Primitive gate set: ``x``, ``y``, ``z``, ``h``, ``s``, ``sdg``, ``cx``,
 ``cz``, ``swap`` (the compile path in
@@ -44,6 +50,7 @@ these and rejects non-Clifford gates with a typed
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -267,6 +274,9 @@ class StabilizerTableau:
 
 
 # -- the phase program -----------------------------------------------------------------
+#
+# The compile-time record of one tableau pass; the compile folds it into the
+# affine map the kernel samples, and the verifier checks both.
 
 
 @dataclass(frozen=True)
@@ -303,31 +313,72 @@ class MeasureFlips:
     flips: np.ndarray
 
 
-def _strike(signs: np.ndarray, op: PauliFlips, segments) -> None:
-    """One Pauli channel opportunity: strike with ``op.rate``, draw a Pauli.
+# -- the affine sampler ----------------------------------------------------------------
 
-    Each segment draws one uniform vector and one integer vector from its
-    own generator, whichever shots are struck; only the struck shots'
-    anticommuting rows are touched.
+#: Most fired cells one draw block holds.  Fired events grow with rate x ops
+#: x shots, so blocks keep the sampler's transient arrays a fixed size at any
+#: noise rate (a module constant of the engine revision, not a knob: changing
+#: it changes seeded counts).
+_EVENT_BLOCK = 1 << 14
+
+
+def _fired_cells(gen: np.random.Generator, cells: int, rate: float):
+    """Yield the fired cells of a ``cells``-long Bernoulli(*rate*) grid, in blocks.
+
+    Each block is the next run of fired positions, ascending, from one
+    ``gen.geometric`` draw of gaps: at most :data:`_EVENT_BLOCK`, sized from
+    the expected count left so that one block usually ends the grid.  The
+    grid is skipped, with no draw, when it is empty or the rate is zero.
     """
-    parts = [(gen.random(size) < op.rate, gen.integers(0, 3, size=size)) for size, gen in segments]
-    struck = np.concatenate([hit for hit, _ in parts]).nonzero()[0]
-    if struck.size == 0:
+    start = 0
+    while start < cells and rate > 0.0:
+        expected = (cells - start) * rate
+        size = min(_EVENT_BLOCK, int(expected + 4.0 * math.sqrt(expected)) + 16)
+        hits = start - 1 + np.cumsum(gen.geometric(rate, size))
+        if hits[-1] >= cells:
+            yield hits[: np.searchsorted(hits, cells)]
+            return
+        start = int(hits[-1]) + 1
+        yield hits
+
+
+def _xor_events(flat: np.ndarray, program, events: np.ndarray, starts: np.ndarray) -> None:
+    """XOR the columns of M of fired *events* into the flat bit rows at *starts*.
+
+    *flat* is the ``(batch * bits_width,)`` view of the bit rows and
+    ``starts[k]`` the offset of the row event ``k`` fired on.  M is stored by
+    column (``event_offsets``/``event_outputs``), so a fired event costs its
+    column's nonzeros and nothing else.
+    """
+    first = program.event_offsets[events]
+    counts = program.event_offsets[events + 1] - first
+    ends = np.cumsum(counts)
+    if not events.size or not ends[-1]:
         return
-    kinds = np.concatenate([kind for _, kind in parts])[struck]
-    for kind, rows in enumerate(op.rows):
-        shots = struck[kinds == kind]
-        if shots.size and rows.size:
-            signs[rows[:, None], shots] ^= 1  # the np.ix_ block, without its checks
+    nonzeros = np.arange(ends[-1]) + np.repeat(first - ends + counts, counts)
+    np.bitwise_xor.at(flat, np.repeat(starts, counts) + program.event_outputs[nonzeros], 1)
 
 
 def execute_stabilizer_program_segments(program, segments, noise_model=None) -> np.ndarray:
     """Run one super-chunk of trajectories through a compiled stabilizer program.
 
     The stabilizer engine's segment kernel, used for every chunk the
-    simulator executes (a solo run is a merged group of one).  It executes
-    only the program's phase program on a ``(2n, batch)`` sign matrix; the
-    Clifford structure was run once, at compile time.
+    simulator executes (a solo run is a merged group of one).  It samples the
+    program's compiled affine map, bits = c XOR M e: it draws which events
+    fire and XORs their columns of M into their shots' rows, then XORs in the
+    constant row; the Clifford structure and every measurement's rowsums ran
+    once, at compile time.
+
+    Each ``(size, generator)`` segment draws, in this fixed order:
+
+    1. for each distinct noise rate, ascending: the fired cells of its
+       ``(op, shot)`` grid (op-major, ops in phase order) by geometric gaps,
+       in blocks of at most :data:`_EVENT_BLOCK` cells, each block followed
+       by one ``integers(0, 3)`` draw of its cells' Pauli kinds (X, Y, Z);
+    2. the random-measurement bits, as the fired cells of the ``(measurement,
+       shot)`` grid at rate 1/2, in the same blocks;
+    3. when the readout error is nonzero, the readout flips, as the fired
+       cells of the ``(measurement, shot)`` grid at that rate.
 
     Parameters
     ----------
@@ -337,10 +388,9 @@ def execute_stabilizer_program_segments(program, segments, noise_model=None) -> 
     segments:
         ``(size, generator)`` pairs partitioning the batch axis; each pair is
         one standalone chunk of one job with that chunk's own seeded
-        generator.  Every random draw (Pauli channels, random-branch
-        measurements, readout flips) is pulled per segment in standalone
-        order, so slicing the returned rows back per segment reproduces each
-        chunk bit for bit at every grouping.
+        generator.  Every draw is pulled per segment, in the order above and
+        at that segment's size, so slicing the returned rows back per segment
+        reproduces each chunk bit for bit at every grouping.
     noise_model:
         Optional :class:`~repro.simulators.gate.noise.NoiseModel`; only its
         readout error is consulted here — gate noise was already lowered into
@@ -356,32 +406,30 @@ def execute_stabilizer_program_segments(program, segments, noise_model=None) -> 
         collapse is the chain rule of the joint outcome distribution),
         honouring the implicit-terminal-measurement contract.
     """
-    n = program.num_qubits
+    width = program.bits_width
     total = sum(size for size, _ in segments)
-    signs = np.zeros((2 * n, total), dtype=np.uint8)
-    bits = np.zeros((total, program.bits_width), dtype=np.uint8)
-    # An implicit terminal sample means the circuit measures nothing else.
-    implicit = program.terminal is not None and program.terminal.implicit
-    readout = None if implicit else noise_model
-    for op in program.phases:
-        if type(op) is PauliFlips:
-            _strike(signs, op, segments)
-            continue
-        if op.pivot is None:
-            outcome = np.bitwise_xor.reduce(signs[op.rows], axis=0)
-            if op.constant:
-                outcome ^= 1
-        else:
-            signs[op.rows] ^= signs[op.pivot]
-            signs[op.pivot - n] = signs[op.pivot]
-            outcome = np.concatenate(
-                [gen.integers(0, 2, size=size, dtype=np.uint8) for size, gen in segments]
-            )
-            signs[op.pivot] = outcome
-        if op.clbit < 0:
-            signs[op.flips] ^= outcome
-            continue
-        if readout is not None:
-            outcome = readout.apply_readout_error_segmented(outcome, segments)
-        bits[:, op.clbit] = outcome
+    bits = np.zeros((total, width), dtype=np.uint8)
+    flat = bits.reshape(-1)
+    # The map has no readout columns under an implicit terminal sample.
+    readout = 0.0 if noise_model is None else noise_model.readout_error
+    rates, members = np.unique(program.noise_rates, return_inverse=True)
+    noise = [(rate, np.flatnonzero(members == k)) for k, rate in enumerate(rates.tolist())]
+    random_base = 3 * program.noise_rates.size
+    readout_base = random_base + program.num_random
+    offset = 0
+    for size, gen in segments:
+        for rate, ops in noise:
+            for cells in _fired_cells(gen, ops.size * size, rate):
+                kinds = gen.integers(0, 3, size=cells.size)
+                events = 3 * ops[cells // size] + kinds
+                _xor_events(flat, program, events, (offset + cells % size) * width)
+        for base, count, rate in (
+            (random_base, program.num_random, 0.5),
+            (readout_base, program.num_readout, readout),
+        ):
+            for cells in _fired_cells(gen, count * size, rate):
+                _xor_events(flat, program, base + cells // size, (offset + cells % size) * width)
+        offset += size
+    if program.outcome_constant.any():
+        bits ^= program.outcome_constant
     return bits

@@ -1035,11 +1035,16 @@ class _StabilizerEngine:
         return program
 
     def bytes_per_shot(self, program) -> int:
-        """``2 n`` phase bytes plus ``bits_width`` outcome bytes.
+        """``2 n`` bytes plus ``bits_width`` outcome bytes.
 
-        The kernel holds no bit matrices (the structure is compiled once), so
-        the byte budget that admits hundreds of amplitude trajectories admits
-        hundreds of thousands of tableau trajectories.
+        The kernel holds a shot's outcome row and no tableau (the structure
+        and the phase program are compiled once), so the byte budget that
+        admits hundreds of amplitude trajectories admits hundreds of
+        thousands of tableau trajectories.  The ``2 n`` bytes are the sign
+        column per shot the kernel held before it sampled the compiled map;
+        they stay in the budget so that chunk plans do not move.  Fired
+        events add a working set of fixed size at any noise rate: the kernel
+        handles them in blocks of at most ``stabilizer._EVENT_BLOCK``.
         """
         return 2 * program.num_qubits + program.bits_width
 

@@ -4,14 +4,14 @@ Seeded random-circuit generators and distribution-distance metrics used by
 ``test_differential_engines.py`` and ``test_fusion_properties.py``, plus the
 per-shot trajectory loop that the differential, batched-trajectory, dtype
 and noisy-fastpath tests (and two benchmark scripts) hold the batched engine
-against, the batched stabilizer tableau and kernel that
-``test_stabilizer_engine.py`` holds the phase-only kernel against, and the
-per-outcome exact-path samplers that ``test_statevector.py`` holds the array
-counts builder against, the
-schema walker that ``test_jsonschema.py`` holds the compiled validator
-against, and the ``Circuit.append`` body that ``test_gates_circuit.py`` holds
-the leaner one against.  Not a test module itself (no ``test_`` prefix, so
-pytest does not collect it).
+against, the batched stabilizer tableau that ``test_stabilizer_engine.py``
+holds the per-op phase kernel oracle against, that oracle (with an
+injected-event entry point) which it holds the compiled affine map against,
+the per-outcome exact-path samplers that ``test_statevector.py`` holds the
+array counts builder against, the schema walker that ``test_jsonschema.py``
+holds the compiled validator against, and the ``Circuit.append`` body that
+``test_gates_circuit.py`` holds the leaner one against.  Not a test module
+itself (no ``test_`` prefix, so pytest does not collect it).
 """
 
 import re
@@ -39,6 +39,7 @@ from repro.simulators.gate.fusion import (
     ResetStep,
 )
 from repro.simulators.gate.noise import as_segments
+from repro.simulators.gate.stabilizer import PauliFlips, _xor_events
 from repro.simulators.gate.statevector import _collapse_terminal
 
 ONEQ_GATES = (
@@ -219,8 +220,8 @@ def counts_distribution(counts: Mapping[str, int]) -> Dict[str, float]:
 # The tableau class and segment kernel the stabilizer engine ran before its
 # Clifford structure was compiled once, kept verbatim (only renamed) as the
 # oracle: every chunk replays the gates on shared bit matrices and keeps a
-# per-shot (2n, batch) phase matrix.  The phase-only kernel must reproduce
-# its bit rows byte for byte, draw for draw.
+# per-shot (2n, batch) phase matrix.  The per-op phase kernel below must
+# reproduce its bit rows byte for byte, draw for draw.
 
 
 class BatchedStabilizerTableau:
@@ -581,6 +582,143 @@ def execute_batched_stabilizer_segments(program, segments, noise_model=None) -> 
                 column = noise_model.apply_readout_error_segmented(column, segments)
             bits[:, clbit] = column
     return bits
+
+
+# -- the per-op phase kernel oracle -------------------------------------------------
+#
+# The stabilizer engine's run kernel before it sampled the compiled affine
+# map: ``_strike`` and the per-op loop over the phase program, kept verbatim
+# (the loop only lifted out so its draws can be injected).  It reproduces the
+# batched tableau's bit rows byte for byte, draw for draw, and a fired-event
+# table run through it must give the affine map's bit rows bit for bit.
+
+
+def _strike(signs: np.ndarray, op: PauliFlips, segments) -> None:
+    """One Pauli channel opportunity: strike with ``op.rate``, draw a Pauli.
+
+    Each segment draws one uniform vector and one integer vector from its
+    own generator, whichever shots are struck; only the struck shots'
+    anticommuting rows are touched.
+    """
+    parts = [(gen.random(size) < op.rate, gen.integers(0, 3, size=size)) for size, gen in segments]
+    struck = np.concatenate([hit for hit, _ in parts]).nonzero()[0]
+    if struck.size == 0:
+        return
+    kinds = np.concatenate([kind for _, kind in parts])[struck]
+    for kind, rows in enumerate(op.rows):
+        shots = struck[kinds == kind]
+        if shots.size and rows.size:
+            signs[rows[:, None], shots] ^= 1  # the np.ix_ block, without its checks
+
+
+def _run_phase_program(program, total, strike, fresh_bits, readout) -> np.ndarray:
+    """The per-op loop on a ``(2n, total)`` sign matrix, draws injected.
+
+    ``strike(signs, op)`` applies one noise op, ``fresh_bits()`` gives a
+    random measurement's outcome column and ``readout(outcome)`` (``None``
+    for none) flips a recorded outcome.
+    """
+    n = program.num_qubits
+    signs = np.zeros((2 * n, total), dtype=np.uint8)
+    bits = np.zeros((total, program.bits_width), dtype=np.uint8)
+    for op in program.phases:
+        if type(op) is PauliFlips:
+            strike(signs, op)
+            continue
+        if op.pivot is None:
+            outcome = np.bitwise_xor.reduce(signs[op.rows], axis=0)
+            if op.constant:
+                outcome ^= 1
+        else:
+            signs[op.rows] ^= signs[op.pivot]
+            signs[op.pivot - n] = signs[op.pivot]
+            outcome = fresh_bits()
+            signs[op.pivot] = outcome
+        if op.clbit < 0:
+            signs[op.flips] ^= outcome
+            continue
+        if readout is not None:
+            outcome = readout(outcome)
+        bits[:, op.clbit] = outcome
+    return bits
+
+
+def execute_phase_program_segments(program, segments, noise_model=None) -> np.ndarray:
+    """Run one super-chunk through the per-op phase kernel, drawing per segment.
+
+    Same contract as the engine's ``execute_stabilizer_program_segments``;
+    the draws are one uniform and one integer vector per noise op, one bit
+    vector per random measurement and one readout vector per recorded
+    measurement, each per segment, in phase order: those of the batched
+    tableau (:func:`execute_batched_stabilizer_segments`).
+    """
+    total = sum(size for size, _ in segments)
+    # An implicit terminal sample means the circuit measures nothing else.
+    implicit = program.terminal is not None and program.terminal.implicit
+    readout = None if implicit else noise_model
+
+    def fresh_bits():
+        return np.concatenate(
+            [gen.integers(0, 2, size=size, dtype=np.uint8) for size, gen in segments]
+        )
+
+    return _run_phase_program(
+        program,
+        total,
+        lambda signs, op: _strike(signs, op, segments),
+        fresh_bits,
+        None if readout is None else (lambda o: readout.apply_readout_error_segmented(o, segments)),
+    )
+
+
+def execute_phase_program_events(program, fired) -> np.ndarray:
+    """Run a fired-event table through the per-op phase kernel.
+
+    *fired* is a ``(num_events, batch)`` 0/1 table in the program's event
+    layout: row ``3 j + k`` fires Pauli kind ``k`` (X, Y, Z) of noise op
+    ``j`` on the shots it marks (kinds of one op may fire together; each is
+    applied), then one row per random-branch measurement (its outcome bits),
+    then one per clbit-writing measurement (its readout flips).
+    """
+    fired = np.asarray(fired, dtype=np.uint8)
+    implicit = program.terminal is not None and program.terminal.implicit
+    noise_events = 3 * program.noise_rates.size
+    noise = iter(range(0, noise_events, 3))
+    fresh = iter(range(noise_events, noise_events + program.num_random))
+    flips = iter(range(noise_events + program.num_random, fired.shape[0]))
+
+    def strike(signs, op):
+        event = next(noise)
+        for kind, rows in enumerate(op.rows):
+            shots = fired[event + kind].nonzero()[0]
+            if shots.size and rows.size:
+                signs[rows[:, None], shots] ^= 1
+
+    return _run_phase_program(
+        program,
+        fired.shape[1],
+        strike,
+        lambda: fired[next(fresh)].copy(),
+        None if implicit else (lambda outcome: outcome ^ fired[next(flips)]),
+    )
+
+
+def sample_outcome_map_events(program, fired) -> np.ndarray:
+    """The affine map's bit rows for a fired-event table: ``c XOR M e``.
+
+    XORs each fired event's column through the engine kernel's own column
+    XOR, then the constant row, so the injected-event harness exercises the
+    compiled map and the code that samples it.
+    """
+    events, shots = np.nonzero(np.asarray(fired))
+    bits = np.zeros((np.shape(fired)[1], program.bits_width), dtype=np.uint8)
+    _xor_events(bits.reshape(-1), program, events, shots * program.bits_width)
+    return bits ^ program.outcome_constant
+
+
+def num_events(program) -> int:
+    """Length of *program*'s event layout (rows of a fired-event table)."""
+    return program.event_offsets.size - 1
 
 
 # -- the per-outcome exact-path oracles ------------------------------------------------

@@ -76,3 +76,53 @@ def test_multi_register_schema():
     assert schema.clbits_for_register("a") == [(0, 0), (2, 1)]
     assert schema.register_bits("110", a) == "10"
     assert schema.register_bits("110", b) == "1"
+
+
+def counting_parse(monkeypatch):
+    """Count ClbitRef.parse calls from here on; returns the one-item counter."""
+    calls = [0]
+    parse = ClbitRef.parse.__func__
+
+    def counted(cls, text):
+        calls[0] += 1
+        return parse(cls, text)
+
+    monkeypatch.setattr(ClbitRef, "parse", classmethod(counted))
+    return calls
+
+
+def test_references_are_parsed_once_at_construction(monkeypatch):
+    register = ising_register("patch", 1001)
+    schema = ResultSchema.for_register(register)
+    calls = counting_parse(monkeypatch)
+    schema.validate_against({"patch": register})
+    assert schema.registers() == ["patch"]
+    assert schema.clbits_for_register("patch") == [(c, c) for c in range(1001)]
+    assert schema.register_bits("1" + "0" * 1000, register) == "1" + "0" * 1000
+    assert calls[0] == 0
+    references = schema.references()
+    references.clear()  # a fresh list each call: the kept one is untouched
+    assert len(schema.references()) == 1001 and calls[0] == 0
+
+
+def test_changed_clbit_order_is_what_validates_and_decodes(monkeypatch):
+    a = ising_register("a", 2)
+    b = ising_register("b", 1)
+    schema = ResultSchema(basis="Z", datatype="AS_BOOL", clbit_order=["a[0]"])
+    calls = counting_parse(monkeypatch)
+    schema.clbit_order.append("b[0]")  # in place
+    assert schema.registers() == ["a", "b"]
+    assert schema.register_bits("01", b) == "1"
+    schema.validate_against({"a": a, "b": b})
+    with pytest.raises(DescriptorError):
+        schema.validate_against({"a": a})
+    assert calls[0] == 2  # parsed again once, then kept
+    schema.clbit_order = ["a[1]", "a[0]"]  # rebound
+    assert schema.clbits_for_register("a") == [(0, 1), (1, 0)]
+    assert schema.register_bits("10", a) == "01"
+    schema.clbit_order[0] = "a[7]"  # in place, one entry
+    with pytest.raises(DescriptorError):
+        schema.validate_against({"a": a})
+    schema.clbit_order[0] = "bad"
+    with pytest.raises(DescriptorError):
+        schema.references()

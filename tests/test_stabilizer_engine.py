@@ -2,9 +2,11 @@
 
 Covers the tableau invariants (symplectic form preserved by every gate /
 measure / reset), the Aaronson–Gottesman measurement contract (probabilities
-are exactly 0, 1/2 or 1; repeated measurement is idempotent), the phase-only
-kernel against the batched tableau it replaced (byte-equal bit rows and
-equal generator end states), the Clifford compile path and its typed
+are exactly 0, 1/2 or 1; repeated measurement is idempotent), the per-op
+phase kernel oracle against the batched tableau (byte-equal bit rows and
+equal generator end states), the compiled affine map against that oracle on
+injected fired-event tables (bit for bit) and the sampler against it in
+distribution, the Clifford compile path and its typed
 ``UnsupportedGateError``, engine routing (``"auto"`` selection, registry
 resolution, backend fallback behaviour), the seeded chunk-stream determinism
 guarantees, and the IR009/IR010/IR011 verifier rules on hand-built broken
@@ -47,7 +49,11 @@ from repro.simulators.gate.stabilizer import (
 from engine_testlib import (
     BatchedStabilizerTableau,
     execute_batched_stabilizer_segments,
+    execute_phase_program_events,
+    execute_phase_program_segments,
+    num_events,
     random_clifford_circuit,
+    sample_outcome_map_events,
     total_variation_distance,
 )
 
@@ -148,7 +154,7 @@ def test_pauli_noise_on_ghz_matches_density_oracle_marginals():
 
 # -- sparse phase writes against the dense formulas ---------------------------------
 #
-# These pin the batched oracle the phase-only kernel is held against below.
+# These pin the batched oracle the per-op phase kernel is held against below.
 
 # The dense Aaronson-Gottesman phase rules: each XORs a (2n,) row indicator,
 # broadcast across every shot, into the whole (2n, batch) phase matrix.
@@ -273,7 +279,7 @@ def test_sparse_depolarizing_equals_dense_formula_oracle(seed, segmented):
         assert_same_tableau(tableau, twin)
 
 
-# -- the phase-only kernel against the batched oracle -------------------------------
+# -- the per-op phase kernel oracle against the batched tableau ---------------------
 
 #: Noise settings of the oracle sweep.
 ORACLE_NOISE = {
@@ -344,13 +350,13 @@ def random_branches(program):
 
 
 def assert_kernel_matches_oracle(program, noise, sizes, seed):
-    """Byte-equal bit rows and equal generator end states, kernel vs oracle."""
+    """Byte-equal bit rows and equal generator end states, per-op kernel vs tableau."""
 
     def segments():
         return [(size, np.random.default_rng([seed, i])) for i, size in enumerate(sizes)]
 
     ours, theirs = segments(), segments()
-    got = execute_stabilizer_program_segments(program, ours, noise)
+    got = execute_phase_program_segments(program, ours, noise)
     want = execute_batched_stabilizer_segments(program, theirs, noise)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes(), sizes
@@ -400,6 +406,240 @@ def test_phase_program_index_arrays_are_read_only():
     assert arrays and not any(rows.flags.writeable for rows in arrays)
     with pytest.raises(ValueError):
         arrays[0][...] = 0
+
+
+# -- the compiled affine map against the per-op oracle ------------------------------
+#
+# The injected-event harness: one fired-event table, run through the per-op
+# phase kernel and through the compiled map, must give the same bit rows bit
+# for bit.  Densities reach well past any physical rate, so every column and
+# every interaction of events is exercised.
+
+#: Fired-event densities of the injected tables.
+INJECTED_DENSITIES = (0.02, 0.3, 0.5)
+
+
+def assert_map_matches_oracle(program, seed, batch=19):
+    """Bit-equal rows from the per-op oracle and the map, on injected events."""
+    rng = np.random.default_rng(seed)
+    for density in INJECTED_DENSITIES:
+        fired = (rng.random((num_events(program), batch)) < density).astype(np.uint8)
+        want = execute_phase_program_events(program, fired)
+        got = sample_outcome_map_events(program, fired)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), density
+
+
+def drawn_event_table(program, size, gen, noise):
+    """The fired-event table of the per-op oracle's draws from *gen*.
+
+    Pulls the oracle's draws in its order (per noise op a uniform and a kind
+    vector, per random measurement a bit vector, per recorded measurement a
+    readout vector) and files each under its event.
+    """
+    fired = np.zeros((num_events(program), size), dtype=np.uint8)
+    implicit = program.terminal is not None and program.terminal.implicit
+    noise_op, fresh = 0, 3 * program.noise_rates.size
+    flip = fresh + program.num_random
+    for op in program.phases:
+        if isinstance(op, PauliFlips):
+            struck = gen.random(size) < op.rate
+            kinds = gen.integers(0, 3, size=size)
+            fired[3 * noise_op + kinds[struck], struck.nonzero()[0]] = 1
+            noise_op += 1
+            continue
+        if op.pivot is not None:
+            fired[fresh] = gen.integers(0, 2, size=size, dtype=np.uint8)
+            fresh += 1
+        if op.clbit >= 0 and not implicit:
+            if noise is not None and noise.readout_error > 0:
+                fired[flip] = gen.random(size) < noise.readout_error
+            flip += 1
+    return fired
+
+
+@pytest.mark.parametrize("noise", sorted(ORACLE_NOISE))
+def test_injected_event_table_replays_the_oracle_draws(noise):
+    # The harness's own check: the events a per-op run draws, filed in the
+    # table layout and injected, give that run's rows bit for bit.
+    model = ORACLE_NOISE[noise]
+    rng = np.random.default_rng(7)
+    circuits = [signed_rowsum_circuit(), surface_code_cycle_circuit(3, rounds=2)]
+    circuits += [random_dynamic_clifford_circuit(rng, 5, 16), measurement_free_with_resets(rng, 4)]
+    for index, circuit in enumerate(circuits):
+        program = compile_stabilizer_program(circuit, model)
+        drawn = execute_phase_program_segments(program, [(23, np.random.default_rng(index))], model)
+        fired = drawn_event_table(program, 23, np.random.default_rng(index), model)
+        assert execute_phase_program_events(program, fired).tobytes() == drawn.tobytes()
+        assert sample_outcome_map_events(program, fired).tobytes() == drawn.tobytes()
+
+
+@pytest.mark.parametrize("noise", sorted(ORACLE_NOISE))
+def test_outcome_map_matches_phase_kernel_on_injected_random_circuits(noise):
+    rng = np.random.default_rng(2026)
+    circuits = [random_dynamic_clifford_circuit(rng, 1 + k % 8, 24) for k in range(16)]
+    circuits += [measurement_free_with_resets(rng, width) for width in (1, 3, 6)]
+    circuits.append(signed_rowsum_circuit())
+    for index, circuit in enumerate(circuits):
+        assert_map_matches_oracle(compile_stabilizer_program(circuit, ORACLE_NOISE[noise]), index)
+
+
+@pytest.mark.parametrize("distance", [5, 9])
+def test_outcome_map_matches_phase_kernel_on_surface_cycles(distance):
+    noise = NoiseModel(oneq_error=1e-3, twoq_error=5e-3, readout_error=0.02)
+    program = compile_stabilizer_program(surface_code_cycle_circuit(distance, rounds=2), noise)
+    assert program.num_random > 0 and program.num_readout > 0
+    assert any(op.clbit < 0 for op in program.phases if isinstance(op, MeasureFlips))
+    assert_map_matches_oracle(program, distance)
+
+
+def test_outcome_map_matches_phase_kernel_on_the_1001q_repetition_round():
+    # The qec_1001q benchmark program: one distance-501 repetition round.
+    noise = NoiseModel(oneq_error=1e-3, twoq_error=5e-3)
+    program = compile_stabilizer_program(repetition_code_circuit(501, rounds=1), noise)
+    assert program.noise_rates.size == 2000 and program.num_readout == 1001
+    assert_map_matches_oracle(program, 61, batch=8)
+
+
+def test_outcome_map_matches_phase_kernel_on_the_serving_qec_bundle():
+    # The serving_burst QEC job: four distance-7 patches, seven rounds, as
+    # the gate backend lowers and transpiles it.
+    from repro.backends import GateBackend
+    from repro.core import ContextDescriptor, ExecPolicy, package
+    from repro.oplib import repetition_memory_operator, repetition_register
+    from repro.simulators.gate.transpiler import transpile_cached
+
+    registers = [repetition_register(f"patch{k}", 7) for k in range(4)]
+    operators = [repetition_memory_operator(r, 7, rounds=7) for r in registers]
+    context = ContextDescriptor(exec=ExecPolicy(engine="gate.aer_simulator", samples=64, seed=1))
+    circuit, _ = GateBackend().build_circuit(package(registers, operators, context, name="qec"))
+    circuit = transpile_cached(circuit).circuit
+    noise = NoiseModel(oneq_error=1e-3, twoq_error=2e-3, readout_error=0.01)
+    program = compile_stabilizer_program(circuit, noise)
+    assert program.num_qubits == 52 and program.noise_rates.size > 0
+    assert_map_matches_oracle(program, 7)
+
+
+def test_a_clbit_written_twice_takes_its_last_write():
+    # Clbit 0 first records a random outcome, then qubit 1's deterministic 1:
+    # the map assigns the second write, so neither the random bit nor the
+    # first readout flip reaches clbit 0.
+    circuit = Circuit(2, 2)
+    circuit.h(0).x(1)
+    circuit.measure(0, 0)
+    circuit.measure(1, 0)
+    circuit.measure(0, 1)
+    noise = NoiseModel(oneq_error=0.1, readout_error=0.05)
+    program = compile_stabilizer_program(circuit, noise)
+    random_event = 3 * program.noise_rates.size
+    first_readout = random_event + program.num_random
+    offsets, outputs = program.event_offsets, program.event_outputs
+    assert program.outcome_constant.tolist() == [1, 0]
+    assert outputs[offsets[random_event] : offsets[random_event + 1]].tolist() == [1]
+    assert outputs[offsets[first_readout] : offsets[first_readout + 1]].size == 0
+    assert_map_matches_oracle(program, 11)
+    counts = StatevectorSimulator(trajectory_engine="stabilizer").run(circuit, shots=64, seed=2).counts
+    assert {key[0] for key in counts} == {"1"} and {key[1] for key in counts} == {"0", "1"}
+
+
+def test_a_reset_with_constant_outcome_one_flips_rows_by_a_constant():
+    # |11> after x and cx: the reset of qubit 0 reads the constant 1 and
+    # flips qubit 0's sign rows by it, so the later reads are 0 and 1, not 1
+    # and 1.  A map without per-row constants reads qubit 0 as 1.
+    circuit = Circuit(2, 2)
+    circuit.x(0).cx(0, 1)
+    circuit.reset(0)
+    circuit.cx(0, 1)
+    circuit.measure(0, 0)
+    circuit.measure(1, 1)
+    program = compile_stabilizer_program(circuit, ORACLE_NOISE["depolarizing_readout"])
+    reset = next(op for op in program.phases if isinstance(op, MeasureFlips) and op.clbit < 0)
+    assert reset.pivot is None and reset.constant == 1
+    assert program.outcome_constant.tolist() == [0, 1]
+    assert_map_matches_oracle(program, 13)
+    counts = StatevectorSimulator(trajectory_engine="stabilizer").run(circuit, shots=64, seed=2).counts
+    assert dict(counts) == {"01": 64}
+
+
+def test_outcome_map_arrays_are_read_only():
+    circuit = random_dynamic_clifford_circuit(np.random.default_rng(3), 4, 16)
+    program = compile_stabilizer_program(circuit, ORACLE_NOISE["depolarizing_readout"])
+    arrays = [
+        program.noise_rates,
+        program.event_offsets,
+        program.event_outputs,
+        program.outcome_constant,
+    ]
+    assert not any(array.flags.writeable for array in arrays)
+    with pytest.raises(ValueError):
+        program.event_outputs[...] = 0
+
+
+def row_counts(rows):
+    """Histogram of bit rows, keyed by each row's bytes."""
+    keys, counts = np.unique(rows, axis=0, return_counts=True)
+    return {key.tobytes(): int(count) for key, count in zip(keys, counts)}
+
+
+@pytest.mark.parametrize("noise", ["depolarizing", "depolarizing_readout"])
+def test_sampler_matches_phase_kernel_distribution(noise):
+    # Same distribution, different draws: the sampler and the per-op oracle
+    # on 20000 shots of small dynamic circuits, within a 5-sigma TV bound.
+    rng = np.random.default_rng(44)
+    circuits = [signed_rowsum_circuit()]
+    circuits += [random_dynamic_clifford_circuit(rng, 3, 6) for _ in range(3)]
+    shots = 20_000
+    for index, circuit in enumerate(circuits):
+        program = compile_stabilizer_program(circuit, ORACLE_NOISE[noise])
+        ours = execute_stabilizer_program_segments(
+            program, [(shots, np.random.default_rng([index, 0]))], ORACLE_NOISE[noise]
+        )
+        theirs = execute_phase_program_segments(
+            program, [(shots, np.random.default_rng([index, 1]))], ORACLE_NOISE[noise]
+        )
+        counts = row_counts(ours)
+        oracle = {row: count / shots for row, count in row_counts(theirs).items()}
+        tv = total_variation_distance(counts, oracle)
+        assert tv < 5.0 * np.sqrt(max(len(counts), 2) / (2 * np.pi * shots)), (index, tv)
+
+
+def test_fired_cells_blocks_cover_the_grid_in_order():
+    from repro.simulators.gate.stabilizer import _EVENT_BLOCK, _fired_cells
+
+    gen = np.random.default_rng(0)
+    cells = 2 * _EVENT_BLOCK + 5
+    blocks = list(_fired_cells(gen, cells, 1.0))
+    assert len(blocks) == 3 and all(block.size <= _EVENT_BLOCK for block in blocks)
+    assert np.array_equal(np.concatenate(blocks), np.arange(cells))
+    blocks = list(_fired_cells(gen, 8 * _EVENT_BLOCK, 0.5))
+    hits = np.concatenate(blocks)
+    assert len(blocks) > 4 and all(block.size <= _EVENT_BLOCK for block in blocks)
+    assert np.all(np.diff(hits) > 0) and 0 <= hits[0] and hits[-1] < 8 * _EVENT_BLOCK
+    assert abs(hits.size / (8 * _EVENT_BLOCK) - 0.5) < 0.01
+    state = gen.bit_generator.state
+    assert list(_fired_cells(gen, 0, 0.5)) == [] and list(_fired_cells(gen, 100, 0.0)) == []
+    assert gen.bit_generator.state == state  # an empty or rate-0 grid draws nothing
+
+
+def test_sampler_segments_are_standalone_across_many_blocks():
+    # At a code-capacity rate a segment fires several blocks of events; each
+    # segment's rows still equal its standalone run, at every grouping.
+    from repro.simulators.gate.stabilizer import _EVENT_BLOCK
+
+    noise = NoiseModel(oneq_error=0.3, twoq_error=0.3, readout_error=0.1)
+    program = compile_stabilizer_program(repetition_code_circuit(5, rounds=2), noise)
+    sizes = (3000, 1, 2500)
+    assert program.noise_rates.sum() * sizes[0] > 1.5 * _EVENT_BLOCK
+
+    def segments():
+        return [(size, np.random.default_rng([9, i])) for i, size in enumerate(sizes)]
+
+    merged = execute_stabilizer_program_segments(program, segments(), noise)
+    offset = 0
+    for segment in segments():
+        alone = execute_stabilizer_program_segments(program, [segment], noise)
+        assert alone.tobytes() == merged[offset : offset + segment[0]].tobytes()
+        offset += segment[0]
 
 
 # -- Clifford classification + typed errors -----------------------------------------
@@ -606,7 +846,7 @@ def _dynamic_program():
 
 
 def _corrupted(program, corruption):
-    """*program* with one hand-corrupted phase op (or group list)."""
+    """*program* with one hand-corrupted phase op, group list or outcome-map field."""
     n = program.num_qubits
     phases = list(program.phases)
     noise = next(k for k, op in enumerate(phases) if isinstance(op, PauliFlips))
@@ -625,12 +865,41 @@ def _corrupted(program, corruption):
         phases[random] = dataclasses.replace(op, rows=np.append(op.rows, op.pivot))
     elif corruption == "constant_not_a_bit":
         phases[random] = dataclasses.replace(op, constant=2)
+    elif corruption == "deterministic_reads_destabilizer":
+        read = next(
+            k for k, op in enumerate(phases) if isinstance(op, MeasureFlips) and op.pivot is None
+        )
+        phases[read] = dataclasses.replace(phases[read], rows=np.array([0]))
     elif corruption == "dropped_group":
         del phases[noise]
     elif corruption == "swapped_groups":
         phases[random], phases[random + 1] = phases[random + 1], phases[random]
     elif corruption == "missing":
         return dataclasses.replace(program, phases=None)
+    elif corruption == "map_output_out_of_range":
+        outputs = program.event_outputs.copy()
+        outputs[-1] = program.bits_width
+        return dataclasses.replace(program, event_outputs=outputs)
+    elif corruption == "map_constant_not_a_bit":
+        constant = program.outcome_constant.copy()
+        constant[0] = 2
+        return dataclasses.replace(program, outcome_constant=constant)
+    elif corruption == "map_constant_short":
+        return dataclasses.replace(program, outcome_constant=program.outcome_constant[1:])
+    elif corruption == "map_column_dropped":
+        return dataclasses.replace(program, event_offsets=program.event_offsets[:-1])
+    elif corruption == "map_offsets_unsorted":
+        offsets = program.event_offsets.copy()
+        offsets[1], offsets[2] = offsets[2] + 1, offsets[1]
+        return dataclasses.replace(program, event_offsets=offsets)
+    elif corruption == "map_noise_rate":
+        rates = program.noise_rates.copy()
+        rates[0] /= 2
+        return dataclasses.replace(program, noise_rates=rates)
+    elif corruption == "map_readout_count":
+        return dataclasses.replace(program, num_readout=program.num_readout + 1)
+    elif corruption == "map_missing":
+        return dataclasses.replace(program, event_offsets=None)
     return dataclasses.replace(program, phases=tuple(phases))
 
 
@@ -642,9 +911,18 @@ def _corrupted(program, corruption):
         "destabilizer_pivot",
         "pivot_among_targets",
         "constant_not_a_bit",
+        "deterministic_reads_destabilizer",
         "dropped_group",
         "swapped_groups",
         "missing",
+        "map_output_out_of_range",
+        "map_constant_not_a_bit",
+        "map_constant_short",
+        "map_column_dropped",
+        "map_offsets_unsorted",
+        "map_noise_rate",
+        "map_readout_count",
+        "map_missing",
     ],
 )
 def test_verifier_flags_corrupted_phase_program_as_ir011(corruption):
