@@ -110,9 +110,11 @@ class GateBackend(Backend):
         they are excluded from the merge eligibility key
         (:attr:`MERGE_NEUTRAL_OPTIONS`).  Knobs consumed here:
 
-        ``optimization_level`` (int, default ``1``)
+        ``optimization_level`` (int 0-3, default ``1``)
             Transpiler effort passed to
-            :func:`~repro.simulators.gate.transpiler.transpile`.
+            :func:`~repro.simulators.gate.transpiler.transpile`.  A bool,
+            a non-int or a value outside 0-3 raises the typed
+            :class:`~repro.core.errors.TranspilerError`.
         ``noise`` (mapping, default ``None``)
             :class:`~repro.simulators.gate.noise.NoiseModel` rates
             (``oneq_error`` / ``twoq_error`` / ``readout_error``); any
@@ -141,27 +143,19 @@ class GateBackend(Backend):
         ``trajectory_dtype`` (``"complex64"`` | ``"complex128"``, default
             ``"complex64"``)
             State dtype of the batched engine.
-        ``density_sampling`` (``"multinomial"`` | ``"deterministic"``,
-            default ``"multinomial"``)
-            How the density engine converts exact probabilities to counts:
-            seeded multinomial draws, or RNG-free largest-remainder
-            apportionment.  Ignored by the other engines.
-        ``trajectory_workers`` (int >= 1 or ``"auto"``, default ``1``)
+        ``trajectory_workers`` (int >= 1, default ``1``)
             Worker count of the chunk executor shared by the batched and
             stabilizer engines.  Seeded results are bit-identical for every
             value; the effective parallelism is capped by the number of
             chunks ``max_batch_memory`` produces.
-        ``trajectory_executor`` (``"thread"`` | ``"process"`` | ``"auto"``,
-            default ``"thread"``)
+        ``trajectory_executor`` (``"thread"`` | ``"process"``, default
+            ``"thread"``)
             How the batched and stabilizer engines' chunks are dispatched
             across ``trajectory_workers``: the in-process thread pool, or the
             persistent forkserver worker pool of
             :mod:`~repro.simulators.gate.procpool` (per-worker warm compile
             caches; real parallelism past the GIL).  Seeded counts are
             bit-identical across both executors at every worker count.
-            ``"auto"`` resolves via
-            :func:`~repro.backends.registry.resolve_trajectory_executor`:
-            ``"process"`` on multi-core hosts, ``"thread"`` on one core.
         ``fault_plan`` (mapping or ``None``, default ``None``)
             Deterministic fault-injection schedule for the chunk executors
             (:class:`~repro.simulators.gate.faults.FaultPlan` dict spec:
@@ -325,20 +319,15 @@ class GateBackend(Backend):
                 circuit,
                 basis_gates=list(target.basis_gates) if target and target.basis_gates else None,
                 coupling_map=list(target.coupling_map) if target and target.coupling_map else None,
-                optimization_level=int(exec_policy.options.get("optimization_level", 1)),
+                # Passed through unconverted: the transpiler enforces the
+                # int-in-0..3 contract and coercing here would mask it.
+                optimization_level=exec_policy.options.get("optimization_level", 1),
             )
         return context, exec_policy, circuit, allocation, transpiled
 
     def _make_simulator(self, exec_policy: ExecPolicy) -> StatevectorSimulator:
         """Build the configured simulator for one run (knobs documented on :meth:`run`)."""
         noise_model = NoiseModel.from_dict(exec_policy.options.get("noise"))
-        trajectory_executor = str(
-            exec_policy.options.get("trajectory_executor", "thread")
-        )
-        if trajectory_executor == "auto":
-            from .registry import resolve_trajectory_executor  # local: import cycle
-
-            trajectory_executor = resolve_trajectory_executor()
         return StatevectorSimulator(
             noise_model=noise_model,
             # Passed through unconverted: the simulator enforces the
@@ -347,14 +336,13 @@ class GateBackend(Backend):
                 "max_batch_memory", DEFAULT_MAX_BATCH_MEMORY
             ),
             trajectory_engine=str(exec_policy.options.get("trajectory_engine", "batched")),
-            trajectory_executor=trajectory_executor,
+            trajectory_executor=str(
+                exec_policy.options.get("trajectory_executor", "thread")
+            ),
             trajectory_dtype=str(exec_policy.options.get("trajectory_dtype", "complex64")),
             # Passed through unconverted: the simulator enforces the
-            # int-or-"auto" contract and coercing here would mask it.
+            # positive-int contract and coercing here would mask it.
             trajectory_workers=exec_policy.options.get("trajectory_workers", 1),
-            density_sampling=str(
-                exec_policy.options.get("density_sampling", "multinomial")
-            ),
             # Passed through unconverted: the simulator coerces dict
             # specs through FaultPlan.coerce and enforces the contract.
             fault_plan=exec_policy.options.get("fault_plan"),

@@ -421,15 +421,33 @@ def _lower_measurement(op, qdts, allocation, circuit, clbit_offset):
     _measure_schema(op, qdts, allocation, circuit, clbit_offset)
 
 
+def _append_repetition_rounds(circuit, data, ancilla, rounds, clbit_offset):
+    """Append repetition-code memory cycles on one patch, then its data readout.
+
+    Each round extracts every neighbouring-pair ZZ parity with two CX into a
+    fresh ancilla (measure + reset); then the data qubits are read out.
+    Clbits from *clbit_offset*: round-major syndrome bits, then data bits.
+    The one loop behind :func:`_lower_repetition_memory` and
+    :func:`repro.services.qec.repetition_code_circuit`; callers validate.
+    """
+    distance = len(data)
+    for rnd in range(rounds):
+        for j in range(distance - 1):
+            circuit.cx(data[j], ancilla[j])
+            circuit.cx(data[j + 1], ancilla[j])
+            circuit.measure(ancilla[j], clbit_offset + rnd * (distance - 1) + j)
+            circuit.reset(ancilla[j])
+    for j in range(distance):
+        circuit.measure(data[j], clbit_offset + rounds * (distance - 1) + j)
+
+
 def _lower_repetition_memory(op, qdts, allocation, circuit, clbit_offset):
     """Repetition-code memory cycles on one patch register.
 
-    Mirrors :func:`repro.services.qec.repetition_code_circuit` on the
-    operator's allocated qubits: carriers ``0..d-1`` are data, ``d..2d-2``
-    syndrome ancillas; each round extracts every neighbouring-pair ZZ parity
-    with two CX into a fresh ancilla (measure + reset), then the data qubits
-    are read out.  Clbits follow the operator's result schema: round-major
-    syndrome bits, then data bits.  All gates are Clifford.
+    Carriers ``0..d-1`` of the operator's register are data, ``d..2d-2``
+    syndrome ancillas; :func:`_append_repetition_rounds` appends the rounds
+    and the data readout.  Clbits follow the operator's result schema:
+    round-major syndrome bits, then data bits.  All gates are Clifford.
     """
     qdt = _primary(op, qdts)
     distance = int(op.params["distance"])
@@ -445,14 +463,7 @@ def _lower_repetition_memory(op, qdts, allocation, circuit, clbit_offset):
         )
     data = [allocation.qubit_of(qdt.id, j) for j in range(distance)]
     ancilla = [allocation.qubit_of(qdt.id, distance + j) for j in range(distance - 1)]
-    for rnd in range(rounds):
-        for j in range(distance - 1):
-            circuit.cx(data[j], ancilla[j])
-            circuit.cx(data[j + 1], ancilla[j])
-            circuit.measure(ancilla[j], clbit_offset + rnd * (distance - 1) + j)
-            circuit.reset(ancilla[j])
-    for j in range(distance):
-        circuit.measure(data[j], clbit_offset + rounds * (distance - 1) + j)
+    _append_repetition_rounds(circuit, data, ancilla, rounds, clbit_offset)
 
 
 def _lower_barrier(op, qdts, allocation, circuit, clbit_offset):

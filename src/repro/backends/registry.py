@@ -22,7 +22,6 @@ __all__ = [
     "get_backend",
     "list_engines",
     "resolve_engine_family",
-    "resolve_trajectory_executor",
 ]
 
 BackendFactory = Callable[[], Backend]
@@ -61,22 +60,6 @@ def list_engines() -> List[str]:
 def resolve_engine_family(engine: str) -> str:
     """Engine family prefix (``gate``, ``anneal``, ``exact``, ...)."""
     return engine.split(".", 1)[0]
-
-
-def resolve_trajectory_executor(requested: str = "auto") -> str:
-    """Resolve the ``trajectory_executor`` knob against the host.
-
-    ``"auto"`` picks the process-pool executor on multi-core hosts — where
-    process-level parallelism is what actually scales past the GIL — and the
-    zero-startup-cost thread executor on a single core, where a worker pool
-    can only add overhead.  Any other value passes through unchanged (the
-    simulator validates it).
-    """
-    if requested != "auto":
-        return requested
-    import os
-
-    return "process" if (os.cpu_count() or 1) > 1 else "thread"
 
 
 # Reference backends shipped with the library.

@@ -89,11 +89,6 @@ class DecodedResult:
         return next(iter(self.registers.values()))
 
 
-def decode_bits_for(qdt: QuantumDataType, register_bits: str) -> Any:
-    """Decode a register-order bitstring for *qdt* (thin wrapper for symmetry)."""
-    return qdt.decode_bits(register_bits)
-
-
 def decode_counts(
     counts: Counts,
     schema: ResultSchema,

@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional
 
+from ..backends.lowering import _append_repetition_rounds
 from ..core.bundle import JobBundle
 from ..core.context import QECPolicy
 from ..core.cost import CostHint
@@ -211,17 +212,13 @@ def repetition_code_circuit(distance: int, rounds: int = 1, patches: int = 1) ->
     )
     for patch in range(patches):
         q0 = patch * qubits_per_patch
-        c0 = patch * clbits_per_patch
-        data = [q0 + j for j in range(distance)]
-        ancilla = [q0 + distance + j for j in range(distance - 1)]
-        for rnd in range(rounds):
-            for j in range(distance - 1):
-                circuit.cx(data[j], ancilla[j])
-                circuit.cx(data[j + 1], ancilla[j])
-                circuit.measure(ancilla[j], c0 + rnd * (distance - 1) + j)
-                circuit.reset(ancilla[j])
-        for j in range(distance):
-            circuit.measure(data[j], c0 + rounds * (distance - 1) + j)
+        _append_repetition_rounds(
+            circuit,
+            [q0 + j for j in range(distance)],
+            [q0 + distance + j for j in range(distance - 1)],
+            rounds,
+            patch * clbits_per_patch,
+        )
     return circuit
 
 

@@ -59,10 +59,10 @@ table stakes, built on the transient/permanent error taxonomy of
   only (:func:`~repro.core.errors.is_transient_error`): bounded attempts,
   exponential backoff, and *seeded deterministic* jitter so a retry
   schedule replays exactly from ``(policy seed, job id, attempt)``.
-* **Degradation** — repeated worker-pool breakage
-  (:func:`~repro.core.errors.is_pool_breakage`, counting both in-run
-  recovered crashes and unrecovered ones, an exhausted recovery with
-  every rebuild it spent) flips the service to forcing
+* **Degradation** — :data:`FALLBACK_AFTER_BREAKAGES` (3) worker-pool
+  breakages (:func:`~repro.core.errors.is_pool_breakage`, counting both
+  in-run recovered crashes and unrecovered ones, an exhausted recovery
+  with every rebuild it spent) flip the service to forcing
   ``trajectory_executor="thread"`` on subsequent executions: slower but
   immune to process death.  The flip is recorded in each result's
   ``metadata["serving"]["executor_fallback"]`` and in the stats surface.
@@ -105,6 +105,11 @@ from ..core.errors import (
 from .scheduler import CostAwareScheduler
 
 __all__ = ["JobTicket", "JobService", "RetryPolicy", "ServiceStats"]
+
+#: Pool breakages (recovered in-run crashes included; an exhausted recovery
+#: counts every rebuild it spent) after which a :class:`JobService` forces
+#: ``trajectory_executor="thread"`` on every later execution.
+FALLBACK_AFTER_BREAKAGES = 3
 
 
 def _call_with_deadline(fn, deadline: float):
@@ -319,14 +324,11 @@ class JobService:
         :class:`~repro.core.errors.DeadlineExceededError` and frees its
         lane; the abandoned attempt finishes on a detached daemon thread.
         The deadline is resolved once, at admission.
-    fallback_after:
-        Pool-breakage budget of the degradation ladder (default ``3``):
-        once the cumulative count of worker-pool breakages — in-run
-        recovered crashes plus unrecovered ones, an exhausted recovery
-        counting every rebuild it spent — reaches this value, the
-        service forces ``trajectory_executor="thread"`` on every subsequent
-        execution (recorded in result metadata and
-        ``stats()["executor_fallback"]``).
+
+    The degradation ladder is not an option: after
+    :data:`FALLBACK_AFTER_BREAKAGES` pool breakages the service forces
+    ``trajectory_executor="thread"`` (recorded in result metadata and
+    ``stats()["executor_fallback"]``).
 
     Use as a context manager or call :meth:`close` to stop the dispatcher
     and wait for in-flight work; ``close(drain=False)`` cancels every job
@@ -344,7 +346,6 @@ class JobService:
         retry_policy: Optional[RetryPolicy] = None,
         max_pending: Optional[int] = None,
         default_deadline_s: Optional[float] = None,
-        fallback_after: int = 3,
     ):
         if lanes < 1:
             raise ServiceError("job service needs at least one execution lane")
@@ -363,10 +364,6 @@ class JobService:
             and default_deadline_s > 0
         ):
             raise ServiceError("default_deadline_s must be a positive number or None")
-        if not isinstance(fallback_after, int) or isinstance(fallback_after, bool):
-            raise ServiceError("fallback_after must be an int >= 1")
-        if fallback_after < 1:
-            raise ServiceError("fallback_after must be >= 1")
         self._scheduler = scheduler or CostAwareScheduler()
         self._coalesce = bool(coalesce)
         self._coalesce_merge = bool(coalesce_merge)
@@ -376,7 +373,6 @@ class JobService:
         self._default_deadline_s = (
             None if default_deadline_s is None else float(default_deadline_s)
         )
-        self._fallback_after = fallback_after
         self._wake = threading.Condition()
         self._pending: List[JobTicket] = []
         self._all: Dict[int, JobTicket] = {}  # uncollected tickets, by job id
@@ -739,7 +735,7 @@ class JobService:
             if recovered:
                 self._stats["crashes_recovered"] += count
             self._stats["pool_breakages"] += count
-            if self._stats["pool_breakages"] >= self._fallback_after:
+            if self._stats["pool_breakages"] >= FALLBACK_AFTER_BREAKAGES:
                 self._stats["executor_fallback"] = 1
 
     def _note_cancelled(self, ticket: JobTicket) -> None:

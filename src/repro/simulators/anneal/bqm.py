@@ -10,7 +10,6 @@ many samples), Ising/QUBO import/export and graph-style construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -28,13 +27,6 @@ class Vartype(str, Enum):
 
     SPIN = "SPIN"  # s in {-1, +1}
     BINARY = "BINARY"  # x in {0, 1}
-
-
-@dataclass
-class _Terms:
-    linear: Dict[Variable, float]
-    quadratic: Dict[Tuple[Variable, Variable], float]
-    offset: float
 
 
 class BinaryQuadraticModel:

@@ -424,13 +424,6 @@ class DensityMatrixSimulator:
         Optional :class:`~repro.simulators.gate.noise.NoiseModel`; depolarizing
         rates become exact CPTP maps and readout error an exact classical
         bit-flip channel on the outcome distribution.
-    sampling:
-        How exact probabilities become integer counts.  ``"multinomial"``
-        (default) draws ``shots`` outcomes from the exact distribution with
-        the run's seed — statistically indistinguishable from hardware with
-        that exact behaviour.  ``"deterministic"`` apportions
-        ``round(p * shots)`` counts by largest remainder — reproducible
-        without any RNG, useful for regression baselines.
     verify_compiled:
         ``bool`` (default ``False``).  When enabled, every compiled program
         and every result's contractual metadata is checked through the
@@ -443,20 +436,13 @@ class DensityMatrixSimulator:
         self,
         *,
         noise_model: Optional[NoiseModel] = None,
-        sampling: str = "multinomial",
         verify_compiled: bool = False,
     ):
-        if sampling not in ("multinomial", "deterministic"):
-            raise SimulationError(
-                f"unknown density sampling mode {sampling!r}; "
-                "expected 'multinomial' or 'deterministic'"
-            )
         if not isinstance(verify_compiled, bool):
             raise SimulationError(
                 f"verify_compiled must be a bool, got {verify_compiled!r}"
             )
         self.noise_model = noise_model
-        self.sampling = sampling
         self.verify_compiled = verify_compiled
 
     # -- public API -------------------------------------------------------------
@@ -471,18 +457,20 @@ class DensityMatrixSimulator:
         """Execute *circuit* exactly and return counts over its classical bits.
 
         The exact outcome distribution is computed first (see
-        :meth:`probabilities`), then converted to integer counts by the
-        constructor's *sampling* mode.  The measurement contract matches the
-        trajectory engines: explicit measurements key counts over classical
-        bits; measurement-free circuits are measured implicitly over all
-        qubits with ``metadata["implicit_measurement"] = True``; ``shots == 0``
-        returns empty counts.
+        :meth:`probabilities`), then ``shots`` outcomes are drawn from it as
+        one multinomial sample seeded by *seed* — statistically
+        indistinguishable from hardware with that exact behaviour.  The
+        measurement contract matches the trajectory engines: explicit
+        measurements key counts over classical bits; measurement-free
+        circuits are measured implicitly over all qubits with
+        ``metadata["implicit_measurement"] = True``; ``shots == 0`` returns
+        empty counts.
 
         A mixed state has no statevector, so the result's ``statevector`` is
         always ``None`` and ``metadata["statevector_kind"]`` is ``"none"``
         regardless of *return_statevector*.  Metadata also records
-        ``method="density"``, the branch count, the compiled step count, and
-        the sampling mode.
+        ``method="density"``, the branch count, the compiled step count and
+        the distribution size.
         """
         del return_statevector  # accepted for API parity; a mixed state has no |psi>
         if shots < 0:
@@ -507,7 +495,6 @@ class DensityMatrixSimulator:
             ),
             "num_branches": len(branches),
             "compiled_steps": len(program.steps),
-            "density_sampling": self.sampling,
             "distribution_size": len(distribution),
         }
         result = SimulationResult(
@@ -699,21 +686,13 @@ class DensityMatrixSimulator:
     def _sample_counts(
         self, distribution: Dict[str, float], shots: int, seed: Optional[int]
     ) -> Counts:
-        """Convert exact probabilities to integer counts per the sampling mode."""
+        """One seeded multinomial draw of *shots* outcomes from the exact distribution."""
         if shots == 0 or not distribution:
             return Counts({})
         keys = sorted(distribution)
         probs = np.array([distribution[key] for key in keys], dtype=np.float64)
         probs = probs / probs.sum()
-        if self.sampling == "deterministic":
-            exact = probs * shots
-            counts = np.floor(exact).astype(np.int64)
-            remainder = shots - int(counts.sum())
-            if remainder:
-                order = np.argsort(-(exact - counts), kind="stable")
-                counts[order[:remainder]] += 1
-        else:
-            counts = np.random.default_rng(seed).multinomial(shots, probs)
+        counts = np.random.default_rng(seed).multinomial(shots, probs)
         return Counts(
             {key: int(count) for key, count in zip(keys, counts) if count}
         )

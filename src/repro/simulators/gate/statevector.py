@@ -72,7 +72,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -265,7 +265,7 @@ class Statevector:
             return self.apply_matrix(matrix, qubits, plan=cached_gate_plan(name, params))
         return self.apply_matrix(matrix, qubits)
 
-    def evolve(self, circuit: Circuit, *, fuse: bool = True) -> "Statevector":
+    def evolve(self, circuit: Circuit) -> "Statevector":
         """Apply every unitary gate of *circuit* to this state, in place.
 
         Parameters
@@ -275,22 +275,21 @@ class Statevector:
             of the same width as this state.  Measure and reset instructions
             are rejected (use :meth:`StatevectorSimulator.run` for those);
             barriers are ignored.
-        fuse:
-            When true (the default) the circuit is first compiled through the
-            :func:`~repro.simulators.gate.fusion.compile_trajectory_program`
-            fusion compiler, so consecutive single-qubit gates cost one fused
-            traversal and adjacent pending 1q runs are absorbed into
-            following two-qubit gates — typically 2-3x fewer state
-            traversals on transpiled circuits.  ``fuse=False`` applies the
-            instructions one by one and is kept as the executable
-            specification the fused path is tested against.
+
+        The circuit is first compiled through the
+        :func:`~repro.simulators.gate.fusion.compile_trajectory_program`
+        fusion compiler, so consecutive single-qubit gates cost one fused
+        traversal and adjacent pending 1q runs are absorbed into following
+        two-qubit gates — typically 2-3x fewer state traversals on
+        transpiled circuits.  The tests hold it against an
+        instruction-by-instruction oracle (``tests/engine_testlib.py``),
+        which it matches up to float rounding (fused matrix products are
+        accumulated in ``complex128``).
 
         Returns
         -------
         Statevector
-            ``self``, for chaining.  Both paths produce the same state up to
-            float rounding (fused matrix products are accumulated in
-            ``complex128``).
+            ``self``, for chaining.
         """
         if circuit.num_qubits != self.num_qubits:
             raise SimulationError("circuit width does not match the statevector")
@@ -300,17 +299,11 @@ class Statevector:
                     "Statevector.evolve only supports unitary circuits; "
                     "use StatevectorSimulator.run for measurements"
                 )
-        if fuse:
-            from .fusion import compile_trajectory_program_cached  # local: import cycle
+        from .fusion import compile_trajectory_program_cached  # local: import cycle
 
-            program = compile_trajectory_program_cached(circuit)
-            for step in program.steps:
-                self.apply_matrix(step.matrix, step.qubits, plan=step.plan)
-            return self
-        for inst in circuit.instructions:
-            if inst.name == "barrier":
-                continue
-            self.apply_gate(inst.name, inst.qubits, inst.params)
+        program = compile_trajectory_program_cached(circuit)
+        for step in program.steps:
+            self.apply_matrix(step.matrix, step.qubits, plan=step.plan)
         return self
 
     # -- measurement -----------------------------------------------------------------
@@ -397,8 +390,8 @@ class StatevectorSimulator:
         ``"density"`` routes **every** run through the exact
         :class:`~repro.simulators.gate.density.DensityMatrixSimulator`
         oracle: outcome probabilities are computed in closed form (noise as
-        CPTP maps, readout as an exact bit-flip channel) and counts carry no
-        sampling error beyond the chosen ``density_sampling`` conversion.
+        CPTP maps, readout as an exact bit-flip channel), and counts are
+        one seeded multinomial draw from that exact distribution.
         Width is capped at
         :data:`~repro.simulators.gate.density.MAX_DENSITY_QUBITS` qubits.
         ``"stabilizer"`` samples trajectories on the compile-once
@@ -411,12 +404,6 @@ class StatevectorSimulator:
         gate noise lowered to per-gate Pauli channels at compile time.
         ``"auto"`` resolves per run: the stabilizer engine when every gate
         of the circuit is Clifford, the batched engine otherwise.
-    density_sampling:
-        How the density engine converts exact probabilities to integer
-        counts: ``"multinomial"`` (default) draws shots from the exact
-        distribution with the run's seed; ``"deterministic"`` apportions
-        ``p * shots`` by largest remainder with no RNG at all.  Ignored by
-        the other engines.
     trajectory_dtype:
         ``"complex64"`` (default) or ``"complex128"`` for the batched
         engine's state tensor.  The engine is memory-bandwidth bound, and
@@ -424,19 +411,21 @@ class StatevectorSimulator:
         far below the sampling noise of any realistic shot count.  The
         exact path always uses ``complex128``.
     trajectory_workers:
-        Number of workers that execute shot chunks (``int >= 1``, or
-        ``"auto"`` for the host CPU count; default ``1``).  The batched and
-        stabilizer engines share one chunk executor; its workers are
-        threads, or processes under ``trajectory_executor="process"``.
+        Number of workers that execute shot chunks (``int >= 1``; default
+        ``1``).  The batched and stabilizer engines share one chunk
+        executor; its workers are threads, or processes under
+        ``trajectory_executor="process"``.
         The chunks produced by ``max_batch_memory`` are independent, NumPy's
         kernels release the GIL, and every chunk draws from its own
         :class:`numpy.random.SeedSequence`-spawned stream, so seeded counts
         are **bit-identical for every worker count** and chunk decomposition
         never depends on this knob.  The density engine and the exact path
-        ignore this option.  With more than one worker, the host BLAS/OpenMP
-        pools are capped at ``max(1, cores // workers)`` threads while the
-        chunks run (:func:`~repro.simulators.gate.threads.limit_blas_threads`),
-        so the workers do not oversubscribe the cores; the cap never
+        ignore this option.  With more than one worker and ``threadpoolctl``
+        installed, the host BLAS/OpenMP pools are capped at
+        ``max(1, cores // workers)`` threads while the chunks run
+        (:func:`~repro.simulators.gate.threads.limit_blas_threads`), so the
+        workers do not oversubscribe the cores; without it, set
+        ``OPENBLAS_NUM_THREADS`` before Python starts.  The cap never
         changes sampled counts.
         Interacts with ``max_batch_memory``: there must be at least as many
         chunks as workers for full utilisation (shrink the byte budget or
@@ -491,8 +480,7 @@ class StatevectorSimulator:
         trajectory_engine: str = "batched",
         trajectory_executor: str = "thread",
         trajectory_dtype: str = "complex64",
-        trajectory_workers: Union[int, str] = 1,
-        density_sampling: str = "multinomial",
+        trajectory_workers: int = 1,
         fault_plan=None,
         verify_compiled: bool = False,
     ):
@@ -505,11 +493,6 @@ class StatevectorSimulator:
             raise SimulationError(
                 f"unknown trajectory executor {trajectory_executor!r}; "
                 "expected 'thread' or 'process'"
-            )
-        if density_sampling not in ("multinomial", "deterministic"):
-            raise SimulationError(
-                f"unknown density sampling mode {density_sampling!r}; "
-                "expected 'multinomial' or 'deterministic'"
             )
         if trajectory_dtype not in ("complex64", "complex128"):
             raise SimulationError(
@@ -524,12 +507,9 @@ class StatevectorSimulator:
             raise SimulationError(
                 f"max_batch_memory must be a positive int (or None), got {max_batch_memory!r}"
             )
-        if trajectory_workers == "auto":
-            trajectory_workers = os.cpu_count() or 1
         if not isinstance(trajectory_workers, int) or isinstance(trajectory_workers, bool):
             raise SimulationError(
-                f"trajectory_workers must be a positive int or 'auto', "
-                f"got {trajectory_workers!r}"
+                f"trajectory_workers must be a positive int, got {trajectory_workers!r}"
             )
         if trajectory_workers < 1:
             raise SimulationError("trajectory_workers must be >= 1")
@@ -546,7 +526,6 @@ class StatevectorSimulator:
         self.trajectory_executor = trajectory_executor
         self.trajectory_dtype = trajectory_dtype
         self.trajectory_workers = trajectory_workers
-        self.density_sampling = density_sampling
         self.fault_plan = fault_plan
         self.verify_compiled = verify_compiled
 
@@ -639,9 +618,7 @@ class StatevectorSimulator:
             from .density import DensityMatrixSimulator  # local: import cycle
 
             oracle = DensityMatrixSimulator(
-                noise_model=self.noise_model,
-                sampling=self.density_sampling,
-                verify_compiled=self.verify_compiled,
+                noise_model=self.noise_model, verify_compiled=self.verify_compiled
             )
             return [oracle.run(circuit, shots=s, seed=sd) for s, sd in specs]
         if engine == "stabilizer":

@@ -49,13 +49,13 @@ from ..lru import DEFAULT_CACHE_SIZE, BoundedLRU
 from .layout import Layout
 from .passes import (
     TranspileResult,
+    _check_optimization_level,
     _choose_layout,
     _finish_result,
     _notify_stage,
     _pre_route,
     _stamp,
     _translate_and_optimize,
-    transpile,
 )
 from .routing import route_circuit
 
@@ -173,7 +173,6 @@ def transpile_cached(
     basis_gates: Optional[Sequence[str]] = None,
     coupling_map: Optional[Sequence[Tuple[int, int]]] = None,
     optimization_level: int = 1,
-    initial_layout: Optional[Layout] = None,
 ) -> TranspileResult:
     """Transpile through the structure-keyed routing-template cache.
 
@@ -183,25 +182,16 @@ def transpile_cached(
     same basis/coupling/optimisation configuration — the per-iteration cost
     of a sampled variational loop drops to decompose + translate + peephole,
     and a repeat with equal parameters to a copy of the stored result.
-    Cached and uncached calls return identical results; an explicit
-    *initial_layout* (caller-managed state) bypasses the cache entirely.
+    Cached and uncached calls return identical results.  A caller with an
+    explicit initial layout calls :func:`~.passes.transpile`.
     """
     global _transpile_cache_fallbacks
-    if initial_layout is not None:
-        return transpile(
-            circuit,
-            basis_gates=basis_gates,
-            coupling_map=coupling_map,
-            optimization_level=optimization_level,
-            initial_layout=initial_layout,
-        )
-    if not 0 <= optimization_level <= 3:
-        raise TranspilerError("optimization_level must be between 0 and 3")
+    _check_optimization_level(optimization_level)
     basis_key = tuple(basis_gates) if basis_gates else None
     coupling_key = (
         tuple(tuple(edge) for edge in coupling_map) if coupling_map else None
     )
-    key = (_signature(circuit), basis_key, coupling_key, int(optimization_level))
+    key = (_signature(circuit), basis_key, coupling_key, optimization_level)
     entry = _TRANSPILE_CACHE.lookup(key)
     params = tuple((inst.params, inst.label) for inst in circuit.instructions)
     if entry is not None and entry[1] == params:

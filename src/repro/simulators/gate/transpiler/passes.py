@@ -125,6 +125,12 @@ def _translate_and_optimize(
     return translated
 
 
+def _check_optimization_level(level) -> None:
+    """Reject a bool, a non-int or a level outside 0-3 with :class:`TranspilerError`."""
+    if isinstance(level, bool) or not isinstance(level, int) or not 0 <= level <= 3:
+        raise TranspilerError(f"optimization_level must be an int from 0 to 3, got {level!r}")
+
+
 def _stamp(basis_gates, coupling_map, optimization_level) -> Dict[str, object]:
     """The pass configuration a transpiled circuit's metadata records."""
     return {
@@ -175,8 +181,7 @@ def transpile(
     initial_layout: Optional[Layout] = None,
 ) -> TranspileResult:
     """Lower *circuit* to the target described by the execution context."""
-    if not 0 <= optimization_level <= 3:
-        raise TranspilerError("optimization_level must be between 0 and 3")
+    _check_optimization_level(optimization_level)
 
     # 1. normalise to <=2-qubit gates so routing has something it understands.
     working = _pre_route(circuit)

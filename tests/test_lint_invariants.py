@@ -131,6 +131,31 @@ def test_wall_clock_is_time001(tmp_path):
     assert rule_ids(lint_invariants.lint_file(module)[0]) == ["TIME001"]
 
 
+def test_environment_write_is_env001(tmp_path):
+    module = write_module(
+        tmp_path,
+        """
+        import os
+
+        def pin(limit):
+            os.environ["OMP_NUM_THREADS"] = str(limit)
+            os.environ["OMP_NUM_THREADS"] += "0"
+            del os.environ["OMP_NUM_THREADS"]
+            os.environ.update(OPENBLAS_NUM_THREADS="1")
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+            os.environ.popitem()
+            os.environ.setdefault("MKL_NUM_THREADS", "1")
+            os.environ.clear()
+            os.putenv("BLIS_NUM_THREADS", "1")
+            os.unsetenv("BLIS_NUM_THREADS")
+            return os.environ.get("OMP_NUM_THREADS"), os.environ["HOME"]
+        """,
+    )
+    violations, _ = lint_invariants.lint_file(module)
+    assert rule_ids(violations) == ["ENV001"] * 10
+    assert sorted(line for _, line, _, _ in violations) == list(range(5, 15))
+
+
 # -- pragma handling ----------------------------------------------------------------
 
 

@@ -8,14 +8,15 @@ Two contracts from this PR:
   counts for any ``trajectory_workers`` value, across noisy, mid-circuit
   measurement and reset circuits.
 * **fused sweep equivalence** — ``Statevector.evolve`` and
-  ``circuit_unitary`` route through the fusion compiler by default and must
-  match their unfused executable specifications exactly (up to float
-  rounding of the fused matrix products).
+  ``circuit_unitary`` route through the fusion compiler and must match the
+  instruction-by-instruction oracles of ``engine_testlib`` exactly (up to
+  float rounding of the fused matrix products).
 """
 
 import os
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from repro.simulators.gate import (
     transpile,
 )
 from repro.simulators.gate.fusion import GateStep, compile_trajectory_program
-from repro.simulators.gate.threads import THREAD_ENV_VARS, limit_blas_threads
+from repro.simulators.gate.threads import limit_blas_threads
+
+from engine_testlib import circuit_unitary_unfused, evolve_unfused
 
 
 def noisy_circuit():
@@ -126,7 +129,8 @@ def test_trajectory_workers_validation():
         StatevectorSimulator(trajectory_workers="many")
     with pytest.raises(SimulationError):
         StatevectorSimulator(trajectory_workers=2.5)
-    assert StatevectorSimulator(trajectory_workers="auto").trajectory_workers >= 1
+    with pytest.raises(SimulationError, match="must be a positive int, got 'auto'"):
+        StatevectorSimulator(trajectory_workers="auto")
 
 
 def test_backend_wires_trajectory_workers():
@@ -142,6 +146,11 @@ def test_backend_wires_trajectory_workers():
     result = GateBackend().run(bundle)
     assert result.metadata["trajectory_workers"] == 4
     assert result.metadata["num_batches"] > 1
+    from repro.core.errors import BackendError
+
+    options["trajectory_workers"] = "auto"
+    with pytest.raises(BackendError, match="must be a positive int, got 'auto'"):
+        GateBackend().run(bundle)
 
 
 # -- fused unitary sweeps ----------------------------------------------------------
@@ -164,7 +173,7 @@ def transpiled_sweep(num_qubits, seed=11):
 def test_fused_evolve_matches_unfused_path():
     circuit = transpiled_sweep(5)
     fused = Statevector(5).evolve(circuit)
-    unfused = Statevector(5).evolve(circuit, fuse=False)
+    unfused = evolve_unfused(Statevector(5), circuit)
     assert np.allclose(fused.data, unfused.data, atol=1e-10)
 
 
@@ -174,7 +183,7 @@ def test_fused_evolve_handles_wide_gates_and_barriers():
     circuit.ccx(0, 1, 2)
     circuit.rz(0.4, 2)
     fused = Statevector(3).evolve(circuit)
-    unfused = Statevector(3).evolve(circuit, fuse=False)
+    unfused = evolve_unfused(Statevector(3), circuit)
     assert np.allclose(fused.data, unfused.data, atol=1e-12)
 
 
@@ -191,14 +200,15 @@ def test_evolve_rejects_measurements(fuse):
     circuit = Circuit(1, 1)
     circuit.h(0)
     circuit.measure(0, 0)
+    evolve = Statevector.evolve if fuse else evolve_unfused
     with pytest.raises(SimulationError):
-        Statevector(1).evolve(circuit, fuse=fuse)
+        evolve(Statevector(1), circuit)
 
 
 def test_fused_circuit_unitary_matches_unfused():
     circuit = transpiled_sweep(4)
     fused = circuit_unitary(circuit)
-    unfused = circuit_unitary(circuit, fuse=False)
+    unfused = circuit_unitary_unfused(circuit)
     assert np.allclose(fused, unfused, atol=1e-10)
     identity = fused @ fused.conj().T
     assert np.allclose(identity, np.eye(fused.shape[0]), atol=1e-9)
@@ -211,33 +221,30 @@ def test_fused_circuit_unitary_rejects_reset():
     with pytest.raises(SimulationError):
         circuit_unitary(circuit)
     with pytest.raises(SimulationError):
+        circuit_unitary_unfused(circuit)
+
+
+def test_unfused_routes_are_oracles_not_keywords():
+    circuit = Circuit(1)
+    circuit.h(0)
+    with pytest.raises(TypeError):
+        Statevector(1).evolve(circuit, fuse=False)
+    with pytest.raises(TypeError):
         circuit_unitary(circuit, fuse=False)
 
 
 # -- BLAS thread pinning (PR 4) -----------------------------------------------------
 
-def test_limit_blas_threads_sets_and_restores_environment(monkeypatch):
-    import os
-
-    from repro.simulators.gate.threads import THREAD_ENV_VARS, limit_blas_threads
-
+def test_limit_blas_threads_leaves_environment_untouched(monkeypatch):
+    # Without threadpoolctl no loaded pool can be resized, and a pool reads
+    # *_NUM_THREADS only when it loads: the guard writes no environment.
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
     monkeypatch.setenv("OMP_NUM_THREADS", "8")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    try:
-        import threadpoolctl  # noqa: F401
-
-        has_threadpoolctl = True
-    except ImportError:
-        has_threadpoolctl = False
+    before = dict(os.environ)
     with limit_blas_threads(1):
-        if not has_threadpoolctl:
-            # Env-var fallback: every knob pinned for the duration.
-            for var in THREAD_ENV_VARS:
-                assert os.environ[var] == "1"
-    # Restored exactly: pre-existing values back, absent ones absent again.
-    assert os.environ["OMP_NUM_THREADS"] == "8"
-    if not has_threadpoolctl:
-        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        assert dict(os.environ) == before
+    assert dict(os.environ) == before
 
 
 def test_limit_blas_threads_rejects_nonpositive_limit():
@@ -248,21 +255,30 @@ def test_limit_blas_threads_rejects_nonpositive_limit():
             pass  # pragma: no cover
 
 
-def thread_env():
-    return {var: os.environ.get(var) for var in THREAD_ENV_VARS}
+#: The fake pool's size before any guard pins it: the host's setting.
+HOST_BLAS_THREADS = 8
 
 
 @pytest.fixture
-def env_fallback(monkeypatch):
-    """Force the ``*_NUM_THREADS`` fallback from a known host state; returns it."""
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-    monkeypatch.setenv("OMP_NUM_THREADS", "8")
-    for var in THREAD_ENV_VARS[1:]:
-        monkeypatch.delenv(var, raising=False)
-    return thread_env()
+def fake_threadpoolctl(monkeypatch):
+    """A stand-in ``threadpoolctl`` whose one pool records its current limit."""
+    pool = {"limit": HOST_BLAS_THREADS}
+
+    class threadpool_limits:
+        def __init__(self, limits):
+            self._original = pool["limit"]
+            pool["limit"] = limits
+
+        def restore_original_limits(self):
+            pool["limit"] = self._original
+
+    module = types.ModuleType("threadpoolctl")
+    module.threadpool_limits = threadpool_limits
+    monkeypatch.setitem(sys.modules, "threadpoolctl", module)
+    return pool
 
 
-def test_overlapping_blas_guards_keep_the_pin_until_the_last_exit(env_fallback):
+def test_overlapping_blas_guards_keep_the_pin_until_the_last_exit(fake_threadpoolctl):
     # Two service lanes each running a multi-worker job overlap their
     # guards: enter A, enter B, exit A, exit B.  The pin must hold (at the
     # smallest active limit) until B exits, and only then come back exactly.
@@ -273,7 +289,7 @@ def test_overlapping_blas_guards_keep_the_pin_until_the_last_exit(env_fallback):
         with limit_blas_threads(1):
             a_in.set()
             b_in.wait(10)
-            seen["both"] = thread_env()
+            seen["both"] = fake_threadpoolctl["limit"]
         a_out.set()
 
     def lane_b():
@@ -281,7 +297,7 @@ def test_overlapping_blas_guards_keep_the_pin_until_the_last_exit(env_fallback):
         with limit_blas_threads(2):
             b_in.set()
             a_out.wait(10)
-            seen["b_alone"] = thread_env()
+            seen["b_alone"] = fake_threadpoolctl["limit"]
 
     lanes = [threading.Thread(target=lane_a), threading.Thread(target=lane_b)]
     for lane in lanes:
@@ -289,23 +305,23 @@ def test_overlapping_blas_guards_keep_the_pin_until_the_last_exit(env_fallback):
     for lane in lanes:
         lane.join(timeout=30)
         assert not lane.is_alive()
-    assert seen["both"] == {var: "1" for var in THREAD_ENV_VARS}
-    assert seen["b_alone"] == {var: "2" for var in THREAD_ENV_VARS}
-    assert thread_env() == env_fallback
+    assert seen["both"] == 1
+    assert seen["b_alone"] == 2
+    assert fake_threadpoolctl["limit"] == HOST_BLAS_THREADS
 
 
-def test_blas_guard_stress_never_unpins_an_active_holder(env_fallback):
+def test_blas_guard_stress_never_unpins_an_active_holder(fake_threadpoolctl):
     # More lanes than cores, a short switch interval: while a lane is inside
-    # its guard every variable stays pinned at or below that lane's limit,
-    # and the host's settings come back once every lane is out.
+    # its guard the pool stays pinned at or below that lane's limit, and the
+    # host's setting comes back once every lane is out.
     errors = []
 
     def lane(limit):
         for _ in range(200):
             with limit_blas_threads(limit):
-                for var, value in thread_env().items():
-                    if value is None or int(value) > limit:
-                        errors.append((limit, var, value))
+                value = fake_threadpoolctl["limit"]
+                if value > limit:
+                    errors.append((limit, value))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -319,7 +335,7 @@ def test_blas_guard_stress_never_unpins_an_active_holder(env_fallback):
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
-    assert thread_env() == env_fallback
+    assert fake_threadpoolctl["limit"] == HOST_BLAS_THREADS
 
 
 # -- process-pool executor equivalence (PR 8) ---------------------------------------
@@ -390,22 +406,9 @@ def test_process_executor_stabilizer_counts_identical(workers, process_pool):
 def test_trajectory_executor_validation():
     with pytest.raises(SimulationError):
         StatevectorSimulator(trajectory_executor="fork")
-    with pytest.raises(SimulationError):
-        StatevectorSimulator(trajectory_executor="auto")  # resolved at backend level
+    with pytest.raises(SimulationError, match="expected 'thread' or 'process'"):
+        StatevectorSimulator(trajectory_executor="auto")
     assert StatevectorSimulator(trajectory_executor="process").trajectory_executor == "process"
-
-
-def test_resolve_trajectory_executor(monkeypatch):
-    import os
-
-    from repro.backends.registry import resolve_trajectory_executor
-
-    assert resolve_trajectory_executor("thread") == "thread"
-    assert resolve_trajectory_executor("process") == "process"
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert resolve_trajectory_executor("auto") == "thread"
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert resolve_trajectory_executor("auto") == "process"
 
 
 def test_backend_wires_trajectory_executor(process_pool):
@@ -422,6 +425,11 @@ def test_backend_wires_trajectory_executor(process_pool):
     process = GateBackend().run(bundle)
     assert process.metadata["trajectory_executor"] == "process"
     assert dict(process.counts) == dict(thread.counts)
+    from repro.core.errors import BackendError
+
+    options["trajectory_executor"] = "auto"
+    with pytest.raises(BackendError, match="expected 'thread' or 'process'"):
+        GateBackend().run(bundle)
 
 
 def test_worker_pool_is_persistent_and_grow_only(process_pool):

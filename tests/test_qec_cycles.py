@@ -155,6 +155,27 @@ def test_repetition_circuit_shapes():
     assert flat.num_clbits == 21
 
 
+@pytest.mark.parametrize("distance, rounds", [(501, 1), (7, 7), (5, 3)])
+def test_lowered_repetition_memory_equals_the_circuit_builder(distance, rounds):
+    # The benchmark runs the lowering and these tests validate the builder;
+    # both append one shared loop, so the two circuits must agree exactly.
+    from repro.backends import GateBackend
+    from repro.core import ContextDescriptor, ExecPolicy, package
+    from repro.oplib import repetition_memory_operator, repetition_register
+
+    register = repetition_register("patch", distance)
+    bundle = package(
+        register,
+        [repetition_memory_operator(register, distance, rounds=rounds)],
+        ContextDescriptor(exec=ExecPolicy(engine="gate.aer_simulator")),
+        name="repetition-lowering",
+    )
+    lowered, _ = GateBackend().build_circuit(bundle)
+    built = repetition_code_circuit(distance, rounds)
+    assert (lowered.num_qubits, lowered.num_clbits) == (built.num_qubits, built.num_clbits)
+    assert lowered.instructions == built.instructions
+
+
 def test_surface_code_stabilizer_count_and_balance():
     for distance in (3, 5, 7):
         stabilizers = surface_code_stabilizers(distance)

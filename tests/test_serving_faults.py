@@ -304,32 +304,36 @@ def test_as_completed_timeout_preserves_cursor(gated_submit):
 def test_pool_breakage_degrades_to_thread_executor(monkeypatch):
     real_submit = serving_module.runtime_submit
     executors = []
+    budget = serving_module.FALLBACK_AFTER_BREAKAGES
+    assert budget == 3  # the shipped ladder; the test drives it unpatched
+    with pytest.raises(TypeError):
+        JobService(fallback_after=1)  # a constant, not a service option
 
     def crashing_submit(bundle, **kwargs):
         executors.append(bundle.context.exec.options.get("trajectory_executor"))
-        if len(executors) == 1:
+        if len(executors) <= budget:
             raise BrokenExecutor("process pool died")
         return real_submit(bundle, **kwargs)
 
     monkeypatch.setattr(serving_module, "runtime_submit", crashing_submit)
-    policy = RetryPolicy(max_attempts=3, backoff_s=0.001)
+    policy = RetryPolicy(max_attempts=budget + 1, backoff_s=0.001)
     with JobService(
         retry_policy=policy,
-        fallback_after=1,
         exec_options={"trajectory_executor": "process"},
     ) as service:
         result = service.submit(qft_bundle("degraded")).result(timeout=60)
         stats = service.stats()
         typed = service.service_stats()
-    # First attempt ran on the requested process executor and broke the
-    # pool; the retry was forced onto the thread executor.
-    assert executors == ["process", "thread"]
+    # The first three attempts ran on the requested process executor and
+    # each broke the pool; the third breakage spent the budget, so the next
+    # retry was forced onto the thread executor.
+    assert executors == ["process"] * budget + ["thread"]
     assert result.metadata["serving"]["executor_fallback"] is True
-    assert stats["pool_breakages"] == 1
+    assert stats["pool_breakages"] == budget
     assert stats["executor_fallback"] == 1
     assert isinstance(typed, ServiceStats)
     assert typed.executor_fallback is True
-    assert typed.retries == 1
+    assert typed.retries == budget
 
 
 def test_recovered_crashes_count_toward_stats(monkeypatch):
@@ -338,18 +342,18 @@ def test_recovered_crashes_count_toward_stats(monkeypatch):
     def recovered_submit(bundle, **kwargs):
         result = real_submit(bundle, **kwargs)
         result.metadata["executor_recovery"] = {
-            "pool_rebuilds": 2,
+            "pool_rebuilds": 3,
             "groups_redispatched": 3,
         }
         return result
 
     monkeypatch.setattr(serving_module, "runtime_submit", recovered_submit)
-    with JobService(fallback_after=2) as service:
+    with JobService() as service:
         result = service.submit(qft_bundle("survivor")).result(timeout=60)
         stats = service.stats()
     assert result.metadata["serving"]["attempts"] == 1
-    assert stats["crashes_recovered"] == 2
-    assert stats["pool_breakages"] == 2
+    assert stats["crashes_recovered"] == 3
+    assert stats["pool_breakages"] == 3
     assert stats["executor_fallback"] == 1  # budget spent by recovered crashes
 
 
@@ -367,7 +371,6 @@ def test_exhausted_crash_recovery_counts_every_rebuild(monkeypatch):
     monkeypatch.setattr(serving_module, "runtime_submit", exhausted_submit)
     with JobService(
         retry_policy=RetryPolicy(max_attempts=2, backoff_s=0.001),
-        fallback_after=3,
         exec_options={"trajectory_executor": "process"},
     ) as service:
         result = service.submit(qft_bundle("exhausted")).result(timeout=60)

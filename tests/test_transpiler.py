@@ -17,6 +17,7 @@ from repro.simulators.gate.transpiler import (
     optimize_circuit,
     remove_identities,
     route_circuit,
+    transpile_cached,
     trivial_layout,
     zyz_angles,
 )
@@ -195,6 +196,60 @@ def test_transpile_preserves_unitary_without_coupling():
     assert equal_up_to_global_phase(circuit_unitary(circuit), circuit_unitary(result.circuit))
 
 
+def qaoa_bundle(optimization_level):
+    from repro.problems import MaxCutProblem
+    from repro.workflows import build_qaoa_bundle
+
+    bundle = build_qaoa_bundle(MaxCutProblem.cycle(4))
+    bundle.context.exec.options["optimization_level"] = optimization_level
+    return bundle
+
+
 def test_transpile_rejects_bad_level():
+    from repro.backends import submit
+
     with pytest.raises(TranspilerError):
         transpile(Circuit(1), optimization_level=9)
+    # One check behind both entry points, and the backend passes the option
+    # through unconverted, so every bad value is the same typed error.
+    message = "optimization_level must be an int from 0 to 3"
+    for level in (2.7, True, "2", "high", None, 7):
+        with pytest.raises(TranspilerError, match=message):
+            transpile(Circuit(1), optimization_level=level)
+        with pytest.raises(TranspilerError, match=message):
+            transpile_cached(Circuit(1), optimization_level=level)
+        with pytest.raises(TranspilerError, match=message):
+            submit(qaoa_bundle(level))
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_optimization_levels_reach_the_transpiler(level):
+    from repro.backends import GateBackend, submit
+    from repro.simulators.gate import StatevectorSimulator
+
+    bundle = qaoa_bundle(level)
+    result = submit(bundle)
+    circuit, _ = GateBackend().build_circuit(bundle)
+    target = bundle.context.exec.target
+    expected = transpile(
+        circuit,
+        basis_gates=list(target.basis_gates),
+        coupling_map=list(target.coupling_map),
+        optimization_level=level,
+    )
+    assert expected.circuit.metadata["optimization_level"] == level
+    assert result.metadata["transpile_metrics"] == expected.metrics
+    exec_policy = bundle.context.exec
+    direct = StatevectorSimulator().run(
+        expected.circuit, shots=exec_policy.samples, seed=exec_policy.seed
+    )
+    assert dict(result.counts) == dict(direct.counts)
+
+
+def test_transpile_cached_takes_no_initial_layout():
+    # A caller with an explicit layout calls transpile(); the cache has one path.
+    circuit = qft_circuit(3)
+    layout = trivial_layout(circuit.num_qubits)
+    with pytest.raises(TypeError):
+        transpile_cached(circuit, initial_layout=layout)
+    assert transpile(circuit, initial_layout=layout).initial_layout.to_dict() == layout.to_dict()

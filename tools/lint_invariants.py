@@ -23,6 +23,12 @@ driver runs it next to the IR verifier).  Rules:
 * ``TIME001`` — no wall-clock reads (``time.time``/``perf_counter``/
   ``monotonic``, ``datetime.now``/``utcnow``) in library code; timing belongs
   to benchmarks and the runtime submission layer.
+* ``ENV001`` — library code writes no process environment: no item
+  assignment or ``del`` on ``os.environ``, no ``os.environ.update`` /
+  ``pop`` / ``popitem`` / ``setdefault`` / ``clear``, no ``os.putenv`` /
+  ``os.unsetenv``.  The environment is process-global (a write from a worker
+  thread races every other reader) and a BLAS or OpenMP pool reads it once,
+  at load, so a later write configures nothing this process already holds.
 * ``KNOB001`` — the README's "Simulator exec-policy knobs" table and the code
   agree in both directions: every exec-policy knob read by
   ``backends/gate_backend.py`` (``exec_policy.options.get("<knob>")``) has a
@@ -59,6 +65,7 @@ LINT_RULES = {
     "CACHE002": "no module-level dict caches in simulators/gate (use BoundedLRU)",
     "DTYPE001": "no hardcoded complex128/dtype=complex outside dtype plumbing",
     "TIME001": "no wall-clock reads in library code",
+    "ENV001": "library code writes no process environment",
     "KNOB001": "every gate_backend exec-policy knob has a README table row, "
     "and every README knob row is read by src/repro",
 }
@@ -100,6 +107,17 @@ _WALL_CLOCK_CALLS = {
     "datetime.utcnow",
     "datetime.datetime.now",
     "datetime.datetime.utcnow",
+}
+
+#: Calls that write the process environment (ENV001).
+_ENVIRONMENT_WRITES = {
+    "os.environ.update",
+    "os.environ.pop",
+    "os.environ.popitem",
+    "os.environ.setdefault",
+    "os.environ.clear",
+    "os.putenv",
+    "os.unsetenv",
 }
 
 _PRAGMA = re.compile(r"#\s*lint:\s*allow\(\s*([A-Z0-9_,\s]+?)\s*\)")
@@ -172,7 +190,7 @@ def _lru_cache_violation(call: ast.Call) -> Optional[str]:
 def _check_calls(
     tree: ast.Module, path: Path, stdlib_random: bool, gate_scope: bool
 ) -> Iterator[Violation]:
-    """Yield the per-call rules: RNG001/RNG002, CACHE001, TIME001."""
+    """Yield the per-call rules: RNG001/RNG002, CACHE001, TIME001, ENV001."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -215,6 +233,24 @@ def _check_calls(
                 f"wall-clock read {name}(); timing belongs to benchmarks "
                 f"and the runtime submission layer",
             )
+        if name in _ENVIRONMENT_WRITES:
+            yield (path, node.lineno, "ENV001", f"environment write {name}()")
+
+
+def _check_environment_items(tree: ast.Module, path: Path) -> Iterator[Violation]:
+    """Yield ENV001 for item assignment and ``del`` on ``os.environ``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Delete):
+            targets, action = node.targets, "del"
+        elif isinstance(node, ast.Assign):
+            targets, action = node.targets, "assignment to"
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets, action = [node.target], "assignment to"
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Subscript) and _dotted_name(target.value) == "os.environ":
+                yield (path, node.lineno, "ENV001", f"environment write: {action} os.environ[...]")
 
 
 def _check_decorators(
@@ -400,6 +436,7 @@ def lint_file(path: Path) -> Tuple[List[Violation], List[Suppressed]]:
     candidates.extend(_check_decorators(tree, path, gate_scope))
     candidates.extend(_check_module_caches(tree, path, gate_scope))
     candidates.extend(_check_dtypes(tree, path))
+    candidates.extend(_check_environment_items(tree, path))
     violations: List[Violation] = []
     suppressed: List[Suppressed] = []
     for violation in candidates:
