@@ -5,6 +5,7 @@ from .base import Backend, ExecutionResult
 from .exact_backend import ExactBackend
 from .gate_backend import GateBackend
 from .lowering import GATE_LOWERING_RULES, QubitAllocation, lower_operator, register_gate_lowering
+from .lowering import clear_lowering_cache, lowering_cache_info
 from .registry import get_backend, list_engines, register_backend
 from .runtime import submit
 
@@ -23,4 +24,6 @@ __all__ = [
     "QubitAllocation",
     "lower_operator",
     "register_gate_lowering",
+    "lowering_cache_info",
+    "clear_lowering_cache",
 ]

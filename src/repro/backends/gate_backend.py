@@ -4,7 +4,10 @@ Execution pipeline for one bundle:
 
 1. allocate circuit qubits to register carriers (contiguous blocks in
    declaration order) and classical bits to each measuring operator,
-2. lower every operator descriptor through the gate realization rules,
+2. lower every operator descriptor through the gate realization rules, once
+   per distinct intent: the lowering memo keys the lowered circuit and its
+   allocation on the registers and operators, so a repeated intent costs a
+   key and a copy,
 3. transpile against the context's ``target`` block (basis gates, coupling
    map, optimisation level) through the structure-keyed transpile cache, so
    re-running the same circuit shape with fresh parameters (a sampled
@@ -16,7 +19,7 @@ Execution pipeline for one bundle:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from ..core.bundle import JobBundle
 from ..core.context import ContextDescriptor, ExecPolicy
@@ -27,7 +30,7 @@ from ..simulators.gate.noise import NoiseModel
 from ..simulators.gate.statevector import DEFAULT_MAX_BATCH_MEMORY, StatevectorSimulator
 from ..simulators.gate.transpiler import transpile_cached
 from .base import Backend, ExecutionResult
-from .lowering import GATE_LOWERING_RULES, QubitAllocation, lower_operator
+from .lowering import GATE_LOWERING_RULES, QubitAllocation, _lower_cached, lower_operator
 
 __all__ = ["GateBackend"]
 
@@ -86,7 +89,16 @@ class GateBackend(Backend):
         )
 
     def build_circuit(self, bundle: JobBundle) -> Tuple[Circuit, QubitAllocation]:
-        """Lower the full operator sequence into one circuit."""
+        """Lower the full operator sequence into one circuit, once per distinct intent.
+
+        A repeated intent is a lowering-memo hit: a private copy of the
+        stored pair, named after *bundle*
+        (:func:`~repro.backends.lowering.lowering_cache_info`).
+        """
+        return _lower_cached(bundle, self._lower)
+
+    def _lower(self, bundle: JobBundle) -> Tuple[Circuit, QubitAllocation]:
+        """The allocate-and-lower loop behind a lowering-memo miss."""
         allocation = self.allocate(bundle)
         circuit = Circuit(allocation.num_qubits, allocation.num_clbits, name=bundle.name)
         for op in bundle.operators:
@@ -95,13 +107,8 @@ class GateBackend(Backend):
         return circuit, allocation
 
     # -- execution ----------------------------------------------------------------------
-    def run(self, bundle: JobBundle, lowered: Optional[tuple] = None) -> ExecutionResult:
+    def run(self, bundle: JobBundle) -> ExecutionResult:
         """Execute *bundle* end to end and return decoded-ready counts.
-
-        *lowered* optionally supplies an already-built ``(circuit,
-        allocation)`` pair for this bundle (the serving layer lowers once to
-        compute its coalescing key and passes the artifact through, instead
-        of lowering the same bundle twice).
 
         Simulator knobs are read from ``context.exec.options`` (all
         optional; unknown keys are ignored).  The serving layer additionally
@@ -182,9 +189,7 @@ class GateBackend(Backend):
             parameter-grid sweeps) in the variational outer loop.  Listed
             here because it rides in the same exec-policy options mapping.
         """
-        context, exec_policy, circuit, allocation, transpiled = self._prepare(
-            bundle, lowered
-        )
+        context, exec_policy, circuit, allocation, transpiled = self._prepare(bundle)
         try:
             simulator = self._make_simulator(exec_policy)
             simulation = simulator.run(
@@ -208,7 +213,7 @@ class GateBackend(Backend):
     #: only in deadline or merge opt-out still share one merged run.
     MERGE_NEUTRAL_OPTIONS = frozenset({"deadline_s", "coalesce_merge"})
 
-    def merge_key(self, bundle: JobBundle, lowered: Optional[tuple] = None) -> tuple:
+    def merge_key(self, bundle: JobBundle) -> tuple:
         """Hashable merge-eligibility key for batch-axis merged execution.
 
         Two bundles may execute as one merged run iff their keys are equal:
@@ -222,7 +227,7 @@ class GateBackend(Backend):
         are deliberately free to differ: they become the merged run's
         per-job ``(shots, seed)`` specs, each with its own RNG streams.
         """
-        circuit, _ = lowered if lowered is not None else self.build_circuit(bundle)
+        circuit, _ = self.build_circuit(bundle)
         context = bundle.context or ContextDescriptor(exec=ExecPolicy(engine=self.engines[0]))
         exec_policy = context.exec
         options = {
@@ -249,11 +254,7 @@ class GateBackend(Backend):
             _freeze(options),
         )
 
-    def run_merged(
-        self,
-        bundles: Sequence[JobBundle],
-        lowered: Optional[Sequence[Optional[tuple]]] = None,
-    ) -> List[ExecutionResult]:
+    def run_merged(self, bundles: Sequence[JobBundle]) -> List[ExecutionResult]:
         """Execute several merge-eligible bundles as one merged simulator run.
 
         Callers group by :meth:`merge_key`, which keys on the transpile
@@ -272,12 +273,10 @@ class GateBackend(Backend):
         """
         if not bundles:
             return []
-        lowered_list = list(lowered) if lowered is not None else [None] * len(bundles)
-        first = self._prepare(bundles[0], lowered_list[0])
+        first = self._prepare(bundles[0])
         _, exec_first, _, _, transpiled_first = first
         prepared = [first] + [
-            self._prepare(bundle, low, transpiled_first)
-            for bundle, low in zip(bundles[1:], lowered_list[1:])
+            self._prepare(bundle, transpiled_first) for bundle in bundles[1:]
         ]
         specs = [
             (exec_policy.samples, exec_policy.seed)
@@ -298,20 +297,18 @@ class GateBackend(Backend):
             in zip(bundles, prepared, simulations)
         ]
 
-    def _prepare(self, bundle: JobBundle, lowered: Optional[tuple], transpiled=None):
+    def _prepare(self, bundle: JobBundle, transpiled=None):
         """Shared front half of :meth:`run` / :meth:`run_merged`.
 
-        Capability check, context default, lowering (reusing a caller-built
-        ``(circuit, allocation)`` pair when supplied) and cached
-        transpilation, unless a merged group's *transpiled* result is given.
+        Capability check, context default, lowering (through the lowering
+        memo) and cached transpilation, unless a merged group's *transpiled*
+        result is given.
         """
         self.check_capabilities(bundle)
         context = bundle.context or ContextDescriptor(exec=ExecPolicy(engine=self.engines[0]))
         exec_policy = context.exec
 
-        circuit, allocation = (
-            lowered if lowered is not None else self.build_circuit(bundle)
-        )
+        circuit, allocation = self.build_circuit(bundle)
 
         if transpiled is None:
             target = exec_policy.target

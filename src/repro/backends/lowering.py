@@ -9,6 +9,13 @@ allocation chosen by the backend.
 Rules are registered in :data:`GATE_LOWERING_RULES`; a backend advertises
 exactly the kinds it has rules for, so capability mismatches surface at
 validation time instead of producing wrong circuits.
+
+A program states its intent once and changes only its context from run to
+run, so the backend lowers each distinct intent once: the lowering memo
+keys a bundle's lowered ``(circuit, allocation)`` pair on the content of its
+registers and operators (:func:`lowering_cache_info`,
+:func:`clear_lowering_cache`).  The rules registry and the gate library
+invalidate it.
 """
 
 from __future__ import annotations
@@ -19,13 +26,20 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.bundle import JobBundle
 from ..core.errors import LoweringError
 from ..core.qdt import BitOrder, QuantumDataType
 from ..core.qod import QuantumOperatorDescriptor
 from ..core.result_schema import ClbitRef
+from ..core.serialization import digest
 from ..simulators.gate.circuit import Circuit
+from ..simulators.gate.gates import register_cache_invalidation_hook
+from ..simulators.gate.lru import DEFAULT_CACHE_SIZE, BoundedLRU
 
-__all__ = ["QubitAllocation", "GATE_LOWERING_RULES", "register_gate_lowering", "lower_operator"]
+__all__ = [
+    "QubitAllocation", "GATE_LOWERING_RULES", "register_gate_lowering", "lower_operator",
+    "lowering_cache_info", "clear_lowering_cache",
+]
 
 
 @dataclass
@@ -66,12 +80,92 @@ LoweringRule = Callable[
 
 GATE_LOWERING_RULES: Dict[str, LoweringRule] = {}
 
+#: Lowered ``(circuit, allocation)`` pairs keyed on intent content.  Entries
+#: are private copies: no caller shares anything mutable with the memo.
+_LOWERING_CACHE = BoundedLRU(DEFAULT_CACHE_SIZE)
+
 
 def register_gate_lowering(rep_kind: str, rule: LoweringRule, *, replace: bool = False) -> None:
-    """Register a lowering rule for *rep_kind* on the gate path."""
+    """Register a lowering rule for *rep_kind* on the gate path.
+
+    Empties the lowering memo: its entries were lowered by the old rules.
+    """
     if rep_kind in GATE_LOWERING_RULES and not replace:
         raise LoweringError(f"gate lowering for {rep_kind!r} already registered")
     GATE_LOWERING_RULES[rep_kind] = rule
+    clear_lowering_cache()
+
+
+def _intent_key(bundle: JobBundle) -> str:
+    """Digest of everything lowering reads from *bundle*.
+
+    The registers in declaration order (the allocation is contiguous in that
+    order, and rules look registers up by map key), the operators in order,
+    and each operator's registry ``measures`` flag, which allocation reads
+    and ``job.json`` does not hold.  Context, name, provenance and metadata
+    are left out: lowering reads none of them.
+    """
+    return digest(
+        [
+            [[register_id, qdt.to_dict()] for register_id, qdt in bundle.qdts.items()],
+            bundle.operators.to_list(),
+            [op.info.measures for op in bundle.operators],
+        ]
+    )
+
+
+def _private_copy(
+    circuit: Circuit, allocation: QubitAllocation, name: str
+) -> Tuple[Circuit, QubitAllocation]:
+    """A copy of a lowered pair that shares nothing mutable, named *name*."""
+    out = circuit.copy()
+    out.name = name
+    return out, QubitAllocation(
+        qubit_map={register: list(qubits) for register, qubits in allocation.qubit_map.items()},
+        clbit_offsets=dict(allocation.clbit_offsets),
+        num_qubits=allocation.num_qubits,
+        num_clbits=allocation.num_clbits,
+    )
+
+
+def _lower_cached(
+    bundle: JobBundle, lower: Callable[[JobBundle], Tuple[Circuit, QubitAllocation]]
+) -> Tuple[Circuit, QubitAllocation]:
+    """``lower(bundle)``, once per distinct intent.
+
+    A hit returns a private copy of the stored pair, named after *bundle*.
+    A miss lowers, stores a private copy and returns the original; a
+    lowering that raises stores nothing.
+    """
+    key = _intent_key(bundle)
+    entry = _LOWERING_CACHE.lookup(key)
+    if entry is not None:
+        return _private_copy(*entry, bundle.name)
+    circuit, allocation = lower(bundle)
+    _LOWERING_CACHE.store(key, _private_copy(circuit, allocation, circuit.name))
+    return circuit, allocation
+
+
+def lowering_cache_info() -> Dict[str, int]:
+    """Counters of the lowering memo: ``hits``, ``misses``, ``entries``, ``maxsize``.
+
+    The memo holds at most :data:`~repro.simulators.gate.lru.DEFAULT_CACHE_SIZE`
+    lowered intents; the bound is fixed.
+    """
+    return _LOWERING_CACHE.info()
+
+
+def clear_lowering_cache() -> None:
+    """Empty the lowering memo and reset its counters.
+
+    Runs automatically when :func:`register_gate_lowering` registers a rule
+    and when :func:`~repro.simulators.gate.gates.register_gate` (re)defines
+    a gate, because ``Circuit.append`` checks arity against the gate library.
+    """
+    _LOWERING_CACHE.clear()
+
+
+register_cache_invalidation_hook(clear_lowering_cache)
 
 
 def lower_operator(

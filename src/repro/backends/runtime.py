@@ -31,7 +31,6 @@ def submit(
     *,
     backend: Optional[Backend] = None,
     validate: bool = True,
-    lowered: Optional[tuple] = None,
 ) -> ExecutionResult:
     """Execute *bundle* on the backend selected by its context.
 
@@ -43,19 +42,8 @@ def submit(
     validate:
         Re-run full bundle validation before execution (on by default; 2-4 ms
         for the 1001-qubit repetition-memory bundle on a 2-core x86 host).
-    lowered:
-        Optional pre-built ``(circuit, allocation)`` lowering artifact for
-        this bundle, forwarded to backends that accept it (the serving layer
-        lowers once for its coalescing key and reuses the artifact here).
-        Ignored for backends whose ``run`` takes only the bundle.
     """
-
-    def run(selected: Backend) -> List[ExecutionResult]:
-        if lowered is not None and hasattr(selected, "merge_key"):
-            return [selected.run(bundle, lowered)]
-        return [selected.run(bundle)]
-
-    return _submit([bundle], backend, validate, run)[0]
+    return _submit([bundle], backend, validate, lambda selected: [selected.run(bundle)])[0]
 
 
 def submit_merged(
@@ -63,7 +51,6 @@ def submit_merged(
     *,
     backend: Optional[Backend] = None,
     validate: bool = True,
-    lowered: Optional[Sequence[Optional[tuple]]] = None,
 ) -> List[ExecutionResult]:
     """Execute a group of merge-eligible bundles as one merged backend run.
 
@@ -75,12 +62,7 @@ def submit_merged(
     """
     if not bundles:
         return []
-    return _submit(
-        bundles,
-        backend,
-        validate,
-        lambda selected: selected.run_merged(bundles, lowered),
-    )
+    return _submit(bundles, backend, validate, lambda selected: selected.run_merged(bundles))
 
 
 def _submit(

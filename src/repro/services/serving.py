@@ -34,8 +34,9 @@ Three properties matter at serving scale:
   group of one: every group, whatever its size, goes through the one
   attempt loop, whose failure isolation guarantees one member's deadline
   or crash never poisons the rest — the survivors re-run as groups of
-  one.  The lowering artifact computed for the coalescing key is cached
-  on the ticket and reused at execution time, so no job is lowered twice.
+  one.  The coalescing key, the merge key and execution each ask the gate
+  backend for the lowered circuit, and the backend's lowering memo serves
+  all three: a batch is lowered once per distinct intent.
 * **Streaming** — :meth:`JobService.as_completed` yields tickets in
   completion order; each :class:`JobTicket` is also a future-like handle
   (``done()`` / ``result()`` / ``exception()`` / ``cancel()``) for point
@@ -234,7 +235,6 @@ class JobTicket:
     estimated_runtime_s: float
     coalesce_key: Any = field(repr=False, default=None)
     _bundle: Optional[JobBundle] = field(repr=False, default=None)
-    _lowered: Optional[tuple] = field(repr=False, default=None)
     _deadline_s: Optional[float] = field(repr=False, default=None)
     _future: Future = field(repr=False, default_factory=Future)
     _service: Optional["JobService"] = field(repr=False, default=None)
@@ -449,7 +449,7 @@ class JobService:
                         "among live jobs"
                     )
             tickets = []
-            for (bundle, deadline), (key, lowered) in zip(admitted, keys):
+            for (bundle, deadline), key in zip(admitted, keys):
                 self._job_counter += 1
                 ticket = JobTicket(
                     job_id=self._job_counter,
@@ -458,7 +458,6 @@ class JobService:
                     estimated_runtime_s=placed[bundle.name].estimated_runtime_s,
                     coalesce_key=key,
                     _bundle=bundle,
-                    _lowered=lowered,
                     _deadline_s=deadline,
                     _service=self,
                 )
@@ -507,26 +506,20 @@ class JobService:
         bundle.validate()  # the merged bundle is the one that runs
         return bundle, None if deadline is None else float(deadline)
 
-    def _coalesce_key(
-        self, bundle: JobBundle, engine: str
-    ) -> Tuple[Any, Optional[tuple]]:
-        """Structure-keyed grouping key plus the lowering artifact it cost.
+    def _coalesce_key(self, bundle: JobBundle, engine: str) -> Any:
+        """Structure-keyed grouping key: the structure of the lowered circuit.
 
-        Returns ``(key, lowered)`` where ``lowered`` is the backend's
-        ``(circuit, allocation)`` pair when the key required lowering the
-        bundle (``None`` otherwise).  The artifact is cached on the ticket
-        and reused at execution time, so keying a job never doubles its
-        lowering work.
+        The backend lowers each distinct intent once, through its lowering
+        memo, so the merge key and execution later get the same lowering
+        back as memo hits: keying a job never doubles its lowering work.
         """
         if self._coalesce:
-            backend = get_backend(engine)
-            builder = getattr(backend, "build_circuit", None)
+            builder = getattr(get_backend(engine), "build_circuit", None)
             if builder is not None:
                 from ..simulators.gate.fusion import structure_key
 
-                lowered = builder(bundle)
-                return (engine, structure_key(lowered[0])), lowered
-        return object(), None  # key never equal to another: a group of one
+                return engine, structure_key(builder(bundle)[0])
+        return object()  # key never equal to another: a group of one
 
     # -- dispatch --------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
@@ -593,13 +586,11 @@ class JobService:
         bundle = ticket._bundle
         if not bundle.context.exec.options.get("coalesce_merge", True):
             return None
-        if ticket._lowered is None:
-            return None
         merge_key = getattr(get_backend(ticket.engine), "merge_key", None)
         if merge_key is None:
             return None
         try:
-            return (ticket.engine, merge_key(bundle, ticket._lowered))
+            return (ticket.engine, merge_key(bundle))
         except Exception:  # noqa: BLE001 - an unkeyable job simply runs solo
             return None
 
@@ -707,16 +698,9 @@ class JobService:
     ) -> List[ExecutionResult]:
         """One backend call: ``submit`` for one ticket, ``submit_merged`` for more."""
         backend = get_backend(tickets[0].engine)
-        lowered = [ticket._lowered for ticket in tickets]
         if len(tickets) == 1:
-            return [
-                runtime_submit(
-                    bundles[0], backend=backend, validate=False, lowered=lowered[0]
-                )
-            ]
-        return runtime_submit_merged(
-            bundles, backend=backend, validate=False, lowered=lowered
-        )
+            return [runtime_submit(bundles[0], backend=backend, validate=False)]
+        return runtime_submit_merged(bundles, backend=backend, validate=False)
 
     def _degrade_bundle(self, bundle: JobBundle) -> JobBundle:
         """Force the thread executor on a bundle after pool-breakage fallback."""

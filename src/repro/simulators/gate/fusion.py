@@ -1195,7 +1195,10 @@ def set_compile_cache_size(maxsize: int) -> None:
 
     Entries beyond the new bound are evicted oldest-first immediately.  This
     is the one way to bound the compile caches, which are process-global;
-    the default is :data:`DEFAULT_COMPILE_CACHE_SIZE`.
+    the default is :data:`DEFAULT_COMPILE_CACHE_SIZE`.  The gate backend's
+    lowering memo is not among them: this layer does not import
+    :mod:`repro.backends`, and the memo's bound is fixed
+    (:func:`repro.backends.lowering_cache_info`).
     """
     if not isinstance(maxsize, int) or isinstance(maxsize, bool) or maxsize < 1:
         raise ValueError(f"compile cache size must be a positive int, got {maxsize!r}")

@@ -1,10 +1,11 @@
 """A small thread-safe bounded LRU with hit/miss instrumentation.
 
 One implementation behind the four compile-side caches (fusion templates,
-bound trajectory programs, stabilizer programs, transpile routing templates),
-so lock discipline, eviction order and counter semantics cannot drift between
-them.  Values must be immutable (they are returned to concurrent callers
-unchanged).
+bound trajectory programs, stabilizer programs, transpile routing templates)
+and the gate backend's lowering memo, so lock discipline, eviction order and
+counter semantics cannot drift between them.  Values must be immutable (they
+are returned to concurrent callers unchanged), or private to their cache,
+which then hands out copies (the transpile cache and the lowering memo).
 """
 
 from __future__ import annotations

@@ -294,12 +294,20 @@ def _run_groups_with_recovery(pending, submit_group, workers: int):
             with _POOL_LOCK:
                 _HEALTH["groups_redispatched"] += len(lost)
             if recovery["pool_rebuilds"] > MAX_POOL_REBUILDS:
-                raise WorkerCrashError(
+                message = (
                     f"worker pool broke {recovery['pool_rebuilds']} times in one "
                     f"run (budget {MAX_POOL_REBUILDS} rebuilds); "
-                    f"{len(lost)} chunk groups unrecovered",
-                    rebuilds=recovery["pool_rebuilds"],
+                    f"{len(lost)} chunk groups unrecovered"
                 )
+                if not results:
+                    # Each worker re-imports the main module while it starts.
+                    message += (
+                        "; the workers died before finishing any chunk group, most "
+                        "likely while starting: a script run as __main__ that "
+                        "starts process workers needs an "
+                        "'if __name__ == \"__main__\":' guard"
+                    )
+                raise WorkerCrashError(message, rebuilds=recovery["pool_rebuilds"])
         pending = lost
     return results, recovery
 

@@ -6,9 +6,15 @@ original per-chunk ``SeedSequence`` streams — so recovered seeded counts are
 *bit-identical* to an uncrashed run, for both the batched and stabilizer
 engines and at every worker count.  Around it: the :class:`FaultPlan` data
 model (seeded determinism, dict round-trip), the transient/permanent error
-taxonomy, reassembly validation, the recovery budget, and the
-generation/lease pool that lets growth coexist with in-flight runs.
+taxonomy, reassembly validation, the recovery budget (and the cause it
+names when workers die while starting), and the generation/lease pool that
+lets growth coexist with in-flight runs.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +250,43 @@ def test_repeated_kills_exhaust_recovery_budget(process_pool):
         simulator.run(circuit, shots=900, seed=71)
     assert excinfo.value.rebuilds == MAX_POOL_REBUILDS + 1
     assert is_transient_error(excinfo.value)  # the serving layer may retry
+
+
+GUARDLESS_SCRIPT = """
+from repro.simulators.gate import Circuit, NoiseModel, StatevectorSimulator
+
+circuit = Circuit(3, 3)
+circuit.h(0).cx(0, 1).cx(1, 2)
+circuit.measure_all()
+StatevectorSimulator(
+    noise_model=NoiseModel(oneq_error=0.01),
+    max_batch_memory=1024,
+    trajectory_executor="process",
+    trajectory_workers=2,
+).run(circuit, shots=256, seed=1)
+"""
+
+
+@pytest.mark.slow
+def test_a_script_without_a_main_guard_is_told_why_its_workers_died(tmp_path):
+    # Each forkserver worker re-runs the unguarded script's top level while it
+    # starts, and dies there; the exhausted recovery must name that cause.
+    script = tmp_path / "unguarded.py"
+    script.write_text(GUARDLESS_SCRIPT, encoding="utf-8")
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path for path in paths if path))
+    done = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode != 0
+    assert "WorkerCrashError: worker pool broke 3 times" in done.stderr, done.stderr
+    assert "the workers died before finishing any chunk group" in done.stderr
+    assert "'if __name__ == \"__main__\":' guard" in done.stderr
 
 
 def test_fault_plan_knob_rides_the_backend(process_pool):

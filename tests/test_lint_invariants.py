@@ -93,6 +93,28 @@ def test_unbounded_lru_cache_is_cache001_gate_scope_only(tmp_path):
     assert lint_invariants.lint_file(plain_module)[0] == []
 
 
+def test_cache_rules_cover_backends_modules(tmp_path):
+    # The lowering memo is a process-wide cache outside simulators/gate.
+    directory = tmp_path / "backends"
+    directory.mkdir()
+    module = directory / "memo.py"
+    module.write_text(
+        textwrap.dedent(
+            """
+            import functools
+
+            _LOWERING_CACHE = {}
+
+            @functools.lru_cache(maxsize=None)
+            def lowered(key):
+                return key
+            """
+        ),
+        encoding="utf-8",
+    )
+    assert sorted(rule_ids(lint_invariants.lint_file(module)[0])) == ["CACHE001", "CACHE002"]
+
+
 def test_module_dict_cache_is_cache002(tmp_path):
     module = write_module(
         tmp_path,

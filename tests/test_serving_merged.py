@@ -6,9 +6,9 @@ ticket gets back exactly the counts a standalone submission would produce,
 and the fast path degrades gracefully — per-job opt-out, cancelled members,
 a member's deadline expiry, and whole-group failures all isolate to the
 affected ticket while the rest of the group still completes (merged when
-``>= 2`` members remain live, solo otherwise).  Also covered: the cached
-lowering artifact means no job is lowered again at execution time, a merged
-group transpiles once, and a barrier keeps jobs out of one merge.  A solo
+``>= 2`` members remain live, solo otherwise).  Also covered: the lowering
+memo lowers each distinct intent once across admission and execution, a
+merged group transpiles once, and a barrier keeps jobs out of one merge.  A solo
 job is a group of one in the same attempt loop: a merged transient failure
 re-runs members alone without spending retries, a shared run's recovered
 crash counts once, and solo and merged results carry the same serving keys.
@@ -20,6 +20,11 @@ from concurrent.futures import CancelledError
 import pytest
 
 from repro.backends import gate_backend, runtime
+from repro.backends.lowering import (
+    GATE_LOWERING_RULES,
+    clear_lowering_cache,
+    register_gate_lowering,
+)
 from repro.core import ContextDescriptor, ExecPolicy, package, phase_register
 from repro.core.errors import DeadlineExceededError, TransientExecutionError
 from repro.oplib import build_operator, measurement, qft_operator
@@ -111,29 +116,45 @@ def test_per_job_opt_out_runs_solo_next_to_the_merge():
     assert results["o3"] == dict(alone.counts)
 
 
-def test_lowering_happens_once_per_job():
-    # The coalescing key already lowered every bundle; execution must reuse
-    # that cached artifact instead of lowering a second time.
-    from repro.backends.gate_backend import GateBackend
+@pytest.fixture
+def qft_lowerings():
+    """Names of the QFT operators really lowered (memo hits do not count).
 
+    Wraps the ``QFT_TEMPLATE`` rule; registering a rule also empties the
+    lowering memo, so nothing lowered before the test can hit.
+    """
+    original = GATE_LOWERING_RULES["QFT_TEMPLATE"]
     calls = []
-    real_build = GateBackend.build_circuit
 
-    def counting_build(self, bundle):
-        calls.append(bundle.name)
-        return real_build(self, bundle)
+    def counting_rule(op, qdts, allocation, circuit, clbit_offset):
+        calls.append(op.name)
+        original(op, qdts, allocation, circuit, clbit_offset)
 
-    bundles = group("lo", 3)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(GateBackend, "build_circuit", counting_build)
-        with JobService(lanes=1) as service:
-            tickets = service.submit_many(bundles)
-            keyed = list(calls)
-            for ticket in tickets:
-                ticket.result(timeout=120)
-            executed = list(calls)
-    assert len(keyed) == 3  # once per job, at admission
-    assert executed == keyed  # and never again during execution
+    register_gate_lowering("QFT_TEMPLATE", counting_rule, replace=True)
+    yield calls
+    register_gate_lowering("QFT_TEMPLATE", original, replace=True)
+
+
+def test_lowering_happens_once_per_job(qft_lowerings):
+    # The coalescing key, the merge key and execution each ask for the
+    # lowering; the memo lowers the group's one intent once.
+    with JobService(lanes=1) as service:
+        tickets = service.submit_many(group("lo", 3))
+        keyed = len(qft_lowerings)
+        for ticket in tickets:
+            ticket.result(timeout=120)
+        stats = service.stats()
+    assert keyed == 1  # at admission, for the first of three same-intent jobs
+    assert len(qft_lowerings) == 1  # and never again during execution
+    assert stats["merged_groups"] == 1
+
+    clear_lowering_cache()
+    del qft_lowerings[:]
+    mixed = [qft_bundle(f"lw{i}", width=4 + i % 2, seed=i + 1) for i in range(4)]
+    with JobService(lanes=1) as service:
+        for ticket in service.submit_many(mixed):
+            ticket.result(timeout=120)
+    assert len(qft_lowerings) == 2  # two distinct intents, each lowered once
 
 
 def qaoa_group(size):

@@ -11,11 +11,12 @@ driver runs it next to the IR verifier).  Rules:
   random draw must flow from a seeded ``np.random.default_rng``/
   ``SeedSequence`` stream.
 * ``RNG002`` — ``default_rng()`` must be seeded (no zero-argument calls).
-* ``CACHE001`` — in ``simulators/gate``, no unbounded ``functools.lru_cache``
-  / ``functools.cache`` (a ``maxsize`` literal is required; ``None`` is
-  unbounded).
-* ``CACHE002`` — in ``simulators/gate``, no module-level dict-literal caches
-  (names containing ``CACHE``): process-global caches must use
+* ``CACHE001`` — in ``simulators/gate`` and ``backends``, no unbounded
+  ``functools.lru_cache`` / ``functools.cache`` (a ``maxsize`` literal is
+  required; ``None`` is unbounded).
+* ``CACHE002`` — in ``simulators/gate`` and ``backends``, no module-level
+  dict-literal caches (names containing ``CACHE``): process-global caches
+  (the compile caches, the lowering memo) must use
   :class:`~repro.simulators.gate.lru.BoundedLRU`.
 * ``DTYPE001`` — no hardcoded ``complex128`` / ``dtype=complex`` literals
   outside the dtype plumbing modules (``simulators/gate/dtypes.py`` and the
@@ -61,8 +62,8 @@ GATE_BACKEND = SRC_ROOT / "backends" / "gate_backend.py"
 LINT_RULES = {
     "RNG001": "no global RNG calls; draws flow from seeded default_rng streams",
     "RNG002": "default_rng() must be seeded (no zero-argument calls)",
-    "CACHE001": "no unbounded lru_cache/cache in simulators/gate",
-    "CACHE002": "no module-level dict caches in simulators/gate (use BoundedLRU)",
+    "CACHE001": "no unbounded lru_cache/cache in simulators/gate or backends",
+    "CACHE002": "no module-level dict caches in simulators/gate or backends (use BoundedLRU)",
     "DTYPE001": "no hardcoded complex128/dtype=complex outside dtype plumbing",
     "TIME001": "no wall-clock reads in library code",
     "ENV001": "library code writes no process environment",
@@ -157,8 +158,10 @@ def _relative(path: Path) -> str:
         return path.as_posix()
 
 
-def _in_gate_scope(path: Path) -> bool:
-    return "simulators/gate" in _relative(path)
+def _in_cache_scope(path: Path) -> bool:
+    """Whether CACHE001/CACHE002 apply: modules under ``simulators/gate`` or ``backends``."""
+    relative = _relative(path)
+    return "simulators/gate" in relative or "backends" in Path(relative).parts[:-1]
 
 
 def _imports_stdlib_random(tree: ast.Module) -> bool:
@@ -188,7 +191,7 @@ def _lru_cache_violation(call: ast.Call) -> Optional[str]:
 
 
 def _check_calls(
-    tree: ast.Module, path: Path, stdlib_random: bool, gate_scope: bool
+    tree: ast.Module, path: Path, stdlib_random: bool, cache_scope: bool
 ) -> Iterator[Violation]:
     """Yield the per-call rules: RNG001/RNG002, CACHE001, TIME001, ENV001."""
     for node in ast.walk(tree):
@@ -221,7 +224,7 @@ def _check_calls(
                 "RNG002",
                 "unseeded default_rng(); thread an explicit seed through",
             )
-        if gate_scope and tail == "lru_cache" and name in ("lru_cache", "functools.lru_cache"):
+        if cache_scope and tail == "lru_cache" and name in ("lru_cache", "functools.lru_cache"):
             message = _lru_cache_violation(node)
             if message is not None:
                 yield (path, node.lineno, "CACHE001", message)
@@ -254,10 +257,10 @@ def _check_environment_items(tree: ast.Module, path: Path) -> Iterator[Violation
 
 
 def _check_decorators(
-    tree: ast.Module, path: Path, gate_scope: bool
+    tree: ast.Module, path: Path, cache_scope: bool
 ) -> Iterator[Violation]:
     """Yield CACHE001 for bare ``@lru_cache`` / ``@cache`` decorators."""
-    if not gate_scope:
+    if not cache_scope:
         return
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -284,10 +287,10 @@ def _check_decorators(
 
 
 def _check_module_caches(
-    tree: ast.Module, path: Path, gate_scope: bool
+    tree: ast.Module, path: Path, cache_scope: bool
 ) -> Iterator[Violation]:
     """Yield CACHE002 for module-level dict-literal caches."""
-    if not gate_scope:
+    if not cache_scope:
         return
     for node in tree.body:
         targets: List[ast.expr] = []
@@ -429,12 +432,12 @@ def lint_file(path: Path) -> Tuple[List[Violation], List[Suppressed]]:
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source, filename=str(path))
     allowed = _pragmas(source)
-    gate_scope = _in_gate_scope(path)
+    cache_scope = _in_cache_scope(path)
     stdlib_random = _imports_stdlib_random(tree)
     candidates: List[Violation] = []
-    candidates.extend(_check_calls(tree, path, stdlib_random, gate_scope))
-    candidates.extend(_check_decorators(tree, path, gate_scope))
-    candidates.extend(_check_module_caches(tree, path, gate_scope))
+    candidates.extend(_check_calls(tree, path, stdlib_random, cache_scope))
+    candidates.extend(_check_decorators(tree, path, cache_scope))
+    candidates.extend(_check_module_caches(tree, path, cache_scope))
     candidates.extend(_check_dtypes(tree, path))
     candidates.extend(_check_environment_items(tree, path))
     violations: List[Violation] = []
