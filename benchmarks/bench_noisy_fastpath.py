@@ -1,7 +1,7 @@
 """Noisy fast-path benchmark: compile cache, transpile cache, verify guard.
 
-Times the noisy compile path, the transpile cache and the ``verify_compiled``
-guard, and writes ``BENCH_noisy.json`` at the repository root:
+Times the noisy compile path, the transpile cache and the verify guard, and
+writes ``BENCH_noisy.json`` at the repository root:
 
 * **noisy compilation** — compiles/sec of the fusion compiler on a noisy
   12-qubit QAOA circuit, cold (caches cleared per compile) versus warm
@@ -12,12 +12,12 @@ guard, and writes ``BENCH_noisy.json`` at the repository root:
   orders of magnitude.
 * **transpile cache** — structure-keyed transpile of the QAOA shape against
   an 8x8 grid device, uncached versus warm cache (routing replay).
-* **verify guard** — warm noisy execution with the ``verify_compiled``
-  exec-policy knob off (twice: the second off row measures run-to-run timer
-  noise, the honest baseline band) versus on.  The guard asserts the
-  disabled knob adds no hot-path overhead beyond timer noise
+* **verify guard** — warm noisy execution with the one verification switch
+  (``analysis.set_verify_each``) off (twice: the second off row measures
+  run-to-run timer noise, the honest baseline band) versus on.  The guard
+  asserts the disabled switch adds no hot-path overhead beyond timer noise
   (``off_vs_baseline <= 1.25``); the structural argument — the off path is
-  one attribute check per run — lives in ``docs/static_analysis.md``.
+  one ``is None`` check per run — lives in ``docs/static_analysis.md``.
 
 Run standalone (``python benchmarks/bench_noisy_fastpath.py``), as a quick
 CI smoke (``--smoke``: one tiny row, no JSON written), or via pytest
@@ -36,6 +36,7 @@ from repro.simulators.gate import (
     Circuit,
     NoiseModel,
     StatevectorSimulator,
+    analysis,
     clear_compile_caches,
     compile_trajectory_program_cached,
     transpile,
@@ -157,36 +158,43 @@ def bench_transpile(num_qubits, repeats, rows=8, cols=8):
     }
 
 
-#: Noise-band ceiling for the verify guard: with ``verify_compiled=False``
-#: the warm run differs from the baseline by one attribute check, so any
-#: measured ratio above this is a real hot-path regression, not jitter.
+#: Noise-band ceiling for the verify guard: with the switch off the warm
+#: run differs from the baseline by one ``is None`` check, so any measured
+#: ratio above this is a real hot-path regression, not jitter.
 VERIFY_OFF_CEILING = 1.25
 
 
 def bench_verify_overhead(num_qubits, shots, repeats):
-    """Warm-exec cost of the ``verify_compiled`` knob: off must be free.
+    """Warm-exec cost of the verification switch: off must be free.
 
-    Three identically configured noisy simulators run the same warm
-    (compile-cache-hit) workload: two with ``verify_compiled=False`` — the
-    second quantifies run-to-run timer noise against the first — and one
-    with the knob on.  Each timing is the min over three measurement rounds
-    so scheduler blips do not fail the guard.  Seeded counts must be
-    identical across all three (verification never touches the RNG stream).
+    One noisy simulator runs the same warm (compile-cache-hit) workload three
+    times: twice with ``analysis.set_verify_each`` off — the second
+    quantifies run-to-run timer noise against the first — and once with it
+    on, where each warm run verifies its result metadata (turning the switch
+    on empties the compile caches, so the priming run also verifies the
+    template, with the IR008 probe, and the program).  Each timing is the min
+    over three measurement rounds so scheduler blips do not fail the guard.
+    Seeded counts must be identical across all three (verification never
+    touches the RNG stream).  The switch is restored afterwards.
     """
-    noise = NoiseModel(**COMPILE_NOISE)
+    simulator = StatevectorSimulator(noise_model=NoiseModel(**COMPILE_NOISE))
     circuit = qaoa_circuit(num_qubits, 0.4, 0.7)
     timings = {}
     counts = {}
-    for label, enabled in (("baseline", False), ("off", False), ("on", True)):
-        simulator = StatevectorSimulator(noise_model=noise, verify_compiled=enabled)
-        simulator.run(circuit, shots=shots, seed=SEED)  # prime compile caches
-        timings[label] = min(
-            time_loop(lambda: simulator.run(circuit, shots=shots, seed=SEED), repeats)
-            for _ in range(3)
-        )
-        counts[label] = dict(simulator.run(circuit, shots=shots, seed=SEED).counts)
+    previous = analysis.verify_each_enabled()
+    try:
+        for label, enabled in (("baseline", False), ("off", False), ("on", True)):
+            analysis.set_verify_each(enabled)
+            simulator.run(circuit, shots=shots, seed=SEED)  # prime compile caches
+            timings[label] = min(
+                time_loop(lambda: simulator.run(circuit, shots=shots, seed=SEED), repeats)
+                for _ in range(3)
+            )
+            counts[label] = dict(simulator.run(circuit, shots=shots, seed=SEED).counts)
+    finally:
+        analysis.set_verify_each(previous)
     identical = counts["baseline"] == counts["off"] == counts["on"]
-    assert identical, "verify_compiled changed seeded counts"
+    assert identical, "the verification switch changed seeded counts"
     return {
         "num_qubits": num_qubits,
         "shots": shots,

@@ -125,7 +125,9 @@ class GateBackend(Backend):
         ``noise`` (mapping, default ``None``)
             :class:`~repro.simulators.gate.noise.NoiseModel` rates
             (``oneq_error`` / ``twoq_error`` / ``readout_error``); any
-            nonzero rate forces the trajectory path.
+            nonzero rate forces the trajectory path.  Another key, or a rate
+            that is not a real number, raises
+            :class:`~repro.core.errors.BackendError`.
         ``max_batch_memory`` (int bytes or ``None``, default 16 MiB)
             Byte budget for the batched engine's per-chunk working set;
             ``None`` disables chunking.
@@ -174,13 +176,6 @@ class GateBackend(Backend):
             serving layer's retry policy.  Test/chaos tooling only: leave
             unset in production (the disabled path costs one attribute
             check per chunk).
-        ``verify_compiled`` (bool, default ``False``)
-            Run every compiled artifact of the run — the bound trajectory
-            program, its structural template and the result metadata —
-            through the static IR verifier
-            (:mod:`~repro.simulators.gate.analysis`); a contract violation
-            raises instead of returning a result.  Off by default: the
-            disabled path adds no hot-path work.
         ``variational_evaluation`` (``"sampled"`` | ``"expectation"``,
             default ``"sampled"``)
             Consumed by :mod:`repro.workflows.qaoa_optimizer`, not by this
@@ -188,6 +183,12 @@ class GateBackend(Backend):
             sampling with exact observable expectations (and batched
             parameter-grid sweeps) in the variational outer loop.  Listed
             here because it rides in the same exec-policy options mapping.
+
+        IR verification is not an exec option.  Its one switch is
+        :func:`~repro.simulators.gate.analysis.set_verify_each`: while it is
+        on, every template, bound program, stabilizer program and transpile
+        stage a run compiles is verified, and so is the simulation result's
+        metadata; a contract violation raises instead of returning a result.
         """
         context, exec_policy, circuit, allocation, transpiled = self._prepare(bundle)
         try:
@@ -343,9 +344,6 @@ class GateBackend(Backend):
             # Passed through unconverted: the simulator coerces dict
             # specs through FaultPlan.coerce and enforces the contract.
             fault_plan=exec_policy.options.get("fault_plan"),
-            # Passed through unconverted: the simulator enforces the
-            # bool contract.
-            verify_compiled=exec_policy.options.get("verify_compiled", False),
         )
 
     def _make_result(

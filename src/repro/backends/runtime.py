@@ -40,8 +40,7 @@ def submit(
         Explicit backend override (useful in tests); by default the engine
         named by ``bundle.context.exec.engine`` is resolved from the registry.
     validate:
-        Re-run full bundle validation before execution (on by default; 2-4 ms
-        for the 1001-qubit repetition-memory bundle on a 2-core x86 host).
+        Re-run full bundle validation before execution (on by default).
     """
     return _submit([bundle], backend, validate, lambda selected: [selected.run(bundle)])[0]
 

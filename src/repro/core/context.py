@@ -97,6 +97,8 @@ class ExecPolicy:
             raise ContextError("exec policy requires an engine name")
         if self.samples < 1:
             raise ContextError("samples must be >= 1")
+        if isinstance(self.seed, int) and self.seed < 0:
+            raise ContextError("seed must be >= 0")
         if isinstance(self.target, Mapping):
             self.target = TargetSpec.from_dict(self.target)
 
@@ -188,6 +190,8 @@ class AnnealPolicy:
             raise ContextError("num_reads must be >= 1")
         if self.num_sweeps < 1:
             raise ContextError("num_sweeps must be >= 1")
+        if isinstance(self.seed, int) and self.seed < 0:
+            raise ContextError("seed must be >= 0")
         if self.schedule not in ("geometric", "linear"):
             raise ContextError(f"unknown anneal schedule {self.schedule!r}")
         if self.beta_range is not None:

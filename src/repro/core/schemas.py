@@ -180,7 +180,7 @@ _EXEC_SCHEMA: Dict[str, Any] = {
     "properties": {
         "engine": {"type": "string", "minLength": 1},
         "samples": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "target": _TARGET_SCHEMA,
         "options": {"type": "object"},
     },
@@ -215,7 +215,7 @@ _ANNEAL_SCHEMA: Dict[str, Any] = {
             "maxItems": 2,
         },
         "schedule": {"type": "string", "enum": ["geometric", "linear"]},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "embedding": {"type": "object"},
     },
     "additionalProperties": True,

@@ -10,7 +10,6 @@ from .density import (
 )
 from .fusion import (
     CLIFFORD_GATES,
-    DEFAULT_COMPILE_CACHE_SIZE,
     StabilizerProgram,
     TrajectoryProgram,
     clear_compile_caches,
@@ -20,7 +19,6 @@ from .fusion import (
     compile_trajectory_program,
     compile_trajectory_program_cached,
     is_clifford_circuit,
-    set_compile_cache_size,
 )
 from .faults import FAULT_KINDS, FaultEvent, FaultPlan
 from .gates import GateDef, cached_gate_matrix, gate_matrix, get_gate, has_gate, list_gates
@@ -80,8 +78,6 @@ __all__ = [
     "compile_trajectory_program_cached",
     "compile_cache_info",
     "clear_compile_caches",
-    "set_compile_cache_size",
-    "DEFAULT_COMPILE_CACHE_SIZE",
     "limit_blas_threads",
     "Statevector",
     "StatevectorSimulator",

@@ -9,16 +9,12 @@ both).  This package exposes:
   contract checks over compiled fusion artifacts (rules ``IR001``-``IR011``);
 * :func:`verify_stage` — contract checks over transpiler stage outputs
   (rules ``TR001``-``TR006``);
-* :func:`set_verify_each` — install (or remove) verification hooks inside the
-  fusion compiler and the transpiler pass pipeline so **every** compiled
-  artifact is verified at the moment it is produced.  Off by default in
-  production; the test suite enables it session-wide via a conftest fixture,
-  turning every differential sweep into a verifier soak.
-
-The per-run ``verify_compiled`` exec-policy knob (see
-:class:`~repro.simulators.gate.statevector.StatevectorSimulator`) layers on
-top of these primitives: it verifies the bound program, its structural
-template and the result metadata of each run it is enabled for.
+* :func:`set_verify_each` — the one verification switch.  It installs (or
+  removes) hooks inside the fusion compiler, the transpiler pass pipeline and
+  the simulators, so **every** compiled artifact is verified at the moment it
+  is produced and every simulation result before it is returned.  Off by
+  default in production; the test suite enables it session-wide via a
+  conftest fixture, turning every differential sweep into a verifier soak.
 """
 
 from __future__ import annotations
@@ -78,6 +74,11 @@ def _stabilizer_hook(program, circuit) -> None:
     verify_stabilizer_program(program).raise_if_failed()
 
 
+def _result_hook(result) -> None:
+    """Hook on every simulator result: verify its contractual metadata."""
+    verify_result(result).raise_if_failed()
+
+
 def _stage_hook(stage, circuit, *, source=None, coupling_map=None, basis_gates=None) -> None:
     """Post-transpiler-stage hook: verify one stage's output circuit."""
     if verification_active():
@@ -92,27 +93,33 @@ def _stage_hook(stage, circuit, *, source=None, coupling_map=None, basis_gates=N
 
 
 def set_verify_each(enabled: bool) -> None:
-    """Install or remove the verify-each hooks in the compile pipelines.
+    """Turn the one IR verification switch on or off.
 
     With ``enabled=True`` every template produced by
-    ``compile_parametric_template``, every program produced by
-    ``ParametricTemplate.bind``, every stabilizer program produced by
-    ``compile_stabilizer_program`` and every transpiler stage output is verified
-    on the spot (cache *misses* only — cached artifacts were verified when
-    first built); a failure raises
+    ``compile_parametric_template`` (with the IR008 probe), every program
+    produced by ``ParametricTemplate.bind``, every stabilizer program produced
+    by ``compile_stabilizer_program`` and every transpiler stage output is
+    verified on the spot (cache *misses* only), and every result that
+    ``StatevectorSimulator`` and ``DensityMatrixSimulator`` return has its
+    metadata checked (IR007); a failure raises
     :class:`~.diagnostics.IRVerificationError` at the point of production.
-    With ``enabled=False`` the hooks are removed; the steady-state cost of
-    the disabled hooks is one ``is not None`` check per compile.
+    Turning the switch on empties the compile caches, so every artifact a
+    run uses from then on has passed the verifier.  With ``enabled=False``
+    the hooks are removed; the cost of the disabled hooks is one
+    ``is not None`` check per compile and per run.
     """
     global _VERIFY_EACH
-    from ..fusion import set_compile_verify_hooks
+    from ..fusion import clear_compile_caches, set_compile_verify_hooks
     from ..transpiler.passes import set_stage_hook
 
     if enabled:
-        set_compile_verify_hooks(_template_hook, _program_hook, _stabilizer_hook)
+        set_compile_verify_hooks(
+            _template_hook, _program_hook, _stabilizer_hook, _result_hook
+        )
         set_stage_hook(_stage_hook)
+        clear_compile_caches()
     else:
-        set_compile_verify_hooks(None, None, None)
+        set_compile_verify_hooks(None, None, None, None)
         set_stage_hook(None)
     _VERIFY_EACH = bool(enabled)
 

@@ -47,6 +47,7 @@ import numpy as np
 
 from ...core.errors import SimulationError
 from ...results.counts import Counts
+from . import fusion
 from .circuit import Circuit
 from .fusion import (
     GateStep,
@@ -424,26 +425,10 @@ class DensityMatrixSimulator:
         Optional :class:`~repro.simulators.gate.noise.NoiseModel`; depolarizing
         rates become exact CPTP maps and readout error an exact classical
         bit-flip channel on the outcome distribution.
-    verify_compiled:
-        ``bool`` (default ``False``).  When enabled, every compiled program
-        and every result's contractual metadata is checked through the
-        static IR verifier (:mod:`~repro.simulators.gate.analysis`); a
-        violation raises
-        :class:`~repro.simulators.gate.analysis.IRVerificationError`.
     """
 
-    def __init__(
-        self,
-        *,
-        noise_model: Optional[NoiseModel] = None,
-        verify_compiled: bool = False,
-    ):
-        if not isinstance(verify_compiled, bool):
-            raise SimulationError(
-                f"verify_compiled must be a bool, got {verify_compiled!r}"
-            )
+    def __init__(self, *, noise_model: Optional[NoiseModel] = None):
         self.noise_model = noise_model
-        self.verify_compiled = verify_compiled
 
     # -- public API -------------------------------------------------------------
     def run(
@@ -500,10 +485,9 @@ class DensityMatrixSimulator:
         result = SimulationResult(
             counts=counts, statevector=None, shots=shots, seed=seed, metadata=metadata
         )
-        if self.verify_compiled:
-            from .analysis import verify_result  # local: import cycle
-
-            verify_result(result).raise_if_failed()
+        hook = fusion._RESULT_HOOK  # analysis.set_verify_each; None when off
+        if hook is not None:
+            hook(result)
         return result
 
     def probabilities(self, circuit: Circuit) -> Dict[str, float]:
@@ -548,12 +532,7 @@ class DensityMatrixSimulator:
         noise = self.noise_model
         if noise is not None and noise.is_noiseless:
             noise = None
-        program = compile_trajectory_program_cached(circuit, noise)
-        if self.verify_compiled:
-            from .analysis import verify_program  # local: import cycle
-
-            verify_program(program).raise_if_failed()
-        return program, noise
+        return compile_trajectory_program_cached(circuit, noise), noise
 
     def _evolve(
         self, program: TrajectoryProgram, noise: Optional[NoiseModel]

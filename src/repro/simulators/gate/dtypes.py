@@ -1,52 +1,19 @@
-"""Canonical complex dtypes: the one module allowed to spell them out.
+"""Canonical complex dtype: the one module allowed to spell it out.
 
 Everything outside the gate substrate's numeric core must route complex
 dtypes through this module (invariant-lint rule ``DTYPE001``) so precision
-policy has a single home: compiled matrices and plans are always
-:data:`CANONICAL_COMPLEX`, while the batched trajectory engine's state dtype
-is a run-time knob (``trajectory_dtype``) resolved by
-:func:`complex_dtype`.
+policy has a single home: compiled matrices, plans and oracles are always
+:data:`CANONICAL_COMPLEX`.  The batched trajectory engine's state dtype is
+the ``trajectory_dtype`` run-time knob, which
+:class:`~repro.simulators.gate.statevector.StatevectorSimulator` checks as a
+string (``"complex64"`` or ``"complex128"``).
 """
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
-__all__ = ["CANONICAL_COMPLEX", "BATCH_COMPLEX", "complex_dtype"]
+__all__ = ["CANONICAL_COMPLEX"]
 
 #: Full-precision complex dtype of every compiled matrix, plan and oracle.
 CANONICAL_COMPLEX = np.dtype(np.complex128)
-
-#: Default state dtype of the bandwidth-bound batched trajectory engine.
-BATCH_COMPLEX = np.dtype(np.complex64)
-
-_NAMES = {
-    "complex64": BATCH_COMPLEX,
-    "complex128": CANONICAL_COMPLEX,
-}
-
-
-def complex_dtype(spec: Union[str, np.dtype, type]) -> np.dtype:
-    """Resolve *spec* to one of the two supported complex dtypes.
-
-    Accepts the exec-policy spellings (``"complex64"`` / ``"complex128"``)
-    as well as NumPy dtypes/scalar types; anything else raises
-    ``ValueError`` so precision bugs fail loudly at the boundary.
-    """
-    if isinstance(spec, str):
-        try:
-            return _NAMES[spec]
-        except KeyError:
-            raise ValueError(
-                f"unsupported complex dtype {spec!r}; expected one of "
-                f"{sorted(_NAMES)}"
-            ) from None
-    resolved = np.dtype(spec)
-    if resolved not in (CANONICAL_COMPLEX, BATCH_COMPLEX):
-        raise ValueError(
-            f"unsupported complex dtype {resolved}; expected one of "
-            f"{sorted(_NAMES)}"
-        )
-    return resolved

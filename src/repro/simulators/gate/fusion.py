@@ -71,9 +71,9 @@ Two module-level LRUs memoise the phases:
 
 :func:`compile_trajectory_program` is itself implemented as
 ``template + bind`` for every noise setting, so the cached and uncached
-paths produce **bit-identical programs by construction**.  Cache sizes are
-bounded (:func:`set_compile_cache_size`) and instrumented
-(:func:`compile_cache_info`, :func:`clear_compile_caches`).
+paths produce **bit-identical programs by construction**.  Each cache is
+bounded at :data:`~repro.simulators.gate.lru.DEFAULT_CACHE_SIZE` entries and
+instrumented (:func:`compile_cache_info`, :func:`clear_compile_caches`).
 
 The compiled program is engine-agnostic data; execution lives in
 :class:`~repro.simulators.gate.statevector.StatevectorSimulator`.  The same
@@ -124,9 +124,7 @@ __all__ = [
     "compile_trajectory_program_cached",
     "compile_cache_info",
     "clear_compile_caches",
-    "set_compile_cache_size",
     "set_compile_verify_hooks",
-    "DEFAULT_COMPILE_CACHE_SIZE",
 ]
 
 _PAULI_NAMES = ("x", "y", "z")
@@ -134,14 +132,18 @@ _ID2 = np.eye(2, dtype=np.complex128)
 
 # Verify-each hooks (``analysis.set_verify_each``).  ``None`` — the
 # production default — costs one identity check per structural compile /
-# bind; installed hooks receive every freshly produced artifact (cache
-# misses only: cached templates and programs were verified when built).
+# bind / run; installed hooks receive every freshly produced artifact (cache
+# misses only: cached templates and programs were verified when built) and
+# every simulation result.
 _TEMPLATE_HOOK = None
 _PROGRAM_HOOK = None
 _STABILIZER_HOOK = None
+_RESULT_HOOK = None
 
 
-def set_compile_verify_hooks(template_hook, program_hook, stabilizer_hook=None) -> None:
+def set_compile_verify_hooks(
+    template_hook, program_hook, stabilizer_hook=None, result_hook=None
+) -> None:
     """Install (or clear, with ``None``) the post-compile verification hooks.
 
     *template_hook* is called as ``hook(template, circuit)`` at the end of
@@ -149,14 +151,17 @@ def set_compile_verify_hooks(template_hook, program_hook, stabilizer_hook=None) 
     ``hook(program, circuit)`` at the end of every
     :meth:`ParametricTemplate.bind`; *stabilizer_hook* as
     ``hook(program, circuit)`` at the end of every uncached
-    :func:`compile_stabilizer_program`.  Installed by
+    :func:`compile_stabilizer_program`; *result_hook* as ``hook(result)`` on
+    every result that ``StatevectorSimulator`` and
+    ``DensityMatrixSimulator`` return.  Installed by
     :func:`repro.simulators.gate.analysis.set_verify_each`; do not call
     directly unless you are building a custom verification collector.
     """
-    global _TEMPLATE_HOOK, _PROGRAM_HOOK, _STABILIZER_HOOK
+    global _TEMPLATE_HOOK, _PROGRAM_HOOK, _STABILIZER_HOOK, _RESULT_HOOK
     _TEMPLATE_HOOK = template_hook
     _PROGRAM_HOOK = program_hook
     _STABILIZER_HOOK = stabilizer_hook
+    _RESULT_HOOK = result_hook
 
 
 @dataclass(frozen=True)
@@ -1082,13 +1087,9 @@ def _fold_outcome_map(program: StabilizerProgram) -> None:
 
 # -- template + program caches -------------------------------------------------------
 
-#: Default bound on each compile cache (templates and bound programs alike);
-#: change it with :func:`set_compile_cache_size`.
-DEFAULT_COMPILE_CACHE_SIZE = DEFAULT_CACHE_SIZE
-
-_TEMPLATE_CACHE = BoundedLRU(DEFAULT_COMPILE_CACHE_SIZE)
-_PROGRAM_CACHE = BoundedLRU(DEFAULT_COMPILE_CACHE_SIZE)
-_STABILIZER_CACHE = BoundedLRU(DEFAULT_COMPILE_CACHE_SIZE)
+_TEMPLATE_CACHE = BoundedLRU(DEFAULT_CACHE_SIZE)
+_PROGRAM_CACHE = BoundedLRU(DEFAULT_CACHE_SIZE)
+_STABILIZER_CACHE = BoundedLRU(DEFAULT_CACHE_SIZE)
 
 
 def _structure_key(circuit: Circuit) -> tuple:
@@ -1188,26 +1189,6 @@ def compile_stabilizer_program_cached(
     program = compile_stabilizer_program(circuit, noise_model)
     _STABILIZER_CACHE.store(key, program)
     return program
-
-
-def set_compile_cache_size(maxsize: int) -> None:
-    """Bound the template, program and stabilizer LRUs (and the transpile cache) at *maxsize*.
-
-    Entries beyond the new bound are evicted oldest-first immediately.  This
-    is the one way to bound the compile caches, which are process-global;
-    the default is :data:`DEFAULT_COMPILE_CACHE_SIZE`.  The gate backend's
-    lowering memo is not among them: this layer does not import
-    :mod:`repro.backends`, and the memo's bound is fixed
-    (:func:`repro.backends.lowering_cache_info`).
-    """
-    if not isinstance(maxsize, int) or isinstance(maxsize, bool) or maxsize < 1:
-        raise ValueError(f"compile cache size must be a positive int, got {maxsize!r}")
-    _TEMPLATE_CACHE.set_maxsize(maxsize)
-    _PROGRAM_CACHE.set_maxsize(maxsize)
-    _STABILIZER_CACHE.set_maxsize(maxsize)
-    from .transpiler import cache as transpile_cache  # local: import cycle
-
-    transpile_cache.set_transpile_cache_size(maxsize)
 
 
 def compile_cache_info() -> Dict[str, Dict[str, int]]:

@@ -3,9 +3,11 @@
 One implementation behind the four compile-side caches (fusion templates,
 bound trajectory programs, stabilizer programs, transpile routing templates)
 and the gate backend's lowering memo, so lock discipline, eviction order and
-counter semantics cannot drift between them.  Values must be immutable (they
-are returned to concurrent callers unchanged), or private to their cache,
-which then hands out copies (the transpile cache and the lowering memo).
+counter semantics cannot drift between them.  All five hold at most the
+fixed :data:`DEFAULT_CACHE_SIZE` entries; nothing resizes them.  Values must
+be immutable (they are returned to concurrent callers unchanged), or private
+to their cache, which then hands out copies (the transpile cache and the
+lowering memo).
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from typing import Any, Dict, Optional
 
 __all__ = ["BoundedLRU", "DEFAULT_CACHE_SIZE"]
 
-#: Default entry bound shared by every compile-side cache; reconfigure with
-#: :func:`~repro.simulators.gate.fusion.set_compile_cache_size`.
+#: The fixed entry bound of every compile-side cache and the lowering memo.
 DEFAULT_CACHE_SIZE = 256
 
 #: Absence sentinel: distinguishes "key not stored" from a stored value that
@@ -56,13 +57,6 @@ class BoundedLRU:
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
-            while len(self._data) > self._maxsize:
-                self._data.popitem(last=False)
-
-    def set_maxsize(self, maxsize: int) -> None:
-        """Rebound the cache, evicting oldest-first immediately if shrunk."""
-        with self._lock:
-            self._maxsize = int(maxsize)
             while len(self._data) > self._maxsize:
                 self._data.popitem(last=False)
 

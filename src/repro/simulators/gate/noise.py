@@ -12,6 +12,7 @@ are modelled, both applied stochastically per trajectory:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ import numpy as np
 from ...core.errors import SimulationError
 
 __all__ = ["NoiseModel", "as_segments"]
+
+_RATE_NAMES = ("oneq_error", "twoq_error", "readout_error")
 
 
 def as_segments(draws, batch_size: int):
@@ -44,7 +47,7 @@ class NoiseModel:
     readout_error: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("oneq_error", "twoq_error", "readout_error"):
+        for name in _RATE_NAMES:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise SimulationError(f"{name} must lie in [0, 1], got {value}")
@@ -92,11 +95,21 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, doc: dict | None) -> "NoiseModel | None":
-        """Build a model from a rates dict; ``None``/empty means no noise."""
+        """Build a model from a rates dict; ``None``/empty means no noise.
+
+        Raises :class:`~repro.core.errors.SimulationError` on a key other
+        than the three rates and on a rate that is not a real number (a bool
+        included), so a misspelt or mistyped rate never runs noiseless.
+        """
         if not doc:
             return None
-        return cls(
-            oneq_error=float(doc.get("oneq_error", 0.0)),
-            twoq_error=float(doc.get("twoq_error", 0.0)),
-            readout_error=float(doc.get("readout_error", 0.0)),
-        )
+        rates = {}
+        for name, value in doc.items():
+            if name not in _RATE_NAMES:
+                raise SimulationError(
+                    f"unknown noise rate {name!r}; expected one of {_RATE_NAMES}"
+                )
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise SimulationError(f"{name} must be a real number, got {value!r}")
+            rates[name] = float(value)
+        return cls(**rates)

@@ -325,7 +325,7 @@ def _chunk_task(payload: tuple) -> List[Tuple[int, tuple]]:
     from .statevector import run_super_chunk
     from .threads import limit_blas_threads
 
-    program = engine.compile(circuit, verify=False)
+    program = engine.compile(circuit)
     guard = (
         limit_blas_threads(blas_threads) if blas_threads is not None else nullcontext()
     )

@@ -78,6 +78,7 @@ import numpy as np
 
 from ...core.errors import SimulationError
 from ...results.counts import Counts
+from . import fusion
 from .circuit import Circuit
 from .gates import cached_gate_matrix, cached_gate_plan
 from .kernels import apply_matrix_inplace
@@ -460,16 +461,6 @@ class StatevectorSimulator:
         groups re-dispatch with their original ``SeedSequence`` streams,
         so recovered seeded counts are **bit-identical** to an uncrashed
         run.  ``None`` (production) costs one attribute check per run.
-    verify_compiled:
-        ``bool`` (default ``False``).  When enabled, every run verifies its
-        compiled artifacts through the static IR verifier
-        (:mod:`~repro.simulators.gate.analysis`): the bound trajectory
-        program (rules IR001-IR006), its structural template including the
-        IR008 cache-key soundness probe, and the result's contractual
-        metadata (IR007).  A violation raises
-        :class:`~repro.simulators.gate.analysis.IRVerificationError` instead
-        of returning a result.  The disabled path costs one attribute check
-        per run and never touches the hot loops.
     """
 
     def __init__(
@@ -482,7 +473,6 @@ class StatevectorSimulator:
         trajectory_dtype: str = "complex64",
         trajectory_workers: int = 1,
         fault_plan=None,
-        verify_compiled: bool = False,
     ):
         if trajectory_engine not in ("batched", "density", "stabilizer", "auto"):
             raise SimulationError(
@@ -513,10 +503,6 @@ class StatevectorSimulator:
             )
         if trajectory_workers < 1:
             raise SimulationError("trajectory_workers must be >= 1")
-        if not isinstance(verify_compiled, bool):
-            raise SimulationError(
-                f"verify_compiled must be a bool, got {verify_compiled!r}"
-            )
         from .faults import FaultPlan  # local: keeps the import graph flat
 
         fault_plan = FaultPlan.coerce(fault_plan)
@@ -527,7 +513,6 @@ class StatevectorSimulator:
         self.trajectory_dtype = trajectory_dtype
         self.trajectory_workers = trajectory_workers
         self.fault_plan = fault_plan
-        self.verify_compiled = verify_compiled
 
     def run(
         self,
@@ -617,9 +602,7 @@ class StatevectorSimulator:
             # measurement, reset) in closed form, so it owns the whole run.
             from .density import DensityMatrixSimulator  # local: import cycle
 
-            oracle = DensityMatrixSimulator(
-                noise_model=self.noise_model, verify_compiled=self.verify_compiled
-            )
+            oracle = DensityMatrixSimulator(noise_model=self.noise_model)
             return [oracle.run(circuit, shots=s, seed=sd) for s, sd in specs]
         if engine == "stabilizer":
             # The tableau engine owns the whole run: it has no exact-path
@@ -633,11 +616,10 @@ class StatevectorSimulator:
             results = self._run_exact(circuit, specs, keep_state)
         else:
             results = self._run_chunked(_AmplitudeEngine(self), circuit, specs, keep_state)
-        if self.verify_compiled:
-            from .analysis import verify_result  # local: import cycle
-
+        hook = fusion._RESULT_HOOK  # analysis.set_verify_each; None when off
+        if hook is not None:
             for result in results:
-                verify_result(result).raise_if_failed()
+                hook(result)
         return results
 
     # -- chunk plan and executor ----------------------------------------------------
@@ -707,7 +689,7 @@ class StatevectorSimulator:
         """
         program = None
         if any(shots for shots, _ in specs):
-            program = engine.compile(circuit, verify=self.verify_compiled)
+            program = engine.compile(circuit)
         cap = None
         if self.max_batch_memory is not None and program is not None:
             cap = max(1, self.max_batch_memory // engine.bytes_per_shot(program))
@@ -838,8 +820,6 @@ class StatevectorSimulator:
             gates_only.instructions.append(inst)
         if gates_only.instructions:
             program = compile_trajectory_program_cached(gates_only)
-            if self.verify_compiled:
-                _verify_trajectory_artifacts(gates_only, program)
             for step in program.steps:
                 state.apply_matrix(step.matrix, step.qubits, plan=step.plan)
         results = []
@@ -908,21 +888,6 @@ def _stamp_merged(results: List[SimulationResult], merged_chunks: int) -> None:
         }
 
 
-def _verify_trajectory_artifacts(circuit: Circuit, program) -> None:
-    """``verify_compiled`` knob path: verify one run's compiled artifacts.
-
-    Verifies the bound :class:`~repro.simulators.gate.fusion.TrajectoryProgram`
-    (IR001-IR006) and the structural template of *circuit* including the
-    IR008 cache-key soundness probe.  Only called when the knob is on; the
-    off path never reaches this function.
-    """
-    from .analysis import verify_program, verify_template  # local: import cycle
-    from .fusion import compile_parametric_template
-
-    verify_template(compile_parametric_template(circuit), circuit).raise_if_failed()
-    verify_program(program).raise_if_failed()
-
-
 def _collapse_terminal(
     state: Statevector, pairs: Tuple[Tuple[int, int], ...], index: int
 ) -> None:
@@ -962,14 +927,11 @@ class _AmplitudeEngine:
         self.dtype = simulator.trajectory_dtype
         self.stamp = {"trajectory_engine": "batched", "trajectory_dtype": self.dtype}
 
-    def compile(self, circuit: Circuit, verify: bool):
+    def compile(self, circuit: Circuit):
         """Compile through the structure-keyed trajectory program cache."""
         from .fusion import compile_trajectory_program_cached  # local: import cycle
 
-        program = compile_trajectory_program_cached(circuit, self.noise_model)
-        if verify:
-            _verify_trajectory_artifacts(circuit, program)
-        return program
+        return compile_trajectory_program_cached(circuit, self.noise_model)
 
     def bytes_per_shot(self, program) -> int:
         """State tensor plus the scratch buffer of the double-buffered GEMMs."""
@@ -1000,16 +962,11 @@ class _StabilizerEngine:
         self.noise_model = _active_noise(simulator.noise_model)
         self.stamp = {"trajectory_engine": "stabilizer"}
 
-    def compile(self, circuit: Circuit, verify: bool):
+    def compile(self, circuit: Circuit):
         """Compile through the structure- and noise-keyed stabilizer cache."""
         from .fusion import compile_stabilizer_program_cached  # local: import cycle
 
-        program = compile_stabilizer_program_cached(circuit, self.noise_model)
-        if verify:
-            from .analysis import verify_stabilizer_program  # local: import cycle
-
-            verify_stabilizer_program(program).raise_if_failed()
-        return program
+        return compile_stabilizer_program_cached(circuit, self.noise_model)
 
     def bytes_per_shot(self, program) -> int:
         """``2 n`` bytes plus ``bits_width`` outcome bytes.

@@ -2,7 +2,6 @@
 
 from .cache import (
     clear_transpile_cache,
-    set_transpile_cache_size,
     transpile_cache_info,
     transpile_cached,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "transpile_cached",
     "transpile_cache_info",
     "clear_transpile_cache",
-    "set_transpile_cache_size",
     "TranspileResult",
     "decompose_to_basis",
     "decompose_1q_matrix",

@@ -63,17 +63,11 @@ __all__ = [
     "transpile_cached",
     "transpile_cache_info",
     "clear_transpile_cache",
-    "set_transpile_cache_size",
-    "DEFAULT_TRANSPILE_CACHE_SIZE",
 ]
-
-#: Default bound on the routing-template LRU; kept in lockstep with the
-#: fusion compile caches by ``fusion.set_compile_cache_size``.
-DEFAULT_TRANSPILE_CACHE_SIZE = DEFAULT_CACHE_SIZE
 
 _LABEL_PREFIX = "__transpile_cache:"
 
-_TRANSPILE_CACHE = BoundedLRU(DEFAULT_TRANSPILE_CACHE_SIZE)
+_TRANSPILE_CACHE = BoundedLRU(DEFAULT_CACHE_SIZE)
 _FALLBACK_LOCK = threading.Lock()
 _transpile_cache_fallbacks = 0
 
@@ -264,12 +258,3 @@ def clear_transpile_cache() -> None:
     _TRANSPILE_CACHE.clear()
     with _FALLBACK_LOCK:
         _transpile_cache_fallbacks = 0
-
-
-def set_transpile_cache_size(maxsize: int) -> None:
-    """Bound the transpile template LRU at *maxsize* entries (evict oldest)."""
-    if not isinstance(maxsize, int) or isinstance(maxsize, bool) or maxsize < 1:
-        raise TranspilerError(
-            f"transpile cache size must be a positive int, got {maxsize!r}"
-        )
-    _TRANSPILE_CACHE.set_maxsize(maxsize)

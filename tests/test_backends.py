@@ -70,6 +70,25 @@ def test_submit_records_timing(cycle4, gate_context):
     assert result.bundle_digest
 
 
+def test_negative_seed_fails_validation_before_any_backend_runs(cycle4, anneal_context):
+    from repro.core import SchemaValidationError
+    from repro.workflows import build_anneal_bundle
+
+    register = phase_register("p", 3)
+    context = ContextDescriptor(exec=ExecPolicy(engine="gate.aer_simulator", seed=1))
+    ops = [qft_operator(register), measurement(register)]
+    bundle = package(register, ops, context, name="qft")
+    bundle.context.exec.seed = -5  # the constructor rejects it; an edit must not slip by
+    with pytest.raises(SchemaValidationError):
+        package(register, ops, bundle.context, name="qft")
+    with pytest.raises(SchemaValidationError):
+        submit(bundle)
+    anneal = build_anneal_bundle(cycle4, context=anneal_context)
+    anneal.context.anneal.seed = -5
+    with pytest.raises(SchemaValidationError):
+        submit(anneal)
+
+
 def test_capability_mismatch_raises(cycle4, anneal_context):
     # A QAOA (gate) bundle pointed at the annealer must fail validation or
     # capability negotiation, never run.
@@ -327,6 +346,19 @@ def test_gate_backend_auto_falls_back_to_batched_for_non_clifford(reg_phase10):
     )
     assert result.metadata["trajectory_engine"] == "batched"
     assert sum(result.counts.values()) == 128
+
+
+def test_malformed_noise_option_fails_the_run(ising_vars):
+    from repro.core.errors import BackendError
+
+    ops = [prep_uniform(ising_vars), measurement(ising_vars)]
+    for noise, message in (
+        ({"twoq_eror": 0.5}, "unknown noise rate 'twoq_eror'"),
+        ({"readout_error": True}, "readout_error must be a real number"),
+        ({"oneq_error": "0.1"}, "oneq_error must be a real number"),
+    ):
+        with pytest.raises(BackendError, match=message):
+            run_gate(ising_vars, ops, samples=64, options={"noise": noise})
 
 
 def test_gate_backend_explicit_stabilizer_on_non_clifford_raises_typed(reg_phase10):

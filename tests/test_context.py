@@ -64,6 +64,9 @@ def test_exec_policy_validation():
         ExecPolicy(engine="")
     with pytest.raises(ContextError):
         ExecPolicy(engine="gate.x", samples=0)
+    with pytest.raises(ContextError):
+        ExecPolicy(engine="gate.x", seed=-5)
+    assert ExecPolicy(engine="gate.x", seed=0).seed == 0
     assert ExecPolicy(engine="gate.aer_simulator").engine_family == "gate"
 
 
@@ -91,6 +94,8 @@ def test_anneal_policy_validation():
         AnnealPolicy(schedule="exponential")
     with pytest.raises(ContextError):
         AnnealPolicy(beta_range=(2.0, 1.0))
+    with pytest.raises(ContextError):
+        AnnealPolicy(seed=-5)
     policy = AnnealPolicy(beta_range=(0.1, 5.0))
     assert policy.to_dict()["beta_range"] == [0.1, 5.0]
 

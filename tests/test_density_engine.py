@@ -319,9 +319,10 @@ def test_density_engine_through_gate_backend():
     assert result.metadata["simulation_method"] == "density"
     assert result.metadata["trajectory_engine"] == "density"
     assert result.counts.shots == 512
-    # A context written for the retired sampling knob runs unchanged: the
-    # key is ignored like any unknown option.
+    # A context written for the retired sampling or verification knob runs
+    # unchanged: each key is ignored like any unknown option.
     bundle.context.exec.options["density_sampling"] = "deterministic"
+    bundle.context.exec.options["verify_compiled"] = True
     legacy = submit(bundle)
     assert dict(legacy.counts) == dict(result.counts)
     assert {k: v for k, v in legacy.metadata.items() if k != "wall_time_s"} == {

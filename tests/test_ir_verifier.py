@@ -19,16 +19,21 @@ import pytest
 from engine_testlib import random_mixed_circuit, random_unitary_circuit
 from repro.simulators.gate import (
     Circuit,
+    DensityMatrixSimulator,
     NoiseModel,
     StatevectorSimulator,
     analysis,
+    density,
+    statevector,
 )
 from repro.simulators.gate.analysis import IRVerificationError
 from repro.simulators.gate.fusion import (
     GateStep,
     TerminalSample,
     compile_parametric_template,
+    compile_parametric_template_cached,
     compile_trajectory_program,
+    compile_trajectory_program_cached,
 )
 from repro.simulators.gate.kernels import build_plan
 
@@ -208,6 +213,75 @@ def test_parameter_dependent_structure_is_ir008():
 
 def test_verify_each_fixture_is_active():
     assert analysis.verify_each_enabled()
+
+
+# -- the one switch also checks run results and stale caches ------------------------
+
+NOISY = NoiseModel(oneq_error=0.02, twoq_error=0.05)
+
+#: path -> (simulator, ``(shots, seed)`` specs); two specs run merged.
+RESULT_PATHS = {
+    "exact": (StatevectorSimulator, [(64, 3)]),
+    "batched": (lambda: StatevectorSimulator(noise_model=NOISY), [(64, 3)]),
+    "stabilizer": (lambda: StatevectorSimulator(trajectory_engine="stabilizer"), [(64, 3)]),
+    "density": (lambda: StatevectorSimulator(trajectory_engine="density"), [(64, 3)]),
+    "density_oracle": (DensityMatrixSimulator, [(64, 3)]),
+    "merged": (lambda: StatevectorSimulator(noise_model=NOISY), [(64, 3), (32, 4)]),
+}
+
+
+@pytest.mark.parametrize("path", sorted(RESULT_PATHS))
+def test_a_result_that_breaks_ir007_raises_from_run(monkeypatch, path):
+    def corrupting(real):
+        def build(**fields):
+            fields["metadata"] = dict(fields["metadata"], statevector_kind="bogus")
+            return real(**fields)
+
+        return build
+
+    for module in (statevector, density):
+        monkeypatch.setattr(module, "SimulationResult", corrupting(module.SimulationResult))
+    make, specs = RESULT_PATHS[path]
+    simulator = make()
+    with pytest.raises(IRVerificationError) as excinfo:
+        if len(specs) == 1:
+            simulator.run(bell_circuit(), shots=specs[0][0], seed=specs[0][1])
+        else:
+            simulator.run_merged(bell_circuit(), specs)
+    assert excinfo.value.report.rule_ids == ("IR007",)
+
+
+def test_artifacts_compiled_while_off_are_verified_on_first_use(monkeypatch):
+    verified = []
+
+    def spying(real):
+        def verify(artifact, *args):
+            verified.append(artifact)
+            return real(artifact, *args)
+
+        return verify
+
+    for name in ("verify_template", "verify_program"):
+        monkeypatch.setattr(analysis, name, spying(getattr(analysis, name)))
+    circuit = bell_circuit()
+    analysis.set_verify_each(False)
+    try:
+        stale = compile_trajectory_program_cached(circuit, NOISY)
+    finally:
+        analysis.set_verify_each(True)
+    assert not verified
+    StatevectorSimulator(noise_model=NOISY).run(circuit, shots=32, seed=1)
+    program = compile_trajectory_program_cached(circuit, NOISY)
+    template = compile_parametric_template_cached(circuit)
+    assert program is not stale
+    assert any(artifact is program for artifact in verified)
+    assert any(artifact is template for artifact in verified)
+
+
+@pytest.mark.parametrize("simulator", [StatevectorSimulator, DensityMatrixSimulator])
+def test_verify_compiled_is_not_a_simulator_keyword(simulator):
+    with pytest.raises(TypeError):
+        simulator(verify_compiled=True)
 
 
 # -- transpiler stage rules (TR) ----------------------------------------------------

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.simulators.gate import (
-    DEFAULT_COMPILE_CACHE_SIZE,
     Circuit,
     NoiseModel,
     StatevectorSimulator,
@@ -25,15 +24,16 @@ from repro.simulators.gate import (
     compile_cache_info,
     compile_trajectory_program,
     compile_trajectory_program_cached,
-    set_compile_cache_size,
     transpile,
     transpile_cached,
 )
+from repro.simulators.gate import fusion
 from repro.simulators.gate.circuit import Instruction
 from repro.simulators.gate.fusion import GateStep, compile_parametric_template
+from repro.simulators.gate.lru import BoundedLRU
 from repro.simulators.gate.transpiler import (
+    cache as transpile_cache,
     clear_transpile_cache,
-    set_transpile_cache_size,
     transpile_cache_info,
 )
 
@@ -48,12 +48,10 @@ NOISE = NoiseModel(oneq_error=0.05, twoq_error=0.12, readout_error=0.02)
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    """Every test starts and ends with empty compile caches at default size."""
+    """Every test starts and ends with empty compile caches."""
     clear_compile_caches()
-    set_compile_cache_size(DEFAULT_COMPILE_CACHE_SIZE)
     yield
     clear_compile_caches()
-    set_compile_cache_size(DEFAULT_COMPILE_CACHE_SIZE)
 
 
 def qaoa_like_circuit(num_qubits, gamma, beta, *, measure=True):
@@ -166,8 +164,9 @@ def test_readout_only_noise_compiles_without_events():
     )
 
 
-def test_compile_cache_lru_eviction_is_bounded_and_oldest_first():
-    set_compile_cache_size(3)
+def test_compile_cache_lru_eviction_is_bounded_and_oldest_first(monkeypatch):
+    for name in ("_TEMPLATE_CACHE", "_PROGRAM_CACHE", "_STABILIZER_CACHE"):
+        monkeypatch.setattr(fusion, name, BoundedLRU(3))
     circuits = [qaoa_like_circuit(n, 0.3, 0.6) for n in (2, 3, 4, 5)]
     for circuit in circuits:
         compile_trajectory_program_cached(circuit, NOISE)
@@ -183,25 +182,6 @@ def test_compile_cache_lru_eviction_is_bounded_and_oldest_first():
     before_hits = compile_cache_info()["program"]["hits"]
     compile_trajectory_program_cached(circuits[-1], NOISE)
     assert compile_cache_info()["program"]["hits"] == before_hits + 1
-
-
-def test_shrinking_the_cache_evicts_immediately():
-    for n in (2, 3, 4, 5):
-        compile_trajectory_program_cached(qaoa_like_circuit(n, 0.1, 0.2), NOISE)
-    set_compile_cache_size(2)
-    info = compile_cache_info()
-    assert info["template"]["entries"] == 2 and info["program"]["entries"] == 2
-
-
-def test_compile_cache_size_knob_on_simulator():
-    # set_compile_cache_size is the one way to bound the compile caches.
-    set_compile_cache_size(7)
-    assert compile_cache_info()["template"]["maxsize"] == 7
-    assert transpile_cache_info()["maxsize"] == 7
-    with pytest.raises(ValueError):
-        set_compile_cache_size(0)
-    with pytest.raises(ValueError):
-        set_compile_cache_size("many")
 
 
 def test_gate_registration_invalidates_compile_caches():
@@ -301,15 +281,11 @@ def test_transpile_cache_distinguishes_pass_config():
     assert transpile_cache_info()["entries"] == 3
 
 
-def test_transpile_cache_eviction():
-    clear_transpile_cache()
-    set_transpile_cache_size(2)
-    try:
-        for n in (3, 4, 5):
-            transpile_cached(qaoa_like_circuit(n, 0.1, 0.2), basis_gates=BASIS)
-        assert transpile_cache_info()["entries"] == 2
-    finally:
-        set_transpile_cache_size(DEFAULT_COMPILE_CACHE_SIZE)
+def test_transpile_cache_eviction(monkeypatch):
+    monkeypatch.setattr(transpile_cache, "_TRANSPILE_CACHE", BoundedLRU(2))
+    for n in (3, 4, 5):
+        transpile_cached(qaoa_like_circuit(n, 0.1, 0.2), basis_gates=BASIS)
+    assert transpile_cache_info()["entries"] == 2
 
 
 def assert_results_identical(cached, fresh):

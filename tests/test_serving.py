@@ -193,6 +193,20 @@ def test_admission_validates_like_runtime_submit():
         assert service.submit(qft_bundle("fine")).result(timeout=60).counts.shots == 256
 
 
+def test_admission_rejects_a_negative_seed():
+    from repro.core import SchemaValidationError
+
+    bundle = build_qaoa_bundle(
+        MaxCutProblem.cycle(4),
+        context=ContextDescriptor(exec=ExecPolicy(engine="gate.aer_simulator", seed=1)),
+    )
+    bundle.context.exec.seed = -5  # the constructor rejects it; an edit must not slip by
+    with JobService(lanes=1) as service:
+        with pytest.raises(SchemaValidationError, match="below minimum"):
+            service.submit(bundle)
+        assert service.stats()["submitted"] == 0
+
+
 def test_submit_after_close_rejected():
     service = JobService()
     service.close()

@@ -129,6 +129,21 @@ def test_gate_noise_perturbs_ghz():
     assert set(counts) - {"00", "11"}  # some non-GHZ outcomes appear
 
 
+def test_noise_model_from_dict_accepts_only_real_rates():
+    model = NoiseModel.from_dict({"oneq_error": np.float64(0.01), "twoq_error": 0})
+    assert (model.oneq_error, model.twoq_error, model.readout_error) == (0.01, 0.0, 0.0)
+    assert NoiseModel.from_dict({}) is None and NoiseModel.from_dict(None) is None
+    for bad in (
+        {"twoq_eror": 0.5},
+        {"readout_error": True},
+        {"oneq_error": "0.1"},
+        {"oneq_error": None},
+        {"twoq_error": 1.5},
+    ):
+        with pytest.raises(SimulationError):
+            NoiseModel.from_dict(bad)
+
+
 def test_sample_counts_and_statevector_return():
     circuit = Circuit(2, 2)
     circuit.h(0).measure_all()

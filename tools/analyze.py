@@ -12,9 +12,10 @@ finds a problem:
    measure/reset, controlled-rotation variety, a Clifford circuit with
    mid-circuit measure/reset) is compiled with and without noise; every
    template, bound program, stabilizer program and transpiler stage output
-   is verified against the ``IR``/``TR`` rule catalog, and a
-   ``verify_compiled=True`` simulator run checks the result metadata
-   contract end to end.
+   is verified against the ``IR``/``TR`` rule catalog, and one simulator run
+   per engine under ``analysis.set_verify_each(True)`` (the one verification
+   switch) checks its compiled artifacts and the result metadata contract
+   end to end.
 
 Usage::
 
@@ -159,18 +160,23 @@ def run_verifier_corpus() -> List[Tuple[str, "object"]]:
                 )
             )
 
-    # End-to-end knob path: a verify_compiled run checks program, template
-    # and result metadata inside the simulator itself.
-    for engine in ("batched", "density", "stabilizer"):
-        simulator = StatevectorSimulator(
-            noise_model=NoiseModel(oneq_error=0.01, twoq_error=0.02, readout_error=0.01),
-            trajectory_engine=engine,
-            verify_compiled=True,
-        )
-        result = simulator.run(_corpus_circuits()[0], shots=128, seed=11)
-        reports.append(
-            (f"run:{engine}:metadata", analysis.verify_result(result))
-        )
+    # End to end under the one switch: each run verifies its template,
+    # program (or stabilizer program) and result metadata inside the
+    # simulator itself, and raises on a violation.
+    previous = analysis.verify_each_enabled()
+    analysis.set_verify_each(True)
+    try:
+        for engine in ("batched", "density", "stabilizer"):
+            simulator = StatevectorSimulator(
+                noise_model=NoiseModel(oneq_error=0.01, twoq_error=0.02, readout_error=0.01),
+                trajectory_engine=engine,
+            )
+            result = simulator.run(_corpus_circuits()[0], shots=128, seed=11)
+            reports.append(
+                (f"run:{engine}:metadata", analysis.verify_result(result))
+            )
+    finally:
+        analysis.set_verify_each(previous)
     return reports
 
 
