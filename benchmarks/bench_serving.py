@@ -1,20 +1,19 @@
-"""Serving-runtime benchmark: queue throughput, coalescing, process executor.
+"""Serving-runtime benchmark: queue throughput, grouping, process executor.
 
-Times the PR 8 serving layers and writes ``BENCH_serving.json`` at the
+Times the serving layers and writes ``BENCH_serving.json`` at the
 repository root:
 
 * **mixed-workload throughput** — jobs/sec of :class:`JobService` over a
   mixed QAOA / QFT / repetition-code-memory batch (the three bundle shapes
-  the paper's middle layer serves side by side), three ways: **coalesced**
-  (the default: structure groups execute as one *merged* batch-axis run
-  each), **back_to_back** (coalescing on, merging off — PR 8's behaviour:
-  one backend call per job out of warm caches), and **uncoalesced** (every
-  job alone, cold grouping).  Compile caches are cleared before each run so
+  the paper's middle layer serves side by side), two ways: **coalesced**
+  (the default: jobs sharing a group key — one engine, intent, target and
+  option set — execute as one *merged* batch-axis run per group) and
+  **uncoalesced** (``coalesce=False``: every job alone, one backend call
+  each out of warm caches).  Compile caches are cleared before each run so
   the comparison is honest: ``coalesced_speedup`` (uncoalesced wall over
-  merged wall) is the headline, ``merge_speedup`` (back-to-back wall over
-  merged wall) isolates what the merged fast path itself buys.  Each run
-  also records ``transpiles``, the transpile-cache lookups (hits plus
-  misses) it made: a merged group transpiles once, for all its members.
+  merged wall) is the headline.  Each run also records ``transpiles``, the
+  transpile-cache lookups (hits plus misses) it made: a merged group
+  transpiles once, for all its members.
 * **trajectory executor** — warm wall clock of the same seeded noisy
   workload on the thread executor versus the persistent process pool, with
   the bit-identity check between their counts.  The speedup is reported for
@@ -94,7 +93,7 @@ def qec_bundle(name, *, distance=3, rounds=2, seed=1, samples=512):
 
 
 def mixed_batch(jobs_per_shape, samples):
-    """QAOA + QFT + QEC bundles: three structures, *jobs_per_shape* users each."""
+    """QAOA + QFT + QEC bundles: three intents, *jobs_per_shape* users each."""
     problem = MaxCutProblem.cycle(4)
     bundles = []
     for i in range(jobs_per_shape):
@@ -108,10 +107,9 @@ def mixed_batch(jobs_per_shape, samples):
 
 
 def bench_serving(jobs_per_shape, samples, lanes):
-    """Jobs/sec of the mixed batch: merged vs back-to-back vs uncoalesced."""
+    """Jobs/sec of the mixed batch: merged groups vs every job alone."""
     configs = (
         ("coalesced", dict(coalesce=True)),  # merged fast path, the default
-        ("back_to_back", dict(coalesce=True, coalesce_merge=False)),
         ("uncoalesced", dict(coalesce=False)),
     )
     rows = {}
@@ -145,9 +143,6 @@ def bench_serving(jobs_per_shape, samples, lanes):
         "runs": rows,
         "coalesced_speedup": round(
             rows["uncoalesced"]["wall_s"] / rows["coalesced"]["wall_s"], 2
-        ),
-        "merge_speedup": round(
-            rows["back_to_back"]["wall_s"] / rows["coalesced"]["wall_s"], 2
         ),
     }
 
@@ -219,12 +214,12 @@ def run_suite(write=True, *, jobs_per_shape=6, samples=1024, lanes=2,
 
 
 def test_serving_floors():
-    """Merged groups win outright; structures compile and transpile once; executors match."""
+    """Merged groups win outright; each intent compiles and transpiles once; executors match."""
     record = run_suite()
     serving = record["serving"]
     coalesced = serving["runs"]["coalesced"]
-    # Three distinct structures -> three groups, everyone else coalesces,
-    # and every coalesced group executes as one merged batch-axis run.
+    # Three distinct intents -> three groups, everyone else coalesces,
+    # and every group executes as one merged batch-axis run.
     assert coalesced["groups"] == 3, serving
     assert coalesced["coalesced"] == coalesced["jobs"] - 3, serving
     assert coalesced["merged_groups"] == 3, serving

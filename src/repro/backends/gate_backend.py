@@ -30,7 +30,13 @@ from ..simulators.gate.noise import NoiseModel
 from ..simulators.gate.statevector import DEFAULT_MAX_BATCH_MEMORY, StatevectorSimulator
 from ..simulators.gate.transpiler import transpile_cached
 from .base import Backend, ExecutionResult
-from .lowering import GATE_LOWERING_RULES, QubitAllocation, _lower_cached, lower_operator
+from .lowering import (
+    GATE_LOWERING_RULES,
+    QubitAllocation,
+    _intent_key,
+    _lower_cached,
+    lower_operator,
+)
 
 __all__ = ["GateBackend"]
 
@@ -112,10 +118,11 @@ class GateBackend(Backend):
 
         Simulator knobs are read from ``context.exec.options`` (all
         optional; unknown keys are ignored).  The serving layer additionally
-        reads ``deadline_s`` and ``coalesce_merge`` from the same mapping;
-        both are scheduling-only knobs that never change executed counts, so
-        they are excluded from the merge eligibility key
-        (:attr:`MERGE_NEUTRAL_OPTIONS`).  Knobs consumed here:
+        reads ``deadline_s`` from the same mapping; it never changes executed
+        counts, so it is left out of :meth:`merge_key`
+        (:attr:`MERGE_NEUTRAL_OPTIONS`), which the serving layer groups jobs
+        by.  Every other option, known here or not, is part of that key.
+        Knobs consumed here:
 
         ``optimization_level`` (int 0-3, default ``1``)
             Transpiler effort passed to
@@ -190,13 +197,13 @@ class GateBackend(Backend):
         stage a run compiles is verified, and so is the simulation result's
         metadata; a contract violation raises instead of returning a result.
         """
-        context, exec_policy, circuit, allocation, transpiled = self._prepare(bundle)
+        context, circuit, allocation, transpiled = self._prepare(bundle)
         try:
-            simulator = self._make_simulator(exec_policy)
+            simulator = self._make_simulator(context.exec)
             simulation = simulator.run(
                 transpiled.circuit,
-                shots=exec_policy.samples,
-                seed=exec_policy.seed,
+                shots=context.exec.samples,
+                seed=context.exec.seed,
             )
         except UnsupportedGateError:
             # Typed engine-selection signal (non-Clifford gate under the
@@ -205,32 +212,27 @@ class GateBackend(Backend):
             raise
         except Exception as exc:  # noqa: BLE001 - surface as backend failure
             raise BackendError(f"gate backend simulation failed: {exc}") from exc
-        return self._make_result(
-            bundle, context, exec_policy, circuit, allocation, transpiled, simulation
-        )
+        return self._make_result(bundle, context, circuit, allocation, transpiled, simulation)
 
-    #: Exec-policy options that never change executed counts — serving-layer
-    #: scheduling knobs — excluded from :meth:`merge_key` so jobs differing
-    #: only in deadline or merge opt-out still share one merged run.
-    MERGE_NEUTRAL_OPTIONS = frozenset({"deadline_s", "coalesce_merge"})
+    #: Exec-policy options that never change executed counts — the serving
+    #: layer's deadline — excluded from :meth:`merge_key` so jobs differing
+    #: only in deadline still share one merged run.
+    MERGE_NEUTRAL_OPTIONS = frozenset({"deadline_s"})
 
     def merge_key(self, bundle: JobBundle) -> tuple:
-        """Hashable merge-eligibility key for batch-axis merged execution.
+        """Hashable merge-eligibility key; computing it lowers nothing.
 
         Two bundles may execute as one merged run iff their keys are equal:
-        identical transpile input (the bound circuit's structure **and**
-        parameter values, barriers included: they block the peephole
-        passes, so the group can share one transpiled circuit), identical
-        frozen exec options (minus the serving-only
-        :attr:`MERGE_NEUTRAL_OPTIONS`), identical target constraints, and
-        the same engine.  ``samples`` and ``seed`` are per-job
-        :class:`~repro.core.context.ExecPolicy` fields — not options — and
-        are deliberately free to differ: they become the merged run's
-        per-job ``(shots, seed)`` specs, each with its own RNG streams.
+        the same engine, the same intent (the lowering memo's digest of the
+        registers and operators, barriers included, so equal keys lower to
+        one circuit), the same target constraints and the same frozen exec
+        options minus :attr:`MERGE_NEUTRAL_OPTIONS`.  ``samples`` and
+        ``seed`` are per-job :class:`~repro.core.context.ExecPolicy` fields
+        — not options — and are deliberately free to differ: they become
+        the merged run's per-job ``(shots, seed)`` specs, each with its own
+        RNG streams.  The serving layer keys every job's group on this.
         """
-        circuit, _ = self.build_circuit(bundle)
-        context = bundle.context or ContextDescriptor(exec=ExecPolicy(engine=self.engines[0]))
-        exec_policy = context.exec
+        exec_policy = self._context(bundle).exec
         options = {
             k: v
             for k, v in exec_policy.options.items()
@@ -246,82 +248,71 @@ class GateBackend(Backend):
                 target.num_qubits,
             )
         )
-        return (
-            exec_policy.engine,
-            circuit.num_qubits,
-            circuit.num_clbits,
-            tuple((i.name, i.qubits, i.clbits, i.params) for i in circuit.instructions),
-            target_key,
-            _freeze(options),
-        )
+        return (exec_policy.engine, _intent_key(bundle), target_key, _freeze(options))
 
     def run_merged(self, bundles: Sequence[JobBundle]) -> List[ExecutionResult]:
-        """Execute several merge-eligible bundles as one merged simulator run.
+        """Execute bundles that share one :meth:`merge_key` as one merged simulator run.
 
-        Callers group by :meth:`merge_key`, which keys on the transpile
-        input, so only the first member is transpiled.  Every other member
-        keeps its own capability check, context and lowering, and reuses
-        that first transpile result: the circuit the merged run executes
-        and the transpile metrics in its metadata.  This method hands
-        the per-bundle ``(samples, seed)`` specs to
+        Members whose keys differ raise :class:`~repro.core.errors.BackendError`
+        before any work.  Equal keys mean one intent, target and option set,
+        so the front half (capability check, lowering, transpile) runs for
+        the first member only, and every member shares its circuit,
+        allocation and transpile result.  This method hands the per-bundle
+        ``(samples, seed)`` specs to
         :meth:`~repro.simulators.gate.statevector.StatevectorSimulator.run_merged`,
         which guarantees each job's seeded counts are bit-identical to a
         solo run.  Each returned :class:`ExecutionResult` carries its own
-        bundle's schemas and digest, the usual metadata, and
+        bundle's schemas, digest and context facts, the usual metadata, and
         ``metadata["merged"]`` describing the group.  That value is ``None``
         for a group of one, and for jobs the density engine ran: it has no
         batch axis and runs the jobs one by one.
         """
         if not bundles:
             return []
-        first = self._prepare(bundles[0])
-        _, exec_first, _, _, transpiled_first = first
-        prepared = [first] + [
-            self._prepare(bundle, transpiled_first) for bundle in bundles[1:]
-        ]
-        specs = [
-            (exec_policy.samples, exec_policy.seed)
-            for _, exec_policy, _, _, _ in prepared
-        ]
+        key = self.merge_key(bundles[0])
+        if any(self.merge_key(bundle) != key for bundle in bundles[1:]):
+            raise BackendError(
+                "run_merged needs bundles that share one merge key (engine, intent, "
+                "target and options); group them by GateBackend.merge_key"
+            )
+        _, circuit, allocation, transpiled = self._prepare(bundles[0])
+        contexts = [self._context(bundle) for bundle in bundles]
+        specs = [(context.exec.samples, context.exec.seed) for context in contexts]
         try:
-            simulator = self._make_simulator(exec_first)
-            simulations = simulator.run_merged(transpiled_first.circuit, specs)
+            simulator = self._make_simulator(contexts[0].exec)
+            simulations = simulator.run_merged(transpiled.circuit, specs)
         except UnsupportedGateError:
             raise
         except Exception as exc:  # noqa: BLE001 - surface as backend failure
             raise BackendError(f"gate backend merged simulation failed: {exc}") from exc
         return [
-            self._make_result(
-                bundle, context, exec_policy, circuit, allocation, transpiled, simulation
-            )
-            for bundle, (context, exec_policy, circuit, allocation, transpiled), simulation
-            in zip(bundles, prepared, simulations)
+            self._make_result(bundle, context, circuit, allocation, transpiled, simulation)
+            for bundle, context, simulation in zip(bundles, contexts, simulations)
         ]
 
-    def _prepare(self, bundle: JobBundle, transpiled=None):
+    def _context(self, bundle: JobBundle) -> ContextDescriptor:
+        """*bundle*'s context, or the default one on this backend's first engine."""
+        return bundle.context or ContextDescriptor(exec=ExecPolicy(engine=self.engines[0]))
+
+    def _prepare(self, bundle: JobBundle):
         """Shared front half of :meth:`run` / :meth:`run_merged`.
 
         Capability check, context default, lowering (through the lowering
-        memo) and cached transpilation, unless a merged group's *transpiled*
-        result is given.
+        memo) and cached transpilation.
         """
         self.check_capabilities(bundle)
-        context = bundle.context or ContextDescriptor(exec=ExecPolicy(engine=self.engines[0]))
-        exec_policy = context.exec
-
+        context = self._context(bundle)
         circuit, allocation = self.build_circuit(bundle)
-
-        if transpiled is None:
-            target = exec_policy.target
-            transpiled = transpile_cached(
-                circuit,
-                basis_gates=list(target.basis_gates) if target and target.basis_gates else None,
-                coupling_map=list(target.coupling_map) if target and target.coupling_map else None,
-                # Passed through unconverted: the transpiler enforces the
-                # int-in-0..3 contract and coercing here would mask it.
-                optimization_level=exec_policy.options.get("optimization_level", 1),
-            )
-        return context, exec_policy, circuit, allocation, transpiled
+        target = context.exec.target
+        transpiled = transpile_cached(
+            circuit,
+            basis_gates=list(target.basis_gates) if target and target.basis_gates else None,
+            coupling_map=list(target.coupling_map) if target and target.coupling_map else None,
+            # Passed through unconverted: the transpiler enforces the
+            # int-in-0..3 contract and coercing here would mask it.
+            optimization_level=context.exec.options.get("optimization_level", 1),
+        )
+        return context, circuit, allocation, transpiled
 
     def _make_simulator(self, exec_policy: ExecPolicy) -> StatevectorSimulator:
         """Build the configured simulator for one run (knobs documented on :meth:`run`)."""
@@ -350,7 +341,6 @@ class GateBackend(Backend):
         self,
         bundle: JobBundle,
         context: ContextDescriptor,
-        exec_policy: ExecPolicy,
         circuit: Circuit,
         allocation: QubitAllocation,
         transpiled,
@@ -363,6 +353,7 @@ class GateBackend(Backend):
             if op.result_schema is not None and op.name in allocation.clbit_offsets
         ]
         counts: Counts = simulation.counts
+        exec_policy = context.exec
         metrics = transpiled.metrics  # the transpiler measured both circuits
         return ExecutionResult(
             backend_name=self.name,

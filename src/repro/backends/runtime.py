@@ -6,11 +6,11 @@ capabilities, runs, and annotates the result with wall-clock timing and the
 bundle digest so results remain traceable to their submission artifact.
 
 :func:`submit_merged` is the group analogue for the serving layer's merged
-execution fast path: a whole coalesced group of merge-eligible bundles runs
-as one backend invocation (one compile, one dispatch, one batched
-evolution).  Both run one submission body, so each merged result is
-stamped exactly as ``submit`` stamps — the shared wall time is the group's,
-since the jobs genuinely executed together.
+execution fast path: a group of bundles that share one backend merge key
+runs as one backend invocation (one lowering, one transpile, one compile,
+one batched evolution).  Both run one submission body, so each merged
+result is stamped exactly as ``submit`` stamps — the shared wall time is
+the group's, since the jobs genuinely executed together.
 """
 
 from __future__ import annotations
@@ -51,13 +51,14 @@ def submit_merged(
     backend: Optional[Backend] = None,
     validate: bool = True,
 ) -> List[ExecutionResult]:
-    """Execute a group of merge-eligible bundles as one merged backend run.
+    """Execute a group of bundles that share one merge key as one merged backend run.
 
-    The caller (the serving layer) is responsible for grouping bundles whose
-    ``Backend.merge_key`` values match; every bundle must carry a context and
-    they must all resolve to the same backend.  Returns one
-    :class:`ExecutionResult` per bundle, in order, each annotated with the
-    group's shared wall time and its own requested engine.
+    Every bundle must carry a context, and they must all resolve to the same
+    backend.  The backend's ``run_merged`` checks that their ``merge_key``
+    values match and raises :class:`~repro.core.errors.BackendError` before
+    any work when they do not.  Returns one :class:`ExecutionResult` per
+    bundle, in order, each annotated with the group's shared wall time and
+    its own requested engine.
     """
     if not bundles:
         return []

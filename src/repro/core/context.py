@@ -11,6 +11,7 @@ touching its intent artifacts.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -27,6 +28,22 @@ __all__ = [
     "PulsePolicy",
     "ContextDescriptor",
 ]
+
+
+def _is_int(value: Any) -> bool:
+    """Whether *value* is an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    """Whether *value* is a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _require_count(value: Any, name: str) -> None:
+    """Raise :class:`ContextError` unless *value* is an int >= 1 (bool excluded)."""
+    if not _is_int(value) or value < 1:
+        raise ContextError(f"{name} must be an int >= 1, got {value!r}")
 
 
 @dataclass
@@ -95,8 +112,7 @@ class ExecPolicy:
     def __post_init__(self) -> None:
         if not self.engine:
             raise ContextError("exec policy requires an engine name")
-        if self.samples < 1:
-            raise ContextError("samples must be >= 1")
+        _require_count(self.samples, "samples")
         if isinstance(self.seed, int) and self.seed < 0:
             raise ContextError("seed must be >= 0")
         if isinstance(self.target, Mapping):
@@ -143,10 +159,14 @@ class QECPolicy:
     cycle_time_ns: float = 1000.0
 
     def __post_init__(self) -> None:
-        if self.distance < 1 or self.distance % 2 == 0:
+        _require_count(self.distance, "distance")
+        if self.distance % 2 == 0:
             raise ContextError("surface-code distance must be a positive odd integer")
-        if not (0 < self.physical_error_rate <= 1):
-            raise ContextError("physical_error_rate must lie in (0, 1]")
+        if not _is_real(self.physical_error_rate) or not 0 < self.physical_error_rate <= 1:
+            raise ContextError(
+                f"physical_error_rate must be a real number in (0, 1], "
+                f"got {self.physical_error_rate!r}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -186,10 +206,8 @@ class AnnealPolicy:
     embedding: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.num_reads < 1:
-            raise ContextError("num_reads must be >= 1")
-        if self.num_sweeps < 1:
-            raise ContextError("num_sweeps must be >= 1")
+        _require_count(self.num_reads, "num_reads")
+        _require_count(self.num_sweeps, "num_sweeps")
         if isinstance(self.seed, int) and self.seed < 0:
             raise ContextError("seed must be >= 0")
         if self.schedule not in ("geometric", "linear"):
@@ -238,10 +256,12 @@ class CommPolicy:
     epr_fidelity: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.max_qpus < 1 or self.qpu_capacity < 1:
-            raise ContextError("max_qpus and qpu_capacity must be >= 1")
-        if not (0 < self.epr_fidelity <= 1):
-            raise ContextError("epr_fidelity must lie in (0, 1]")
+        _require_count(self.max_qpus, "max_qpus")
+        _require_count(self.qpu_capacity, "qpu_capacity")
+        if not _is_real(self.epr_fidelity) or not 0 < self.epr_fidelity <= 1:
+            raise ContextError(
+                f"epr_fidelity must be a real number in (0, 1], got {self.epr_fidelity!r}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -272,8 +292,8 @@ class PulsePolicy:
     gate_durations_ns: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.dt_ns <= 0:
-            raise ContextError("pulse dt_ns must be positive")
+        if not _is_real(self.dt_ns) or self.dt_ns <= 0:
+            raise ContextError(f"pulse dt_ns must be a positive real number, got {self.dt_ns!r}")
 
     def to_dict(self) -> Dict[str, Any]:
         doc: Dict[str, Any] = {"dt_ns": self.dt_ns, "shape": self.shape}

@@ -17,26 +17,23 @@ Three properties matter at serving scale:
   budget fail synchronously with
   :class:`~repro.core.errors.QueueFullError` — backpressure instead of an
   unbounded queue.
-* **Coalescing** — structurally identical circuits from different users
-  (a sampled variational sweep, a class of students running the same
-  template) are grouped on the structure-keyed compile-cache key
-  (:func:`~repro.simulators.gate.fusion.structure_key` of the lowered
-  circuit).  A group executes back-to-back on one lane: the first job pays
-  the fusion/transpile analysis, the rest re-bind parameters out of the
-  warm caches — N submissions, one compile, N independent result streams.
-* **Merged execution** — with ``coalesce_merge`` on (the default), the
-  merge-eligible slice of a coalesced group (matching
-  :meth:`~repro.backends.gate_backend.GateBackend.merge_key`) executes as
-  **one** backend invocation on the batch axis instead of back-to-back:
-  one transpile, one compile, one tensor evolution over all shots, counts
-  split back per ticket.  The segmented chunk plan keeps every member's
-  seeded counts bit-identical to a standalone run.  A solo job is a merged
-  group of one: every group, whatever its size, goes through the one
-  attempt loop, whose failure isolation guarantees one member's deadline
-  or crash never poisons the rest — the survivors re-run as groups of
-  one.  The coalescing key, the merge key and execution each ask the gate
-  backend for the lowered circuit, and the backend's lowering memo serves
-  all three: a batch is lowered once per distinct intent.
+* **One group key** — every admitted job gets one key,
+  ``(placed engine, merge key)``, where
+  :meth:`~repro.backends.gate_backend.GateBackend.merge_key` digests the
+  job's intent (its registers and operators) with the context fields that
+  change what runs: engine, target and exec options other than
+  ``deadline_s``.  ``samples`` and ``seed`` are free to differ.  The key
+  lowers nothing, so admission does no lowering.  Jobs with equal keys (a
+  class of students submitting one template, one program resubmitted with
+  fresh seeds) form one group, and a group is exactly one backend call: one
+  lowering-memo lookup, one transpile, one compile and one tensor
+  evolution over all members' shots on the batch axis, with counts split
+  back per ticket.  The segmented chunk plan keeps every member's seeded
+  counts bit-identical to a standalone run.  A job no other job shares a
+  key with is a group of one; every group, whatever its size, goes
+  through the one attempt loop, whose failure isolation guarantees one
+  member's deadline or crash never poisons the rest — the survivors
+  re-run as groups of one.
 * **Streaming** — :meth:`JobService.as_completed` yields tickets in
   completion order; each :class:`JobTicket` is also a future-like handle
   (``done()`` / ``result()`` / ``exception()`` / ``cancel()``) for point
@@ -87,7 +84,7 @@ from collections import deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,6 +93,7 @@ from ..backends.registry import get_backend
 from ..backends.runtime import submit as runtime_submit
 from ..backends.runtime import submit_merged as runtime_submit_merged
 from ..core.bundle import JobBundle
+from ..core.context import _is_int, _is_real
 from ..core.errors import (
     DeadlineExceededError,
     QueueFullError,
@@ -176,17 +174,15 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.max_attempts, int) or isinstance(self.max_attempts, bool):
+        if not _is_int(self.max_attempts) or self.max_attempts < 1:
             raise ServiceError("RetryPolicy.max_attempts must be an int >= 1")
-        if self.max_attempts < 1:
-            raise ServiceError("RetryPolicy.max_attempts must be >= 1")
-        if self.backoff_s < 0:
-            raise ServiceError("RetryPolicy.backoff_s must be >= 0")
-        if self.multiplier < 1.0:
-            raise ServiceError("RetryPolicy.multiplier must be >= 1")
-        if not (0.0 <= self.jitter < 1.0):
-            raise ServiceError("RetryPolicy.jitter must be in [0, 1)")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+        if not _is_real(self.backoff_s) or self.backoff_s < 0:
+            raise ServiceError("RetryPolicy.backoff_s must be a real number >= 0")
+        if not _is_real(self.multiplier) or self.multiplier < 1.0:
+            raise ServiceError("RetryPolicy.multiplier must be a real number >= 1")
+        if not _is_real(self.jitter) or not (0.0 <= self.jitter < 1.0):
+            raise ServiceError("RetryPolicy.jitter must be a real number in [0, 1)")
+        if not _is_int(self.seed) or self.seed < 0:
             raise ServiceError("RetryPolicy.seed must be a non-negative int")
 
     def delay_s(self, job_id: int, attempt: int) -> float:
@@ -274,7 +270,7 @@ class JobTicket:
 
 
 class JobService:
-    """Queued, coalescing, scheduler-placed execution of job bundles.
+    """Queued, grouping, scheduler-placed execution of job bundles.
 
     Parameters
     ----------
@@ -284,23 +280,12 @@ class JobService:
         registered engine.
     lanes:
         Number of concurrent execution lanes (threads running backend
-        calls).  Within one lane a coalesced group runs back-to-back so its
-        cache locality is preserved; distinct groups spread across lanes.
+        calls), an int >= 1.  A group runs on one lane as one backend call;
+        distinct groups spread across lanes.
     coalesce:
-        When ``True`` (default), jobs whose lowered circuits share a
-        structure key execute as one group (one compile); ``False`` gives
-        every job its own group.
-    coalesce_merge:
-        When ``True`` (default), the merge-eligible slice of each coalesced
-        group — members whose
-        :meth:`~repro.backends.gate_backend.GateBackend.merge_key` values
-        match — executes as **one** merged backend run on the batch axis,
-        with counts split back per ticket (bit-identical to standalone
-        execution by the segmented chunk-plan contract).  ``False`` keeps
-        groups back-to-back: one backend call per member.  Individual jobs
-        opt out with a falsy ``coalesce_merge`` exec option.  Either way
-        every job runs through one attempt loop: a job that does not merge
-        is a group of one.
+        When ``True`` (default), jobs with equal group keys execute as one
+        group, one merged backend run; ``False`` gives every job its own
+        group.
     exec_options:
         Extra ``context.exec.options`` entries merged into every submitted
         bundle (submission wins on conflicts is **not** the rule — the
@@ -341,32 +326,25 @@ class JobService:
         scheduler: Optional[CostAwareScheduler] = None,
         lanes: int = 1,
         coalesce: bool = True,
-        coalesce_merge: bool = True,
         exec_options: Optional[Dict[str, Any]] = None,
         retry_policy: Optional[RetryPolicy] = None,
         max_pending: Optional[int] = None,
         default_deadline_s: Optional[float] = None,
     ):
-        if lanes < 1:
-            raise ServiceError("job service needs at least one execution lane")
+        if not _is_int(lanes) or lanes < 1:
+            raise ServiceError(f"lanes must be an int >= 1, got {lanes!r}")
         if retry_policy is not None and not isinstance(retry_policy, RetryPolicy):
             raise ServiceError(
                 f"retry_policy must be a RetryPolicy or None, got {retry_policy!r}"
             )
-        if max_pending is not None:
-            if not isinstance(max_pending, int) or isinstance(max_pending, bool):
-                raise ServiceError("max_pending must be a positive int or None")
-            if max_pending < 1:
-                raise ServiceError("max_pending must be >= 1 (or None)")
+        if max_pending is not None and not (_is_int(max_pending) and max_pending >= 1):
+            raise ServiceError("max_pending must be an int >= 1 or None")
         if default_deadline_s is not None and not (
-            isinstance(default_deadline_s, (int, float))
-            and not isinstance(default_deadline_s, bool)
-            and default_deadline_s > 0
+            _is_real(default_deadline_s) and default_deadline_s > 0
         ):
             raise ServiceError("default_deadline_s must be a positive number or None")
         self._scheduler = scheduler or CostAwareScheduler()
         self._coalesce = bool(coalesce)
-        self._coalesce_merge = bool(coalesce_merge)
         self._exec_options = dict(exec_options or {})
         self._retry_policy = retry_policy
         self._max_pending = max_pending
@@ -494,11 +472,7 @@ class JobService:
         deadline = bundle.context.exec.options.get(
             "deadline_s", self._default_deadline_s
         )
-        if deadline is not None and not (
-            isinstance(deadline, (int, float))
-            and not isinstance(deadline, bool)
-            and deadline > 0
-        ):
+        if deadline is not None and not (_is_real(deadline) and deadline > 0):
             raise ServiceError(
                 f"bundle {bundle.name!r} has an invalid deadline_s {deadline!r}; "
                 "expected a positive number of seconds"
@@ -507,23 +481,23 @@ class JobService:
         return bundle, None if deadline is None else float(deadline)
 
     def _coalesce_key(self, bundle: JobBundle, engine: str) -> Any:
-        """Structure-keyed grouping key: the structure of the lowered circuit.
+        """The job's group key: ``(engine, merge key)``, or a key of its own.
 
-        The backend lowers each distinct intent once, through its lowering
-        memo, so the merge key and execution later get the same lowering
-        back as memo hits: keying a job never doubles its lowering work.
+        The backend's merge key digests the intent and lowers nothing.  A
+        backend without one, a key that cannot be computed, or
+        ``coalesce=False`` gives the job a group of one.
         """
-        if self._coalesce:
-            builder = getattr(get_backend(engine), "build_circuit", None)
-            if builder is not None:
-                from ..simulators.gate.fusion import structure_key
-
-                return engine, structure_key(builder(bundle)[0])
+        merge_key = getattr(get_backend(engine), "merge_key", None) if self._coalesce else None
+        if merge_key is not None:
+            try:
+                return engine, merge_key(bundle)
+            except Exception:  # noqa: BLE001 - an unkeyable job simply runs alone
+                pass
         return object()  # key never equal to another: a group of one
 
     # -- dispatch --------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
-        """Drain the pending queue, group by coalescing key, fan out lanes."""
+        """Drain the pending queue, group by group key, fan out lanes."""
         while True:
             with self._wake:
                 while not self._pending and not self._closed:
@@ -546,53 +520,16 @@ class JobService:
             del batch, groups, ticket, tickets  # an idle dispatcher pins no ticket
 
     def _run_group(self, tickets: List[JobTicket]) -> None:
-        """Execute one coalesced group on this lane, merging where eligible."""
-        positions = {id(ticket): i for i, ticket in enumerate(tickets)}
-        for subgroup in self._merge_subgroups(tickets):
-            live = [
-                ticket
-                for ticket in subgroup
-                if ticket._future.set_running_or_notify_cancel()
-                # Cancelled before start; cancel() already settled the ticket.
-            ]
-            if live:
-                self._run_attempts(live, len(tickets), positions)
-
-    def _merge_subgroups(self, tickets: List[JobTicket]) -> List[List[JobTicket]]:
-        """Partition a coalesced group into merge-eligible runs, order kept.
-
-        Tickets whose backends report equal merge keys land in one subgroup
-        (a single merged execution); a ticket with no merge key — merging
-        disabled service-wide, opted out per job, a non-lowering backend, or
-        a ``merge_key`` failure — becomes a singleton and runs solo exactly
-        as before.
-        """
-        if not self._coalesce_merge or len(tickets) < 2:
-            return [[ticket] for ticket in tickets]
-        subgroups: Dict[Any, List[JobTicket]] = {}
-        order: List[Any] = []
-        for ticket in tickets:
-            key = self._merge_key_for(ticket)
-            if key is None:
-                key = ("solo", id(ticket))
-            if key not in subgroups:
-                subgroups[key] = []
-                order.append(key)
-            subgroups[key].append(ticket)
-        return [subgroups[key] for key in order]
-
-    def _merge_key_for(self, ticket: JobTicket) -> Optional[Any]:
-        """The ticket's merge-eligibility key, or ``None`` to force solo."""
-        bundle = ticket._bundle
-        if not bundle.context.exec.options.get("coalesce_merge", True):
-            return None
-        merge_key = getattr(get_backend(ticket.engine), "merge_key", None)
-        if merge_key is None:
-            return None
-        try:
-            return (ticket.engine, merge_key(bundle))
-        except Exception:  # noqa: BLE001 - an unkeyable job simply runs solo
-            return None
+        """Execute one group on this lane: one backend call for its live members."""
+        live = [
+            ticket
+            for ticket in tickets
+            if ticket._future.set_running_or_notify_cancel()
+            # Cancelled before start; cancel() already settled the ticket.
+        ]
+        if live:
+            positions = {id(ticket): i for i, ticket in enumerate(tickets)}
+            self._run_attempts(live, len(tickets), positions)
 
     def _run_attempts(
         self, tickets: List[JobTicket], group_size: int, positions: Dict[int, int]

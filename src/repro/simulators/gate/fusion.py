@@ -100,6 +100,7 @@ from .kernels import MatrixPlan, build_plan
 from .lru import DEFAULT_CACHE_SIZE, BoundedLRU
 from .noise import NoiseModel
 from .stabilizer import MeasureFlips, PauliFlips, StabilizerTableau
+from .transpiler import cache as transpile_cache
 
 __all__ = [
     "NoiseEvent",
@@ -119,7 +120,6 @@ __all__ = [
     "compile_stabilizer_program_cached",
     "compile_parametric_template",
     "compile_parametric_template_cached",
-    "structure_key",
     "compile_trajectory_program",
     "compile_trajectory_program_cached",
     "compile_cache_info",
@@ -1119,16 +1119,6 @@ def _noise_key(noise_model: Optional[NoiseModel]) -> Optional[Tuple[float, float
     return (noise_model.oneq_error, noise_model.twoq_error)
 
 
-def structure_key(circuit: Circuit) -> tuple:
-    """Public alias of the structure-keyed cache key.
-
-    The serving queue coalesces structurally identical submissions on this
-    key (same key ⇒ same fusion template ⇒ the batch shares one compile), so
-    it is part of the module's contract, not an implementation detail.
-    """
-    return _structure_key(circuit)
-
-
 def compile_parametric_template_cached(circuit: Circuit) -> ParametricTemplate:
     """Structural template of *circuit* through the template LRU cache."""
     structure = _structure_key(circuit)
@@ -1199,15 +1189,12 @@ def compile_cache_info() -> Dict[str, Dict[str, int]]:
     ``"stabilizer"`` (compiled tableau programs) and ``"transpile"`` (the
     transpiler's structure-keyed routing templates).
     """
-    info = {
+    return {
         "template": _TEMPLATE_CACHE.info(),
         "program": _PROGRAM_CACHE.info(),
         "stabilizer": _STABILIZER_CACHE.info(),
+        "transpile": transpile_cache.transpile_cache_info(),
     }
-    from .transpiler import cache as transpile_cache  # local: import cycle
-
-    info["transpile"] = transpile_cache.transpile_cache_info()
-    return info
 
 
 def clear_compile_caches() -> None:
@@ -1216,8 +1203,6 @@ def clear_compile_caches() -> None:
     _PROGRAM_CACHE.clear()
     _STABILIZER_CACHE.clear()
     _pauli_event.cache_clear()
-    from .transpiler import cache as transpile_cache  # local: import cycle
-
     transpile_cache.clear_transpile_cache()
 
 

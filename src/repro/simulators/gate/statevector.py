@@ -81,7 +81,7 @@ from ...results.counts import Counts
 from . import fusion
 from .circuit import Circuit
 from .gates import cached_gate_matrix, cached_gate_plan
-from .kernels import apply_matrix_inplace
+from .kernels import apply_matrix_inplace, apply_plan_inplace
 from .noise import NoiseModel
 
 __all__ = [
@@ -207,8 +207,6 @@ class Statevector:
         density oracle and the pure-state engines are directly comparable.
         """
         from .density import pauli_terms  # local: density imports this module
-        from .gates import cached_gate_plan
-        from .kernels import apply_plan_inplace
 
         if isinstance(observable, np.ndarray):
             dim = 1 << self.num_qubits
@@ -300,9 +298,7 @@ class Statevector:
                     "Statevector.evolve only supports unitary circuits; "
                     "use StatevectorSimulator.run for measurements"
                 )
-        from .fusion import compile_trajectory_program_cached  # local: import cycle
-
-        program = compile_trajectory_program_cached(circuit)
+        program = fusion.compile_trajectory_program_cached(circuit)
         for step in program.steps:
             self.apply_matrix(step.matrix, step.qubits, plan=step.plan)
         return self
@@ -594,9 +590,7 @@ class StatevectorSimulator:
             raise SimulationError("shots must be non-negative")
         engine = self.trajectory_engine
         if engine == "auto":
-            from .fusion import is_clifford_circuit  # local: import cycle
-
-            engine = "stabilizer" if is_clifford_circuit(circuit) else "batched"
+            engine = "stabilizer" if fusion.is_clifford_circuit(circuit) else "batched"
         if engine == "density":
             # The exact oracle handles every construct (noise, mid-circuit
             # measurement, reset) in closed form, so it owns the whole run.
@@ -806,8 +800,6 @@ class StatevectorSimulator:
         path consumes no RNG before sampling, so one shared evolution and a
         fresh per-job generator give every job exactly its standalone draws.
         """
-        from .fusion import compile_trajectory_program_cached  # local: import cycle
-
         state = Statevector(circuit.num_qubits)
         measure_map: Dict[int, int] = {}
         gates_only = Circuit(circuit.num_qubits, name=circuit.name)
@@ -819,7 +811,7 @@ class StatevectorSimulator:
                 continue
             gates_only.instructions.append(inst)
         if gates_only.instructions:
-            program = compile_trajectory_program_cached(gates_only)
+            program = fusion.compile_trajectory_program_cached(gates_only)
             for step in program.steps:
                 state.apply_matrix(step.matrix, step.qubits, plan=step.plan)
         results = []
@@ -929,9 +921,7 @@ class _AmplitudeEngine:
 
     def compile(self, circuit: Circuit):
         """Compile through the structure-keyed trajectory program cache."""
-        from .fusion import compile_trajectory_program_cached  # local: import cycle
-
-        return compile_trajectory_program_cached(circuit, self.noise_model)
+        return fusion.compile_trajectory_program_cached(circuit, self.noise_model)
 
     def bytes_per_shot(self, program) -> int:
         """State tensor plus the scratch buffer of the double-buffered GEMMs."""
@@ -964,9 +954,7 @@ class _StabilizerEngine:
 
     def compile(self, circuit: Circuit):
         """Compile through the structure- and noise-keyed stabilizer cache."""
-        from .fusion import compile_stabilizer_program_cached  # local: import cycle
-
-        return compile_stabilizer_program_cached(circuit, self.noise_model)
+        return fusion.compile_stabilizer_program_cached(circuit, self.noise_model)
 
     def bytes_per_shot(self, program) -> int:
         """``2 n`` bytes plus ``bits_width`` outcome bytes.
@@ -1041,23 +1029,22 @@ def execute_program_segments(
     the terminal measurement is implicit), else ``None``.
     """
     from .batched import BatchedStatevector  # local import: cycle with batched.py
-    from .fusion import GateStep, MeasureStep, ResetStep
 
     total = sum(size for size, _ in segments)
     state = BatchedStatevector(program.num_qubits, total, dtype=np.dtype(dtype))
     noise = noise_model
     bits = np.zeros((total, program.bits_width), dtype=np.uint8)
     for step in program.steps:
-        if isinstance(step, GateStep):
+        if isinstance(step, fusion.GateStep):
             state.apply_matrix(step.matrix, step.qubits, plan=step.plan)
             if step.noise:
                 state.apply_noise_events(step.noise, segments)
-        elif isinstance(step, MeasureStep):
+        elif isinstance(step, fusion.MeasureStep):
             outcomes = state.measure(step.qubit, segments)
             if noise is not None:
                 outcomes = noise.apply_readout_error_segmented(outcomes, segments)
             bits[:, step.clbit] = outcomes
-        elif isinstance(step, ResetStep):
+        elif isinstance(step, fusion.ResetStep):
             state.reset(step.qubit, segments)
     terminal = program.terminal
     if terminal is not None:

@@ -66,6 +66,9 @@ def test_exec_policy_validation():
         ExecPolicy(engine="gate.x", samples=0)
     with pytest.raises(ContextError):
         ExecPolicy(engine="gate.x", seed=-5)
+    for samples in ("7", 7.0, True, None):
+        with pytest.raises(ContextError, match="samples"):
+            ExecPolicy(engine="gate.x", samples=samples)
     assert ExecPolicy(engine="gate.x", seed=0).seed == 0
     assert ExecPolicy(engine="gate.aer_simulator").engine_family == "gate"
 
@@ -84,6 +87,12 @@ def test_qec_policy_validation():
         QECPolicy(distance=4)  # even distances rejected
     with pytest.raises(ContextError):
         QECPolicy(physical_error_rate=0.0)
+    for distance in ("3", 3.0, True):
+        with pytest.raises(ContextError, match="distance"):
+            QECPolicy(distance=distance)
+    for rate in ("0.1", None, True):
+        with pytest.raises(ContextError, match="physical_error_rate"):
+            QECPolicy(physical_error_rate=rate)
     assert QECPolicy(distance=7).logical_gate_set
 
 
@@ -96,6 +105,10 @@ def test_anneal_policy_validation():
         AnnealPolicy(beta_range=(2.0, 1.0))
     with pytest.raises(ContextError):
         AnnealPolicy(seed=-5)
+    for field in ("num_reads", "num_sweeps"):
+        for count in ("5", None, 2.5, True):
+            with pytest.raises(ContextError, match=field):
+                AnnealPolicy(**{field: count})
     policy = AnnealPolicy(beta_range=(0.1, 5.0))
     assert policy.to_dict()["beta_range"] == [0.1, 5.0]
 
@@ -107,6 +120,14 @@ def test_comm_and_pulse_policy_validation():
         CommPolicy(epr_fidelity=1.5)
     with pytest.raises(ContextError):
         PulsePolicy(dt_ns=0)
+    with pytest.raises(ContextError, match="max_qpus"):
+        CommPolicy(max_qpus="2")
+    with pytest.raises(ContextError, match="qpu_capacity"):
+        CommPolicy(qpu_capacity=None)
+    with pytest.raises(ContextError, match="epr_fidelity"):
+        CommPolicy(epr_fidelity="1")
+    with pytest.raises(ContextError, match="dt_ns"):
+        PulsePolicy(dt_ns="0.2")
 
 
 def test_with_engine_preserves_everything_else():

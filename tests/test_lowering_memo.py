@@ -9,7 +9,11 @@ and shares nothing mutable with the memo; intents that may lower differently
 registering a lowering rule or a gate empties the memo; a failing lowering is
 never stored; concurrent lookups of one intent leave one entry; a
 ``job.json`` round trip lowers identically and hits; and a repeated
-submission is one miss, then one hit, with identical results.
+submission is one miss, then one hit, with identical results.  The gate
+backend's merge key, which the serving layer groups jobs by, uses the same
+intent digest: computing it lowers nothing, it ignores name, samples, seed and
+deadline, and it changes with the engine, the target, any other option and
+any operator parameter.
 """
 
 import dataclasses
@@ -35,6 +39,7 @@ from repro.core import (
     JobBundle,
     LoweringError,
     ResultSchema,
+    TargetSpec,
     boolean_register,
     integer_register,
     ising_register,
@@ -422,3 +427,56 @@ def test_a_job_json_round_trip_lowers_identically_and_hits(case):
     assert shape(backend.build_circuit(restored)) == shape(original)
     assert lowering_cache_info()["misses"] == misses
     assert lowering_cache_info()["hits"] == 1
+
+
+# -- the merge key ---------------------------------------------------------------------
+
+
+def with_exec(bundle, *, name=None, **changes):
+    """*bundle* under a copy of its exec policy with *changes* applied."""
+    ctx = bundle.context
+    renamed = dataclasses.replace(bundle, name=name) if name else bundle
+    return renamed.with_context(dataclasses.replace(ctx, exec=dataclasses.replace(ctx.exec, **changes)))
+
+
+def test_merge_key_lowers_nothing():
+    backend = GateBackend()
+    before = lowering_cache_info()
+    keys = {backend.merge_key(bundle) for bundle in RULE_BUNDLES.values()}
+    assert len(keys) == len(RULE_BUNDLES)
+    assert lowering_cache_info() == before
+
+
+@pytest.mark.parametrize("case", sorted(RULE_BUNDLES))
+def test_merge_key_ignores_name_samples_seed_and_deadline(case):
+    backend = GateBackend()
+    bundle = RULE_BUNDLES[case]
+    options = {**bundle.context.exec.options, "deadline_s": 2.5}
+    copy = with_exec(bundle, name="copy", samples=77, seed=99, options=options)
+    assert backend.merge_key(copy) == backend.merge_key(bundle)
+    original = backend.build_circuit(bundle)
+    clear_lowering_cache()
+    assert shape(backend.build_circuit(copy)) == shape(original)
+
+
+@pytest.mark.parametrize("case", sorted(RULE_BUNDLES))
+def test_merge_key_changes_with_engine_target_options_and_operator_params(case):
+    backend = GateBackend()
+    bundle = RULE_BUNDLES[case]
+    options = bundle.context.exec.options
+    variants = [
+        with_exec(bundle, engine="gate.reference"),
+        with_exec(bundle, target=TargetSpec(basis_gates=["rz", "sx", "cx"])),
+        with_exec(bundle, target=TargetSpec(coupling_map=[(0, 1), (1, 2)])),
+        with_exec(bundle, options={**options, "optimization_level": 2}),
+        with_exec(bundle, options={**options, "noise": {"oneq_error": 0.01}}),
+        # A retired option is an option like any other.
+        with_exec(bundle, options={**options, "coalesce_merge": False}),
+    ]
+    for index, op in enumerate(bundle.operators):
+        for param in op.params:
+            operators = list(bundle.operators)
+            operators[index] = op.with_params(**{param: "changed"})
+            variants.append(dataclasses.replace(bundle, operators=operators))
+    key = backend.merge_key(bundle)
+    assert all(backend.merge_key(variant) != key for variant in variants)

@@ -1,11 +1,13 @@
 """Tests for the async serving queue (:mod:`repro.services.serving`).
 
-The headline contract is coalescing: N structurally identical submissions
-form one execution group, pay one fusion/template compile, and still stream
-N independent results.  The rest covers admission control (no context, no
-capable engine, duplicate live names, a bundle that fails validation), the
-service-wide exec-option merge, mixed batches, and QEC bundles riding the
-same queue.
+The headline contract is grouping: N submissions of one intent and context
+(seeds and sample counts free to differ) share one group key, form one
+execution group, pay one fusion/template compile, and still stream N
+independent results; ``coalesce=False`` is the one switch that turns
+grouping off.  The rest covers admission control (no context, no capable
+engine, duplicate live names, a bundle that fails validation, malformed
+service arguments), the service-wide exec-option merge, mixed batches, and
+QEC bundles riding the same queue.
 """
 
 import gc
@@ -57,7 +59,7 @@ def qec_bundle(name, *, distance=5, rounds=3, seed=7):
 
 
 def test_submit_many_coalesces_identical_structures():
-    # N structurally identical circuits -> 1 group, 1 template compile,
+    # N jobs of one intent -> 1 group, 1 template compile,
     # N independent result streams.
     clear_compile_caches()
     bundles = [qft_bundle(f"user{i}", seed=i + 1) for i in range(5)]
@@ -104,6 +106,11 @@ def test_coalescing_disabled_gives_singleton_groups():
     assert stats["groups"] == 3
     assert stats["coalesced"] == 0
     assert stats["completed"] == 3
+
+
+def test_grouping_has_one_switch():
+    with pytest.raises(TypeError):
+        JobService(coalesce_merge=False)
 
 
 def test_as_completed_streams_every_submission():

@@ -73,8 +73,20 @@ def test_retry_policy_validation():
         RetryPolicy(jitter=1.0)
     with pytest.raises(ServiceError, match="seed"):
         RetryPolicy(seed=-1)
+    for field, bad in [
+        ("max_attempts", "3"),
+        ("backoff_s", "0.1"),
+        ("multiplier", None),
+        ("jitter", "x"),
+        ("jitter", True),
+    ]:
+        with pytest.raises(ServiceError, match=field):
+            RetryPolicy(**{field: bad})
     with pytest.raises(ServiceError, match="RetryPolicy"):
         JobService(retry_policy="twice")
+    for lanes in ("2", 1.5, True, 0):
+        with pytest.raises(ServiceError, match="lanes"):
+            JobService(lanes=lanes)
 
 
 def test_retry_backoff_is_deterministic_and_exponential():

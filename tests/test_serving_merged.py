@@ -1,17 +1,20 @@
 """Tests for the serving layer's merged (batch-axis) group execution.
 
-The serving contract on top of :meth:`StatevectorSimulator.run_merged`: a
-coalesced group of merge-eligible jobs executes as **one** backend call, each
-ticket gets back exactly the counts a standalone submission would produce,
-and the fast path degrades gracefully — per-job opt-out, cancelled members,
-a member's deadline expiry, and whole-group failures all isolate to the
-affected ticket while the rest of the group still completes (merged when
-``>= 2`` members remain live, solo otherwise).  Also covered: the lowering
-memo lowers each distinct intent once across admission and execution, a
-merged group transpiles once, and a barrier keeps jobs out of one merge.  A solo
-job is a group of one in the same attempt loop: a merged transient failure
-re-runs members alone without spending retries, a shared run's recovered
-crash counts once, and solo and merged results carry the same serving keys.
+The serving contract on top of :meth:`StatevectorSimulator.run_merged`: jobs
+that share one group key (engine plus
+:meth:`~repro.backends.gate_backend.GateBackend.merge_key`) execute as
+**one** backend call, each ticket gets back exactly the counts a standalone
+submission would produce, and the fast path degrades gracefully — a
+different-intent job runs alone, and cancelled members, a member's deadline
+expiry, and whole-group failures all isolate to the affected ticket while
+the rest of the group still completes (merged when ``>= 2`` members remain
+live, solo otherwise).  Also covered: admission lowers nothing and a merged
+group lowers and transpiles once, a bundle whose lowering raises fails only
+its own ticket, ``GateBackend.run_merged`` rejects members with different
+merge keys, and a barrier keeps jobs out of one merge.  A solo job is a group
+of one in the same attempt loop: a merged transient failure re-runs members
+alone without spending retries, a shared run's recovered crash counts once,
+and solo and merged results carry the same serving keys.
 """
 
 import threading
@@ -23,10 +26,16 @@ from repro.backends import gate_backend, runtime
 from repro.backends.lowering import (
     GATE_LOWERING_RULES,
     clear_lowering_cache,
+    lowering_cache_info,
     register_gate_lowering,
 )
 from repro.core import ContextDescriptor, ExecPolicy, package, phase_register
-from repro.core.errors import DeadlineExceededError, TransientExecutionError
+from repro.core.errors import (
+    BackendError,
+    DeadlineExceededError,
+    LoweringError,
+    TransientExecutionError,
+)
 from repro.oplib import build_operator, measurement, qft_operator
 from repro.oplib.stateprep import prep_uniform
 from repro.problems import MaxCutProblem
@@ -80,7 +89,7 @@ def test_merged_service_counts_match_back_to_back(options):
     with JobService(lanes=1) as merged_service:
         merged, tickets = counts_by_name(merged_service, bundles)
         merged_stats = merged_service.stats()
-    with JobService(lanes=1, coalesce_merge=False) as solo_service:
+    with JobService(lanes=1, coalesce=False) as solo_service:
         solo, _ = counts_by_name(solo_service, group("m", 4, options=options))
         solo_stats = solo_service.stats()
     assert merged == solo
@@ -96,9 +105,7 @@ def test_merged_service_counts_match_back_to_back(options):
 
 def test_per_job_opt_out_runs_solo_next_to_the_merge():
     bundles = group("o", 3)
-    bundles.append(
-        qft_bundle("o3", seed=4, samples=320, options={"coalesce_merge": False})
-    )
+    bundles.append(qft_bundle("o3", width=5, seed=4, samples=320))  # another intent
     with JobService(lanes=1) as service:
         results, tickets = counts_by_name(service, bundles)
         stats = service.stats()
@@ -108,10 +115,10 @@ def test_per_job_opt_out_runs_solo_next_to_the_merge():
     by_name = {t.name: t for t in tickets}
     assert by_name["o3"].result().metadata["serving"]["merged"] is False
     assert by_name["o0"].result().metadata["serving"]["merged"] is True
-    # The opted-out job's counts match its own standalone submission.
+    # The job that ran alone matches its own standalone submission.
     with JobService(lanes=1, coalesce=False) as solo_service:
         alone = solo_service.submit(
-            qft_bundle("o3", seed=4, samples=320)
+            qft_bundle("o3", width=5, seed=4, samples=320)
         ).result(timeout=120)
     assert results["o3"] == dict(alone.counts)
 
@@ -136,16 +143,16 @@ def qft_lowerings():
 
 
 def test_lowering_happens_once_per_job(qft_lowerings):
-    # The coalescing key, the merge key and execution each ask for the
-    # lowering; the memo lowers the group's one intent once.
+    # The group key digests the intent without lowering it; execution
+    # lowers the merged group's one intent once.
     with JobService(lanes=1) as service:
         tickets = service.submit_many(group("lo", 3))
         keyed = len(qft_lowerings)
         for ticket in tickets:
             ticket.result(timeout=120)
         stats = service.stats()
-    assert keyed == 1  # at admission, for the first of three same-intent jobs
-    assert len(qft_lowerings) == 1  # and never again during execution
+    assert keyed == 0  # admission lowers nothing
+    assert len(qft_lowerings) == 1  # the merged group lowers once
     assert stats["merged_groups"] == 1
 
     clear_lowering_cache()
@@ -155,6 +162,56 @@ def test_lowering_happens_once_per_job(qft_lowerings):
         for ticket in service.submit_many(mixed):
             ticket.result(timeout=120)
     assert len(qft_lowerings) == 2  # two distinct intents, each lowered once
+
+
+@pytest.fixture
+def failing_prep_uniform():
+    """Make every ``PREP_UNIFORM`` lowering raise; the real rule returns after."""
+    original = GATE_LOWERING_RULES["PREP_UNIFORM"]
+
+    def failing_rule(op, qdts, allocation, circuit, clbit_offset):
+        raise LoweringError("injected lowering failure")
+
+    register_gate_lowering("PREP_UNIFORM", failing_rule, replace=True)
+    yield
+    register_gate_lowering("PREP_UNIFORM", original, replace=True)
+
+
+def test_a_bundle_whose_lowering_raises_is_admitted_and_fails_alone(failing_prep_uniform):
+    bundles = group("ok", 2) + [barrier_bundle("bad", barrier=False, seed=5)]
+    with JobService(lanes=1) as service:
+        tickets = service.submit_many(bundles)  # admission lowers nothing
+        assert isinstance(tickets[2].exception(timeout=120), LoweringError)
+        results = [ticket.result(timeout=120) for ticket in tickets[:2]]
+        stats = service.stats()
+    assert (stats["completed"], stats["failed"], stats["merged_jobs"]) == (2, 1, 2)
+    assert all(result.metadata["serving"]["merged"] for result in results)
+
+
+def test_run_merged_rejects_members_without_one_merge_key(monkeypatch):
+    transpiles = []
+    real_transpile = gate_backend.transpile_cached
+
+    def counting_transpile(circuit, **kwargs):
+        transpiles.append(circuit.name)
+        return real_transpile(circuit, **kwargs)
+
+    monkeypatch.setattr(gate_backend, "transpile_cached", counting_transpile)
+    problem = MaxCutProblem.cycle(4)
+    angles = [
+        build_qaoa_bundle(problem, gammas=[gamma], betas=[0.4], name=f"g{gamma}")
+        for gamma in (0.3, 0.5)
+    ]
+    widths = [qft_bundle("w4", width=4), qft_bundle("w5", width=5)]
+    backend = gate_backend.GateBackend()
+    for pair in (angles, widths):
+        before = lowering_cache_info()
+        with pytest.raises(BackendError, match="merge key"):
+            backend.run_merged(pair)
+        with pytest.raises(BackendError, match="merge key"):
+            runtime.submit_merged(pair, backend=backend)
+        assert lowering_cache_info() == before  # rejected before any work
+    assert transpiles == []
 
 
 def qaoa_group(size):
@@ -241,7 +298,7 @@ def barrier_bundle(name, *, barrier, seed):
 def test_barrier_keeps_jobs_out_of_one_merge():
     # Without the barrier the peephole passes cancel H.H, so A transpiles to
     # no gates and no noise; B's barrier keeps its gates (and their noise).
-    # The two share a coalesce group but must not share a transpiled circuit.
+    # The two share a structure but not an intent, so not a group either.
     bundles = [
         barrier_bundle("A", barrier=False, seed=11),
         barrier_bundle("B", barrier=True, seed=22),
@@ -249,8 +306,8 @@ def test_barrier_keeps_jobs_out_of_one_merge():
     with JobService(lanes=1) as service:
         served, tickets = counts_by_name(service, bundles)
         stats = service.stats()
-    assert stats["groups"] == 1
-    assert stats["merged_groups"] == 0  # two subgroups of one, each run solo
+    assert stats["groups"] == 2
+    assert stats["merged_groups"] == 0  # two groups of one, each run solo
     assert served["A"] == {"000": 512}
     assert len(served["B"]) == 8
     for bundle, ticket in zip(bundles, tickets):
@@ -341,14 +398,14 @@ def test_merged_failure_falls_back_to_solo_for_every_member(monkeypatch):
     with JobService(lanes=1) as service:
         merged, tickets = counts_by_name(service, bundles)
         stats = service.stats()
-    assert attempts == [3]  # one merged attempt for the whole subgroup
+    assert attempts == [3]  # one merged attempt for the whole group
     assert stats["completed"] == 3
     assert stats["failed"] == 0
     assert stats["merged_groups"] == 0  # nothing completed via the fast path
     for ticket in tickets:
         assert ticket.result().metadata["serving"]["merged"] is False
     # The solo fallback still produces standalone-identical counts.
-    with JobService(lanes=1, coalesce_merge=False) as solo_service:
+    with JobService(lanes=1, coalesce=False) as solo_service:
         solo, _ = counts_by_name(solo_service, group("f", 3))
     assert merged == solo
 
@@ -379,11 +436,17 @@ def test_merged_transient_failure_reruns_alone_without_spending_retries(monkeypa
         assert serving["attempts"] == 1
         assert serving["merged"] is False
     assert stats["retries"] == 0
-    with JobService(lanes=1, retry_policy=policy, coalesce_merge=False) as solo_service:
+    with JobService(lanes=1, retry_policy=policy, coalesce=False) as solo_service:
         solo, _ = counts_by_name(solo_service, group("r", 3))
         solo_stats = solo_service.stats()
     assert merged == solo
-    assert stats == solo_stats
+    # Every counter but the grouping ones reads as if the jobs had run alone.
+    assert (stats["groups"], stats["coalesced"]) == (1, 2)
+    assert (solo_stats["groups"], solo_stats["coalesced"]) == (3, 0)
+    grouping = {"groups", "coalesced"}
+    assert {k: v for k, v in stats.items() if k not in grouping} == {
+        k: v for k, v in solo_stats.items() if k not in grouping
+    }
 
 
 def test_merged_recovered_crash_counts_once(monkeypatch):
@@ -409,17 +472,15 @@ def test_merged_recovered_crash_counts_once(monkeypatch):
 
 def test_group_of_one_and_merged_member_carry_the_same_serving_keys():
     bundles = group("s", 2)
-    bundles.append(
-        qft_bundle("s2", seed=3, samples=256, options={"coalesce_merge": False})
-    )
+    bundles.append(qft_bundle("s2", width=5, seed=3, samples=256))  # another intent
     with JobService(lanes=1) as service:
         _, tickets = counts_by_name(service, bundles)
     merged = tickets[0].result().metadata["serving"]
     alone = tickets[2].result().metadata["serving"]
     assert set(merged) == set(alone) == SERVING_KEYS
     assert (merged["merged"], alone["merged"]) == (True, False)
-    assert (merged["group_size"], alone["group_size"]) == (3, 3)
-    assert (merged["group_position"], alone["group_position"]) == (0, 2)
+    assert (merged["group_size"], alone["group_size"]) == (2, 1)
+    assert (merged["group_position"], alone["group_position"]) == (0, 0)
 
 
 def test_submit_places_like_a_batch_of_one():
