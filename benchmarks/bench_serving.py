@@ -9,8 +9,9 @@ repository root:
   (the default: jobs sharing a group key — one engine, intent, target and
   option set — execute as one *merged* batch-axis run per group) and
   **uncoalesced** (``coalesce=False``: every job alone, one backend call
-  each out of warm caches).  Compile caches are cleared before each run so
-  the comparison is honest: ``coalesced_speedup`` (uncoalesced wall over
+  each out of warm caches).  The compile caches and the lowering memo are
+  cleared before each run, so each row pays its own lowerings and compiles
+  and the comparison is honest: ``coalesced_speedup`` (uncoalesced wall over
   merged wall) is the headline.  Each run also records ``transpiles``, the
   transpile-cache lookups (hits plus misses) it made: a merged group
   transpiles once, for all its members.
@@ -32,6 +33,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.backends import clear_lowering_cache
 from repro.core import ContextDescriptor, ExecPolicy, package, phase_register
 from repro.oplib import (
     measurement,
@@ -116,6 +118,7 @@ def bench_serving(jobs_per_shape, samples, lanes):
     for label, service_kwargs in configs:
         bundles = mixed_batch(jobs_per_shape, samples)
         clear_compile_caches()
+        clear_lowering_cache()
         with JobService(lanes=lanes, **service_kwargs) as service:
             start = time.perf_counter()
             service.submit_many(bundles)

@@ -1,27 +1,29 @@
 """Persistent process pool for trajectory chunk execution.
 
-The thread-pool chunk executor in :mod:`~repro.simulators.gate.statevector`
-is break-even on CPython — the per-chunk Python bookkeeping between the
-GIL-releasing NumPy kernels serialises the workers — so real scale-out needs
-process-level parallelism.  This module owns that seam:
+The chunk executor in :mod:`~repro.simulators.gate.statevector` runs
+super-chunks on threads or, under ``trajectory_executor="process"``, on the
+worker processes of this module, where the per-chunk Python bookkeeping
+between the GIL-releasing NumPy kernels runs under one interpreter lock per
+worker instead of one for all.  This module owns that seam:
 
-* a **persistent** ``ProcessPoolExecutor`` (forkserver start method where
-  available, spawn otherwise), created on first use and reused across runs
-  and jobs;
+* **one persistent pool**: a ``ProcessPoolExecutor`` (forkserver start
+  method where available, spawn otherwise) with one process slot per core,
+  created on first use, shared by every run, job and thread, and replaced
+  only when it breaks;
 * **one task for every engine and grouping**: the parent's super-chunk plan
   (each super-chunk a list of ``(job, chunk_id, size, stream)`` segments,
-  exactly as the thread path executes it) is dealt round-robin into at most
-  ``workers`` groups, and :func:`run_chunks` ships each group with the
-  circuit and a small picklable engine value.  The worker compiles through
-  its own warm compile caches (a parameter re-bind after the first run of a
-  structure) and runs the same chunk body as the thread path
-  (:func:`~repro.simulators.gate.statevector.run_super_chunk`), so seeded
-  counts are **bit-identical** to the thread executor (and to serial
-  execution) at every worker count;
+  exactly as the thread path executes it) is dealt round-robin into
+  ``min(workers, slots, len(plan))`` groups, and :func:`run_chunks` ships
+  each group with the circuit and a small picklable engine value.  The
+  worker compiles through its own warm compile caches (a parameter re-bind
+  after the first run of a structure) and runs the same chunk body as the
+  thread path (:func:`~repro.simulators.gate.statevector.run_super_chunk`),
+  so seeded counts are **bit-identical** to the thread executor (and to
+  serial execution) at every worker count;
 * **worker-crash recovery**: a dead worker breaks the whole
   ``ProcessPoolExecutor`` (every unfinished future raises
-  ``BrokenProcessPool``), so the executor collects what completed, retires
-  the broken pool, builds a fresh one, and re-dispatches **only the lost
+  ``BrokenProcessPool``), so the executor collects what completed, drops
+  the broken pool, starts a fresh one, and re-dispatches **only the lost
   groups** — each still carrying its original segments, so the recovered
   run re-draws from the same ``SeedSequence`` streams and seeded counts stay
   bit-identical to an uncrashed run.  Recovery is budgeted per run
@@ -32,16 +34,19 @@ process-level parallelism.  This module owns that seam:
   :class:`~repro.core.errors.ChunkReassemblyError` instead of passing
   ``None`` rows downstream.
 
-The pool is generation-tagged and **leased**: callers acquire the current
-generation, submit and collect against their leased executor, and release
-it afterwards.  Growth (a request for more workers) starts a new generation
-immediately but only shuts the old one down once its last lease is
-released, so a concurrent in-flight run can never be stranded mid-collect.
-A request for fewer workers reuses the existing (larger) generation —
-effective parallelism is bounded by the group count, and shrinking would
-throw away warm worker processes.  ``fork`` is deliberately not used
-even where available: the workers must not inherit the parent's BLAS
-thread pools or lock state mid-operation.
+Every slot starts before the pool is handed out: each worker's initializer
+waits on a barrier of all slots while the creator submits one no-op task
+per slot, so no worker goes idle before the last one has started, each
+start-up submit starts exactly one process, and no later submit starts
+any.  Recovery depends on that: CPython's broken-pool teardown terminates
+the workers it knows and then joins every worker, so a worker that a
+submit started while another was dying would be joined, never stopped,
+and hang the run.  Concurrent runs share the slots; a run asking for more
+workers than there are slots gets as many groups as there are slots.
+``fork`` is deliberately not used even where available: the workers must
+not inherit the parent's BLAS thread pools or lock state mid-operation.
+They do inherit the BLAS thread count the forkserver started with, so set
+``OPENBLAS_NUM_THREADS`` before Python starts when timing the workers.
 
 Deterministic fault injection (:mod:`~repro.simulators.gate.faults`) rides
 the task payloads: a :class:`~repro.simulators.gate.faults.FaultPlan` fires
@@ -57,8 +62,14 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing as mp
+import os
 import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_EXCEPTION,
+    BrokenExecutor,
+    ProcessPoolExecutor,
+    wait,
+)
 from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -78,23 +89,12 @@ __all__ = [
 #: workload spin forever.
 MAX_POOL_REBUILDS = 2
 
+#: Process slots of the pool: one per core.
+_SLOTS = os.cpu_count() or 1
 
-class _PoolGeneration:
-    """One generation of the worker pool: executor + lease bookkeeping."""
-
-    def __init__(self, executor: ProcessPoolExecutor, workers: int, generation: int):
-        self.executor = executor
-        self.workers = workers
-        self.generation = generation
-        self.leases = 0
-        self.retired = False
-
-
-_CURRENT: Optional[_PoolGeneration] = None
-_RETIRED: List[_PoolGeneration] = []
-_GENERATION = 0
+_POOL: Optional[ProcessPoolExecutor] = None
 _POOL_LOCK = threading.Lock()
-_HEALTH = {"pool_rebuilds": 0, "groups_redispatched": 0, "generations_retired": 0}
+_HEALTH = {"pool_rebuilds": 0, "groups_redispatched": 0}
 
 
 def _start_method() -> str:
@@ -106,120 +106,85 @@ def _start_method() -> str:
     )
 
 
-def _new_generation(workers: int) -> _PoolGeneration:
-    """Create a fresh pool generation (caller holds ``_POOL_LOCK``)."""
-    global _GENERATION
+def _start_pool() -> ProcessPoolExecutor:
+    """Create the pool and start every slot (caller holds ``_POOL_LOCK``).
+
+    Raises :class:`BrokenExecutor`, counted as one rebuild, when a worker
+    dies while the slots start (no chunk group has run on the pool then).
+    """
     context = mp.get_context(_start_method())
     if hasattr(context, "set_forkserver_preload"):
         # Fork workers from a server that already imported this package (and
         # with it NumPy): per-worker startup drops from a full interpreter +
         # import chain to a fork.
         context.set_forkserver_preload(["repro.simulators.gate.procpool"])
-    _GENERATION += 1
-    return _PoolGeneration(
-        ProcessPoolExecutor(max_workers=workers, mp_context=context),
-        workers,
-        _GENERATION,
-    )
+    barrier = context.Barrier(_SLOTS)
+    pool = ProcessPoolExecutor(_SLOTS, mp_context=context, initializer=barrier.wait)
+    try:
+        started = [pool.submit(int) for _ in range(_SLOTS)]
+        # Stop at the first failure: a future submitted while the pool was
+        # breaking may never resolve.
+        for future in wait(started, return_when=FIRST_EXCEPTION).done:
+            future.result()
+    except BaseException as exc:
+        # Release the workers waiting at the barrier, one that a submit started
+        # after the breakage included, so the shutdown can join them all.
+        barrier.abort()
+        pool.shutdown(wait=True)
+        if isinstance(exc, BrokenExecutor):
+            _HEALTH["pool_rebuilds"] += 1
+        raise
+    return pool
 
 
-def _retire_locked(generation: _PoolGeneration) -> Optional[ProcessPoolExecutor]:
-    """Mark *generation* retired; return its executor if it can shut down now."""
-    generation.retired = True
-    _HEALTH["generations_retired"] += 1
-    if generation.leases == 0:
-        return generation.executor
-    _RETIRED.append(generation)
-    return None
+def _pool() -> ProcessPoolExecutor:
+    """The worker pool, created with every slot started on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = _start_pool()
+        return _POOL
 
 
-def _acquire_pool(workers: int) -> _PoolGeneration:
-    """Lease the current pool generation, growing it if *workers* exceeds it.
+def _replace_broken(pool: ProcessPoolExecutor) -> None:
+    """Drop a broken *pool* so the next run starts a fresh one.
 
-    The returned generation's executor stays valid — even across a
-    concurrent grow or crash-triggered replacement — until the matching
-    :func:`_release_pool`.
+    Every run that collected from the broken pool calls this; only the first
+    finds it still current, drops it and counts the rebuild.
     """
-    global _CURRENT
-    if workers < 1:
-        raise ValueError(f"worker pool size must be >= 1, got {workers!r}")
-    to_shutdown: Optional[ProcessPoolExecutor] = None
+    global _POOL
     with _POOL_LOCK:
-        if _CURRENT is None or workers > _CURRENT.workers:
-            if _CURRENT is not None:
-                to_shutdown = _retire_locked(_CURRENT)
-            _CURRENT = _new_generation(workers)
-        _CURRENT.leases += 1
-        handle = _CURRENT
-    if to_shutdown is not None:
-        to_shutdown.shutdown(wait=True)
-    return handle
-
-
-def _release_pool(handle: _PoolGeneration) -> None:
-    """Release one lease; shut a retired generation down once it drains."""
-    to_shutdown: Optional[ProcessPoolExecutor] = None
-    with _POOL_LOCK:
-        handle.leases -= 1
-        if handle.retired and handle.leases == 0:
-            if handle in _RETIRED:
-                _RETIRED.remove(handle)
-            to_shutdown = handle.executor
-    if to_shutdown is not None:
-        to_shutdown.shutdown(wait=True)
-
-
-def _replace_broken(handle: _PoolGeneration) -> None:
-    """Retire a broken generation so the next acquire builds a fresh pool.
-
-    Idempotent across the threads that may observe the same breakage: only
-    the first caller retires the generation and bumps the rebuild counter.
-    """
-    global _CURRENT
-    with _POOL_LOCK:
-        if handle.retired:
+        if _POOL is not pool:
             return
+        _POOL = None
         _HEALTH["pool_rebuilds"] += 1
-        # A broken executor cannot run queued futures, so it is safe to shut
-        # down immediately regardless of leases: shutdown on a broken pool
-        # only reaps dead processes.
-        handle.retired = True
-        _HEALTH["generations_retired"] += 1
-        if _CURRENT is handle:
-            _CURRENT = None
-    handle.executor.shutdown(wait=True)
+    # A broken executor runs no queued futures: shutdown only reaps processes.
+    pool.shutdown(wait=True)
 
 
 def shutdown_worker_pool() -> None:
-    """Tear every generation down (test isolation / interpreter exit)."""
-    global _CURRENT
+    """Shut the pool down (test isolation / interpreter exit)."""
+    global _POOL
     with _POOL_LOCK:
-        doomed = [gen.executor for gen in _RETIRED]
-        if _CURRENT is not None:
-            doomed.append(_CURRENT.executor)
-        _RETIRED.clear()
-        _CURRENT = None
-    for executor in doomed:
-        executor.shutdown(wait=True)
+        pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.shutdown(wait=True)
 
 
 def worker_pool_info() -> Dict[str, int]:
-    """Snapshot of the pool state: ``workers`` and ``started``."""
+    """Snapshot of the pool state: ``workers`` (its slots) and ``started``."""
     with _POOL_LOCK:
-        return {
-            "workers": 0 if _CURRENT is None else _CURRENT.workers,
-            "started": int(_CURRENT is not None),
-        }
+        started = _POOL is not None
+    return {"workers": _SLOTS if started else 0, "started": int(started)}
 
 
 def executor_health() -> Dict[str, int]:
     """Process-lifetime recovery counters.
 
-    ``pool_rebuilds`` (broken pools replaced), ``groups_redispatched``
-    (chunk groups re-executed after a crash), ``generations_retired``
-    (grow-driven and crash-driven retirements).  Monotonic; serving-level
-    per-job accounting uses the per-run recovery dicts returned by
-    :func:`run_chunks` instead.
+    ``pool_rebuilds`` (broken pools replaced, each counted once however many
+    runs collected from it) and ``groups_redispatched`` (chunk groups
+    re-executed after a crash).  Monotonic; serving-level per-job accounting
+    uses the per-run recovery dicts returned by :func:`run_chunks` instead.
     """
     with _POOL_LOCK:
         return dict(_HEALTH)
@@ -251,13 +216,14 @@ def _require_complete(outputs: Sequence[Optional[Any]]) -> None:
         raise ChunkReassemblyError(missing, len(outputs))
 
 
-def _run_groups_with_recovery(pending, submit_group, workers: int):
+def _run_groups_with_recovery(pending, submit_group):
     """Crash-recovery driver of the process executor.
 
     *pending* is a list of ``(group, attempt)`` pairs; *submit_group* maps
-    a leased executor plus one pair to a future.  Runs every group to
-    completion, rebuilding the pool and re-dispatching only the lost groups
-    (``attempt + 1``) on breakage, up to :data:`MAX_POOL_REBUILDS` rebuilds
+    the pool plus one pair to a future.  Runs every group to completion,
+    replacing a broken pool and re-dispatching only the lost groups
+    (``attempt + 1``; a pool that broke while starting ran none, so its
+    groups keep their attempt), up to :data:`MAX_POOL_REBUILDS` rebuilds
     per run.  Returns ``(results, recovery)``: the completed groups' return
     values (order unspecified — callers reassemble by chunk id) and the
     per-run recovery counters.
@@ -265,30 +231,30 @@ def _run_groups_with_recovery(pending, submit_group, workers: int):
     recovery = {"pool_rebuilds": 0, "groups_redispatched": 0}
     results = []
     while pending:
-        handle = _acquire_pool(workers)
-        broken = False
         lost: List[Tuple[Any, int]] = []
         try:
-            submitted: List[Tuple[Any, Any, int]] = []
-            for group, attempt in pending:
-                try:
-                    future = submit_group(handle.executor, group, attempt)
-                except BrokenExecutor:
-                    broken = True
-                    lost.append((group, attempt + 1))
-                    continue
-                submitted.append((future, group, attempt))
-            for future, group, attempt in submitted:
-                try:
-                    results.append(future.result())
-                except BrokenExecutor:
-                    broken = True
-                    lost.append((group, attempt + 1))
-        finally:
-            if broken:
-                _replace_broken(handle)
-            _release_pool(handle)
-        if broken:
+            pool = _pool()
+        except BrokenExecutor:
+            lost = pending
+        else:
+            try:
+                submitted: List[Tuple[Any, Any, int]] = []
+                for group, attempt in pending:
+                    try:
+                        future = submit_group(pool, group, attempt)
+                    except BrokenExecutor:
+                        lost.append((group, attempt + 1))
+                        continue
+                    submitted.append((future, group, attempt))
+                for future, group, attempt in submitted:
+                    try:
+                        results.append(future.result())
+                    except BrokenExecutor:
+                        lost.append((group, attempt + 1))
+            finally:
+                if lost:
+                    _replace_broken(pool)
+        if lost:
             recovery["pool_rebuilds"] += 1
             recovery["groups_redispatched"] += len(lost)
             with _POOL_LOCK:
@@ -361,27 +327,29 @@ def run_chunks(
     """Execute a super-chunk plan on the process pool.
 
     *plan* is a list of super-chunks, each a list of ``(job, chunk_id, size,
-    stream)`` segments; *engine* (a small picklable value) and the
+    stream)`` segments, dealt into ``min(workers, slots, len(plan))``
+    chunk groups; *engine* (a small picklable value) and the
     *circuit* ship with every chunk group, and the worker compiles the
     circuit with the engine and runs each super-chunk through the engine's
     segment kernel.  Super-chunk *state_chunk* also returns its last
     trajectory's statevector.  Crash recovery re-dispatches only the lost
     groups with their original streams (``attempt + 1``), so recovered
-    seeded counts are bit-identical to an uncrashed run.  Returns ``(outputs, recovery)``: one ``(rows, state)``
+    seeded counts are bit-identical to an uncrashed run.  Returns
+    ``(outputs, recovery)``: one ``(rows, state)``
     per super-chunk in plan order (completeness-checked) and the run's
     recovery counters (``pool_rebuilds`` / ``groups_redispatched``, both 0
     on a clean run).
     """
-    workers = max(1, min(int(workers), len(plan)))
+    workers = max(1, min(int(workers), _SLOTS, len(plan)))
 
-    def submit_group(executor, group, attempt):
-        return executor.submit(
+    def submit_group(pool, group, attempt):
+        return pool.submit(
             _chunk_task,
             (engine, circuit, blas_threads, group, state_chunk, fault_plan, attempt),
         )
 
     pending = [(group, 0) for group in _deal_chunks(plan, workers)]
-    results, recovery = _run_groups_with_recovery(pending, submit_group, workers)
+    results, recovery = _run_groups_with_recovery(pending, submit_group)
     outputs: List[Optional[tuple]] = [None] * len(plan)
     for group_outputs in results:
         for index, output in group_outputs:

@@ -411,7 +411,9 @@ class StatevectorSimulator:
         Number of workers that execute shot chunks (``int >= 1``; default
         ``1``).  The batched and stabilizer engines share one chunk
         executor; its workers are threads, or processes under
-        ``trajectory_executor="process"``.
+        ``trajectory_executor="process"``, where the shared pool has one
+        process slot per core and a run deals its chunks into at most that
+        many groups.
         The chunks produced by ``max_batch_memory`` are independent, NumPy's
         kernels release the GIL, and every chunk draws from its own
         :class:`numpy.random.SeedSequence`-spawned stream, so seeded counts
@@ -436,7 +438,9 @@ class StatevectorSimulator:
         ``trajectory_workers``.  ``"thread"`` keeps the in-process pool
         (zero startup cost, GIL-bound between kernels).  ``"process"``
         executes the chunk groups on the persistent forkserver worker pool
-        of :mod:`~repro.simulators.gate.procpool`: the workers compile
+        of :mod:`~repro.simulators.gate.procpool` (one per interpreter, one
+        process slot per core, every slot started before its first chunk
+        task, shared by concurrent runs): the workers compile
         through their own warm caches (a parameter re-bind after a
         structure's first run), run the same segment kernel as the thread
         path, and chunk ``i`` always consumes

@@ -7,13 +7,16 @@ original per-chunk ``SeedSequence`` streams — so recovered seeded counts are
 engines and at every worker count.  Around it: the :class:`FaultPlan` data
 model (seeded determinism, dict round-trip), the transient/permanent error
 taxonomy, reassembly validation, the recovery budget (and the cause it
-names when workers die while starting), and the generation/lease pool that
-lets growth coexist with in-flight runs.
+names when workers die while starting), and the one pool that every run,
+however many workers it asks for, shares.
 """
 
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -328,38 +331,12 @@ def test_executor_health_counters_accumulate(process_pool):
     after = executor_health()
     assert after["pool_rebuilds"] == before["pool_rebuilds"] + 1
     assert after["groups_redispatched"] > before["groups_redispatched"]
-    assert after["generations_retired"] > before["generations_retired"]
 
 
-# -- generation/lease pool ----------------------------------------------------------
+# -- one shared pool ---------------------------------------------------------------
 
-def test_growth_does_not_strand_inflight_lease(process_pool):
+def test_pool_requests_share_one_pool(process_pool):
     from repro.simulators.gate import procpool
-
-    procpool.shutdown_worker_pool()
-    small = procpool._acquire_pool(2)
-    assert small.leases == 1
-    # A concurrent grow retires the small generation but must not shut it
-    # down while the lease is live: its executor still runs work.
-    large = procpool._acquire_pool(4)
-    assert large is not small
-    assert small.retired
-    assert small.executor.submit(int, "7").result() == 7
-    procpool._release_pool(small)  # last lease out -> generation shuts down
-    with pytest.raises(RuntimeError):
-        small.executor.submit(int, "7")
-    assert large.executor.submit(int, "8").result() == 8
-    procpool._release_pool(large)
-    assert procpool.worker_pool_info() == {"workers": 4, "started": 1}
-    procpool.shutdown_worker_pool()
-
-
-def test_pool_request_reuse_and_growth_contract(process_pool):
-    from repro.simulators.gate.procpool import (
-        executor_health,
-        shutdown_worker_pool,
-        worker_pool_info,
-    )
 
     circuit, noise = noisy_circuit()
 
@@ -371,19 +348,61 @@ def test_pool_request_reuse_and_growth_contract(process_pool):
             trajectory_executor="process",
             trajectory_workers=workers,
         ).run(circuit, shots=8, seed=3)
+        return procpool._POOL
 
-    shutdown_worker_pool()
-    request(2)
-    assert worker_pool_info() == {"workers": 2, "started": 1}
-    retired = executor_health()["generations_retired"]
-    request(1)  # smaller request reuses the warm pool
-    assert worker_pool_info() == {"workers": 2, "started": 1}
-    assert executor_health()["generations_retired"] == retired
-    request(4)  # larger request grows it, retiring the old generation
-    assert worker_pool_info()["workers"] == 4
-    assert executor_health()["generations_retired"] == retired + 1
-    shutdown_worker_pool()
-    assert worker_pool_info() == {"workers": 0, "started": 0}
+    procpool.shutdown_worker_pool()
+    rebuilds = procpool.executor_health()["pool_rebuilds"]
+    pools = []
+    for workers in (2, 1, 4):
+        pools.append(request(workers))
+        # Every slot started with the pool; no chunk submit starts a process.
+        assert len(multiprocessing.active_children()) == os.cpu_count()
+    # Smaller and larger requests alike run on the one pool, a slot per core.
+    assert all(pool is pools[0] for pool in pools)
+    assert procpool.worker_pool_info() == {"workers": os.cpu_count(), "started": 1}
+    assert procpool.executor_health()["pool_rebuilds"] == rebuilds
+    assert set(procpool.executor_health()) == {"pool_rebuilds", "groups_redispatched"}
+    procpool.shutdown_worker_pool()
+    assert procpool.worker_pool_info() == {"workers": 0, "started": 0}
+
+
+def test_concurrent_runs_share_the_pool_and_count_its_crash_once(process_pool):
+    from repro.simulators.gate.procpool import executor_health, worker_pool_info
+
+    circuit, noise = noisy_circuit()
+    kwargs = dict(noise_model=noise, max_batch_memory=128 * 32)
+    serial = StatevectorSimulator(**kwargs).run(circuit, shots=900, seed=71)
+    # Hang the smaller run's chunks 0 and 1, then kill the worker that runs
+    # its chunk 3; the larger run starts 0.1 s in, on another thread, on the
+    # pool that breaks.
+    plan = FaultPlan(
+        [
+            FaultEvent("hang", chunk_id=0, hang_s=0.6),
+            FaultEvent("hang", chunk_id=1, hang_s=0.3),
+            FaultEvent("kill", chunk_id=3),
+        ]
+    )
+
+    def run(workers, fault_plan=None):
+        return StatevectorSimulator(
+            trajectory_executor="process",
+            trajectory_workers=workers,
+            fault_plan=fault_plan,
+            **kwargs,
+        ).run(circuit, shots=900, seed=71)
+
+    run(2)  # a warm pool, so both runs submit in the order they start
+    before = executor_health()["pool_rebuilds"]
+    with ThreadPoolExecutor(max_workers=2) as lanes:
+        small = lanes.submit(run, 2, plan)
+        time.sleep(0.1)
+        large = lanes.submit(run, 4)
+        results = [small.result(timeout=60), large.result(timeout=60)]
+    assert results[0].metadata["executor_recovery"]["pool_rebuilds"] == 1
+    for result in results:
+        assert dict(result.counts) == dict(serial.counts)
+    assert executor_health()["pool_rebuilds"] == before + 1
+    assert worker_pool_info() == {"workers": os.cpu_count(), "started": 1}
 
 
 # -- seeded chaos sweep (slow lane) -------------------------------------------------

@@ -430,34 +430,3 @@ def test_backend_wires_trajectory_executor(process_pool):
     options["trajectory_executor"] = "auto"
     with pytest.raises(BackendError, match="expected 'thread' or 'process'"):
         GateBackend().run(bundle)
-
-
-def test_worker_pool_is_persistent_and_grow_only(process_pool):
-    from repro.simulators.gate.procpool import (
-        executor_health,
-        shutdown_worker_pool,
-        worker_pool_info,
-    )
-
-    circuit, noise = noisy_circuit()
-
-    def request(workers):
-        # max_batch_memory=1 -> eight one-shot chunks, enough for 4 workers.
-        StatevectorSimulator(
-            noise_model=noise,
-            max_batch_memory=1,
-            trajectory_executor="process",
-            trajectory_workers=workers,
-        ).run(circuit, shots=8, seed=1)
-
-    shutdown_worker_pool()
-    request(2)
-    assert worker_pool_info() == {"workers": 2, "started": 1}
-    retired = executor_health()["generations_retired"]
-    # Smaller request reuses the warm pool; larger request grows it.
-    request(1)
-    assert worker_pool_info()["workers"] == 2
-    assert executor_health()["generations_retired"] == retired
-    request(4)
-    assert worker_pool_info()["workers"] == 4
-    assert executor_health()["generations_retired"] == retired + 1
